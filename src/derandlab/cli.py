@@ -141,7 +141,6 @@ def cmd_derandomize(args: argparse.Namespace) -> int:
         family=_family_spec(args),
         radius=args.T,
         node_budget=args.budget,
-        workers=args.workers,
     )
     try:
         report, outcome = derandomize(config)
@@ -152,6 +151,13 @@ def cmd_derandomize(args: argparse.Namespace) -> int:
     payload["manifest"] = _manifest(args)
     if args.out_report:
         _write_json(_out_path(args.out_report), payload)
+    stats = outcome.stats
+    print(
+        f"search: {stats.realized_views} views / {stats.constraints} constraints / "
+        f"{stats.placements} placements / {stats.checks} checks / "
+        f"{stats.predicate_calls} predicate_calls",
+        file=sys.stderr,
+    )
     if outcome.found:
         if args.out_table:
             save_table(outcome.table, _out_path(args.out_table))
@@ -222,7 +228,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     problem = problem_by_name(args.problem)
-    table = load_table(_out_path(args.table))
+    table = load_table(_out_path(args.table), problem.output_alphabet)
     instances = _instances(args)
     passed = 0
     witness = None
@@ -298,7 +304,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_connected_run(args: argparse.Namespace) -> int:
     problem = problem_by_name(args.problem)
-    table = load_table(_out_path(args.table))
+    table = load_table(_out_path(args.table), problem.output_alphabet)
     config = ConnectedRunConfig(problem, table)
     instances = _instances(args)
     rows = []
@@ -309,7 +315,11 @@ def cmd_connected_run(args: argparse.Namespace) -> int:
                 print(f"error: instance {idx} is disconnected", file=sys.stderr)
                 return EXIT_BAD_INPUT
             continue
-        result = run_connected_aware(config, instance)
+        try:
+            result = run_connected_aware(config, instance)
+        except IncompleteTableError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_VERIFY_FAILED
         ok = verify(problem, instance, result.outputs).valid
         failures += not ok
         rows.append(
@@ -345,7 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     _family_args(p)
     p.add_argument("--T", type=int, required=True, help="table radius")
     p.add_argument("--budget", type=int, default=None, help="search placement budget")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out-table", default=None)
     p.add_argument("--out-report", default=None)
     p.set_defaults(func=cmd_derandomize)

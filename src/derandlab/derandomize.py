@@ -16,9 +16,11 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
 from .graphs import (
+    BallView,
     InputInstance,
     InstanceFamilySpec,
     canonicalize,
@@ -255,7 +257,6 @@ class SearchConfig:
     family: InstanceFamilySpec
     radius: int
     node_budget: int | None = None  # cap on label placements tried
-    workers: int = 1
 
     def __post_init__(self) -> None:
         if self.radius < 0:
@@ -268,8 +269,184 @@ class SearchConfig:
 class SearchStats:
     family_size: int = 0
     realized_views: int = 0
+    constraints: int = 0  # distinct compiled verification checks
     placements: int = 0
-    checks: int = 0
+    checks: int = 0  # constraint evaluations during the table search
+    predicate_calls: int = 0  # memo misses: interpreted predicate evaluations
+
+
+class Constraint:
+    """One distinct verification check, compiled.
+
+    ``scope`` holds the realized-view positions whose labels the check reads,
+    and ``predicate`` maps the tuple of those labels to the verdict of the
+    problem's own verifier.  Verdicts are memoized per label tuple, so each
+    distinct tuple reaches the interpreted predicate once.
+    """
+
+    __slots__ = ("scope", "last", "labels_at", "predicate", "memo")
+
+    def __init__(
+        self, scope: tuple[int, ...], predicate: Callable[[tuple[str, ...]], bool]
+    ):
+        self.scope = scope
+        self.last = max(scope)  # the check becomes decidable once this is labeled
+        if len(scope) > 1:
+            self.labels_at = itemgetter(*scope)
+        else:  # itemgetter of one position returns the bare label
+            (only,) = scope
+            self.labels_at = lambda labels: (labels[only],)
+        self.predicate = predicate
+        self.memo: dict[tuple[str, ...], bool] = {}
+
+    def holds(self, labels: Sequence[str | None]) -> bool:
+        key = self.labels_at(labels)
+        verdict = self.memo.get(key)
+        if verdict is None:
+            verdict = self.memo[key] = self.predicate(key)
+        return verdict
+
+
+@dataclass
+class FamilyIndex:
+    """A family compiled once for one table radius and one problem.
+
+    ``realized`` lists the realized radius-T view keys in sorted order, and
+    ``node_pos[i][v]`` is the position of node ``v`` of instance ``i`` among
+    them.  A node's verification check depends only on its canonical
+    verification ball and on the positions of the ball's members, so checks
+    are deduplicated on that pair: ``constraints`` holds each distinct one
+    once, ``instance_constraints[i]`` names those of instance ``i``, and
+    ``triggers[p]`` those that become decidable once position ``p`` is
+    labeled.  A component-wise problem gets one constraint per instance.
+    """
+
+    problem: ProblemSpec
+    realized: list[str]
+    node_pos: list[tuple[int, ...]]
+    constraints: list[Constraint]
+    instance_constraints: list[tuple[int, ...]]
+    triggers: list[tuple[Constraint, ...]]
+
+    def solvable(self, index: int) -> bool:
+        """Whether instance ``index`` admits any valid labeling, decided over
+        its own compiled constraints."""
+        triggers: list[list[Constraint]] = [[] for _ in self.realized]
+        for c in self.instance_constraints[index]:
+            triggers[self.constraints[c].last].append(self.constraints[c])
+        order = sorted(set(self.node_pos[index]))
+        labels: list[str | None] = [None] * len(self.realized)
+        return _backtrack(
+            order, triggers, self.problem.output_alphabet, labels, SearchStats()
+        )
+
+    @property
+    def predicate_calls(self) -> int:
+        # every memo miss stores exactly one verdict
+        return sum(len(con.memo) for con in self.constraints)
+
+
+def compile_family(
+    problem: ProblemSpec, instances: Sequence[InputInstance], radius: int
+) -> FamilyIndex:
+    """Build the :class:`FamilyIndex` of ``instances`` at table radius
+    ``radius``."""
+    node_keys = [
+        tuple(canonicalize(extract_ball(inst, v, radius)) for v in range(inst.n))
+        for inst in instances
+    ]
+    realized = sorted({key for keys in node_keys for key in keys})
+    pos_of = {key: i for i, key in enumerate(realized)}
+    node_pos = [tuple(pos_of[key] for key in keys) for keys in node_keys]
+
+    constraints: list[Constraint] = []
+    seen: dict[tuple[str, tuple[int, ...]], int] = {}
+    instance_constraints: list[tuple[int, ...]] = []
+    for inst, positions in zip(instances, node_pos):
+        if not problem.locally_verifiable:
+            instance_constraints.append((len(constraints),))
+            constraints.append(Constraint(positions, _instance_check(problem, inst)))
+            continue
+        own: dict[int, None] = {}
+        for v in range(inst.n):
+            ball = extract_ball(inst, v, problem.radius)
+            scope = tuple(
+                positions[inst.node_with_id(b.identifier)] for b in ball.nodes
+            )
+            key = (canonicalize(ball), scope)
+            if key not in seen:
+                seen[key] = len(constraints)
+                constraints.append(Constraint(scope, _ball_check(problem, ball)))
+            own[seen[key]] = None
+        instance_constraints.append(tuple(own))
+
+    triggers: list[list[Constraint]] = [[] for _ in realized]
+    for con in constraints:
+        triggers[con.last].append(con)
+    return FamilyIndex(
+        problem,
+        realized,
+        node_pos,
+        constraints,
+        instance_constraints,
+        [tuple(t) for t in triggers],
+    )
+
+
+def _ball_check(problem: ProblemSpec, ball: BallView) -> Callable[[tuple[str, ...]], bool]:
+    ids = ball.identifiers
+    return lambda labels: problem.ball_valid(ball, dict(zip(ids, labels)))
+
+
+def _instance_check(
+    problem: ProblemSpec, instance: InputInstance
+) -> Callable[[tuple[str, ...]], bool]:
+    return lambda labels: verify(problem, instance, dict(enumerate(labels))).valid
+
+
+def _backtrack(
+    order: Sequence[int],
+    triggers: Sequence[Sequence[Constraint]],
+    alphabet: Sequence[str],
+    labels: list[str | None],
+    stats: SearchStats,
+    budget: int | None = None,
+) -> bool:
+    """Label the positions in ``order`` one by one, trying labels in alphabet
+    order and backtracking on the first violated triggered constraint.
+
+    Returns True with ``labels`` holding the first complete assignment that
+    satisfies every constraint in ``triggers``, or False once the space is
+    exhausted.  Placements and checks are added to ``stats``.
+    """
+    placements, checks = stats.placements, stats.checks
+    depth = 0
+    next_try = [0] * len(order)
+    width = len(alphabet)
+    while 0 <= depth < len(order):
+        pos = order[depth]
+        if next_try[depth] == width:
+            next_try[depth] = 0
+            labels[pos] = None
+            depth -= 1
+            if depth >= 0:
+                next_try[depth] += 1
+            continue
+        labels[pos] = alphabet[next_try[depth]]
+        placements += 1
+        if budget is not None and placements > budget:
+            raise SearchBudgetExceeded(
+                f"table search exceeded its budget of {budget} placements"
+            )
+        for con in triggers[pos]:
+            checks += 1
+            if not con.holds(labels):
+                next_try[depth] += 1
+                break
+        else:
+            depth += 1
+    stats.placements, stats.checks = placements, checks
+    return depth == len(order)
 
 
 @dataclass
@@ -280,6 +457,8 @@ class TableSearchOutcome:
     labeling at all; otherwise ``exhausted`` records that the whole table
     space was searched without success (the instances are individually
     solvable but no single consistent table covers them all).
+    ``verified_count`` is the number of family instances on which a found
+    table passed the final verification.
     """
 
     table: NormalFormTable | None
@@ -288,6 +467,7 @@ class TableSearchOutcome:
     witness: InputInstance | None
     exhausted: bool
     stats: SearchStats
+    verified_count: int | None = None
 
     @property
     def found(self) -> bool:
@@ -297,106 +477,66 @@ class TableSearchOutcome:
 def find_normal_form(config: SearchConfig) -> TableSearchOutcome:
     """Lexicographically first table valid on every family instance.
 
-    The search assigns output labels to the realized view keys in key order,
-    trying labels in alphabet order, and backtracks on the first violated
-    check.  For locally verifiable problems a node's check fires as soon as
-    the keys of every node in its verification-radius view are decided; for
-    component-wise problems whole instances are checked once their keys are
-    complete.  Checks are monotone, so pruning never skips a valid table and
-    the first complete assignment is the lexicographic minimum.
+    The family is compiled once into a :class:`FamilyIndex`: the realized
+    view keys in sorted order and the deduplicated verification constraints,
+    each keyed by its canonical verification ball and the positions of the
+    ball's members, with a memo from label tuple to verdict.  The search
+    assigns output labels to the realized keys in key order, trying labels in
+    alphabet order, and backtracks on the first violated constraint; a
+    constraint fires once every position it reads is labeled, and evaluating
+    it is a tuple build plus a memo lookup.  Checks are monotone, so pruning
+    never skips a valid table and the first complete assignment is the
+    lexicographic minimum.
+
+    When the space is exhausted, each instance is solved alone over its own
+    constraints in family order; the first unsolvable one is the witness,
+    confirmed by :func:`brute_force_solve`.  A found table is verified once
+    more on the whole family with :func:`verify` and :func:`run_normal_form`,
+    the spec-level oracle.
     """
     problem = config.problem
     alphabet = problem.output_alphabet
     instances = list(enumerate_instances(config.family))
-    stats = SearchStats(family_size=len(instances))
+    index = compile_family(problem, instances, config.radius)
+    realized = index.realized
+    stats = SearchStats(
+        family_size=len(instances),
+        realized_views=len(realized),
+        constraints=len(index.constraints),
+    )
 
-    node_keys: list[tuple[str, ...]] = [
-        tuple(
-            canonicalize(extract_ball(inst, v, config.radius))
-            for v in range(inst.n)
-        )
-        for inst in instances
-    ]
-    realized = sorted({key for keys in node_keys for key in keys})
-    pos_of = {key: i for i, key in enumerate(realized)}
-    stats.realized_views = len(realized)
-
-    # triggers[p] = checks that become decidable once position p is labeled.
     labels: list[str | None] = [None] * len(realized)
-    triggers: list[list[Callable[[], bool]]] = [[] for _ in realized]
+    found = _backtrack(
+        range(len(realized)), index.triggers, alphabet, labels, stats, config.node_budget
+    )
+    witness = None if found else next(
+        (i for i in range(len(instances)) if not index.solvable(i)), None
+    )
+    stats.predicate_calls = index.predicate_calls
 
-    def add_local_check(inst: InputInstance, keys: tuple[str, ...], v: int) -> None:
-        ball = extract_ball(inst, v, problem.radius)
-        members = [
-            (b.identifier, pos_of[keys[inst.node_with_id(b.identifier)]])
-            for b in ball.nodes
-        ]
-
-        def check() -> bool:
-            return problem.ball_valid(
-                ball, {ident: labels[pos] for ident, pos in members}
+    if not found:
+        if witness is None:
+            return TableSearchOutcome(None, True, None, None, True, stats)
+        inst = instances[witness]
+        if brute_force_solve(problem, inst) is not None:
+            raise SimulationError(
+                f"internal: instance {witness} is unsolvable over its compiled "
+                "constraints but brute force finds a labeling"
             )
-
-        triggers[max(pos for _, pos in members)].append(check)
-
-    def add_instance_check(inst: InputInstance, keys: tuple[str, ...]) -> None:
-        def check() -> bool:
-            outputs = {v: labels[pos_of[keys[v]]] for v in range(inst.n)}
-            return verify(problem, inst, outputs).valid
-
-        triggers[max(pos_of[k] for k in keys)].append(check)
-
-    for inst, keys in zip(instances, node_keys):
-        if problem.locally_verifiable:
-            for v in range(inst.n):
-                add_local_check(inst, keys, v)
-        else:
-            add_instance_check(inst, keys)
-
-    pos = 0
-    next_try = [0] * len(realized)
-    while 0 <= pos < len(realized):
-        if next_try[pos] == len(alphabet):
-            next_try[pos] = 0
-            labels[pos] = None
-            pos -= 1
-            if pos >= 0:
-                next_try[pos] += 1
-            continue
-        labels[pos] = alphabet[next_try[pos]]
-        stats.placements += 1
-        if config.node_budget is not None and stats.placements > config.node_budget:
-            raise SearchBudgetExceeded(
-                f"table search exceeded its budget of {config.node_budget} placements"
-            )
-        ok = True
-        for check in triggers[pos]:
-            stats.checks += 1
-            if not check():
-                ok = False
-                break
-        if ok:
-            pos += 1
-        else:
-            labels[pos] = None
-            next_try[pos] += 1
-
-    if pos < 0:
-        for idx, inst in enumerate(instances):
-            if brute_force_solve(problem, inst) is None:
-                return TableSearchOutcome(None, True, idx, inst, False, stats)
-        return TableSearchOutcome(None, True, None, None, True, stats)
+        return TableSearchOutcome(None, True, witness, inst, False, stats)
 
     table = NormalFormTable.from_mapping(
         config.radius,
         alphabet,
-        {realized[i]: labels[i] for i in range(len(realized))},
+        dict(zip(realized, labels)),
         provenance=f"table-search:{problem.name}",
     )
     for inst in instances:
         if not verify(problem, inst, run_normal_form(table, inst)).valid:
             raise SimulationError("internal: searched table failed final verification")
-    return TableSearchOutcome(table, False, None, None, False, stats)
+    return TableSearchOutcome(
+        table, False, None, None, False, stats, verified_count=len(instances)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -464,31 +604,15 @@ def derandomize(
     """Run the direct pipeline end to end and report.
 
     The deterministic artifact is the pair (radius, table) executed by
-    :func:`run_normal_form`.  When ``t_rand`` is supplied the report also
-    evaluates it at the claimed size, which is the round count the table
-    stands in for.
+    :func:`run_normal_form`; :func:`find_normal_form` has already verified it
+    on the whole family, and the report's ``verified_count`` is that count.
+    When ``t_rand`` is supplied the report also evaluates it at the claimed
+    size, which is the round count the table stands in for.
     """
     spec = config.family
     lift = lift_to_claimed_size(spec.n, spec.c, len(spec.input_alphabet))
     start = time.perf_counter()
     outcome = find_normal_form(config)
-    verified = None
-    if outcome.found:
-
-        def check(instance) -> bool:
-            return verify(
-                config.problem, instance, run_normal_form(outcome.table, instance)
-            ).valid
-
-        instances = list(enumerate_instances(spec))
-        if config.workers > 1:
-            with ThreadPoolExecutor(max_workers=config.workers) as pool:
-                verdicts = list(pool.map(check, instances))
-        else:
-            verdicts = [check(instance) for instance in instances]
-        if not all(verdicts):
-            raise SimulationError("internal: report verification failed")
-        verified = len(verdicts)
     wall = time.perf_counter() - start
     report = DerandReport(
         n=spec.n,
@@ -506,7 +630,7 @@ def derandomize(
         pipeline="table-search",
         found=outcome.found,
         table_size=outcome.table.size if outcome.found else None,
-        verified_count=verified,
+        verified_count=outcome.verified_count,
         unsat_witness_index=outcome.witness_index,
         unsat_witness=(
             instance_to_jsonable(outcome.witness) if outcome.witness else None

@@ -52,6 +52,11 @@ class LocalityViolation(SimulationError):
         )
 
 
+class TableFormatError(ValueError):
+    """A table file that does not hold a well-formed table, or whose labels
+    are not labels of the problem it is checked against."""
+
+
 class IncompleteTableError(LookupError):
     """A lookup asked for a view key the table does not contain."""
 
@@ -352,21 +357,61 @@ class NormalFormTable:
         }
 
     @classmethod
-    def from_jsonable(cls, obj: Mapping) -> "NormalFormTable":
-        return cls(
-            int(obj["T"]),
-            tuple(obj["output_alphabet"]),
-            tuple((e["key"], e["out"]) for e in obj["entries"]),
-            str(obj.get("provenance", "")),
-        )
+    def from_jsonable(
+        cls, obj: object, output_alphabet: Sequence[str] | None = None
+    ) -> "NormalFormTable":
+        """Parse the file form, raising :class:`TableFormatError` on a missing
+        key or a wrong type.  When ``output_alphabet`` (the alphabet of the
+        problem the table will be checked against) is given, every label of
+        the table's alphabet must belong to it."""
+        try:
+            if not isinstance(obj, Mapping):
+                raise TypeError("a table must be a JSON object")
+            radius, alphabet, entries = obj["T"], obj["output_alphabet"], obj["entries"]
+            provenance = obj.get("provenance", "")
+            if type(radius) is not int:
+                raise TypeError(f"T must be an integer, not {radius!r}")
+            if not isinstance(alphabet, list) or not all(
+                isinstance(label, str) for label in alphabet
+            ):
+                raise TypeError("output_alphabet must be a list of strings")
+            if not isinstance(entries, list) or not all(
+                isinstance(e, Mapping) for e in entries
+            ):
+                raise TypeError("entries must be a list of objects")
+            pairs = tuple((e["key"], e["out"]) for e in entries)
+            if not all(isinstance(k, str) and isinstance(o, str) for k, o in pairs):
+                raise TypeError("entry keys and outputs must be strings")
+            if not isinstance(provenance, str):
+                raise TypeError("provenance must be a string")
+            table = cls(radius, tuple(alphabet), pairs, provenance)
+        except KeyError as exc:
+            raise TableFormatError(f"table is missing the key {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise TableFormatError(f"malformed table: {exc}") from exc
+        if output_alphabet is not None:
+            foreign = [x for x in table.output_alphabet if x not in output_alphabet]
+            if foreign:
+                raise TableFormatError(
+                    f"table labels {foreign} are not in the problem's output "
+                    f"alphabet {list(output_alphabet)}"
+                )
+        return table
 
 
 def save_table(table: NormalFormTable, path: str | Path) -> None:
     Path(path).write_text(json.dumps(table.to_jsonable(), indent=2, sort_keys=True) + "\n")
 
 
-def load_table(path: str | Path) -> NormalFormTable:
-    return NormalFormTable.from_jsonable(json.loads(Path(path).read_text()))
+def load_table(
+    path: str | Path, output_alphabet: Sequence[str] | None = None
+) -> NormalFormTable:
+    """Read a table file; see :meth:`NormalFormTable.from_jsonable`."""
+    try:
+        obj = json.loads(Path(path).read_text())
+    except ValueError as exc:
+        raise TableFormatError(f"table file is not valid JSON: {exc}") from exc
+    return NormalFormTable.from_jsonable(obj, output_alphabet)
 
 
 def run_normal_form(table: NormalFormTable, instance: InputInstance) -> dict[int, str]:

@@ -13,6 +13,7 @@ import random
 from derandlab import (
     Graph,
     InputInstance,
+    ProblemSpec,
     canonicalize,
     extract_ball,
     verify,
@@ -112,3 +113,38 @@ def exhaustive_solvable(problem, instance) -> bool:
         if verify(problem, instance, dict(zip(order, combo))).valid:
             return True
     return False
+
+
+def one_leader_problem() -> ProblemSpec:
+    """Component-wise-only: each component carries exactly one L."""
+
+    def component_pred(_instance, component, outputs):
+        return sum(outputs[v] == "L" for v in component) == 1
+
+    return ProblemSpec(
+        name="one-leader",
+        radius=0,
+        output_alphabet=("F", "L"),
+        locally_verifiable=False,
+        component_predicate=component_pred,
+    )
+
+
+def copy_neighbor_parity_problem() -> ProblemSpec:
+    """A node with a neighbor outputs the parity of its least neighbor's
+    identifier.  Every instance is solvable alone, but a radius-0 view sees
+    only (id, degree, input), so with c=2 one view needs different outputs
+    in different instances."""
+
+    def pred(ball, outputs):
+        nbrs = ball.neighbors_of_center()
+        if not nbrs:
+            return True
+        return outputs[ball.center_id] == ("even" if nbrs[0] % 2 == 0 else "odd")
+
+    return ProblemSpec(
+        name="copy-neighbor-parity",
+        radius=1,
+        output_alphabet=("even", "odd"),
+        ball_predicate=pred,
+    )

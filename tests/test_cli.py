@@ -84,6 +84,14 @@ class TestDerandomize:
         assert payload["found"] is False
         assert payload["unsat_witness"]["edges"] == [[0, 1], [0, 2], [1, 2]]
 
+    def test_stderr_summarizes_the_search(self, capsys):
+        assert run(["derandomize", "--problem", "mis", "--n", "3", "--T", "1"]) == 0
+        err = capsys.readouterr().err
+        assert (
+            "search: 21 views / 21 constraints / 44 placements / 50 checks / "
+            "34 predicate_calls"
+        ) in err
+
     def test_missing_radius_exits_3(self):
         with pytest.raises(SystemExit) as err:
             run(["derandomize", "--problem", "mis", "--n", "3"])
@@ -328,3 +336,48 @@ class TestConnectedRun:
             )
             == 3
         )
+
+
+class TestTableFileErrors:
+    """Malformed table files exit 3 with one stderr line; a table that lacks
+    a view exits 2."""
+
+    @pytest.fixture()
+    def mis_table(self, tmp_path):
+        table = tmp_path / "mis.json"
+        argv = ["derandomize", "--problem", "mis", "--n", "2", "--T", "1"]
+        assert run(argv + ["--out-table", str(table)]) == 0
+        return table
+
+    def bad_input(self, argv, capsys) -> None:
+        capsys.readouterr()
+        assert run(argv) == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    def test_verify_rejects_a_foreign_alphabet(self, mis_table, capsys):
+        argv = ["verify", "--problem", "coloring:4", "--table", str(mis_table), "--n", "2"]
+        self.bad_input(argv, capsys)
+
+    def test_simulate_rejects_a_missing_key(self, tmp_path, capsys):
+        table = tmp_path / "partial.json"
+        table.write_text('{"T": 1}')
+        self.bad_input(["simulate", "--table", str(table), "--n", "2"], capsys)
+
+    def test_connected_run_rejects_invalid_json_and_wrong_types(self, tmp_path, capsys):
+        table = tmp_path / "broken.json"
+        for text in ("{not json", '{"T": "1", "output_alphabet": ["IN", "OUT"], "entries": []}'):
+            table.write_text(text)
+            argv = ["connected-run", "--problem", "mis", "--table", str(table), "--n", "2"]
+            self.bad_input(argv, capsys)
+
+    def test_connected_run_incomplete_table_exits_2(self, tmp_path, capsys):
+        # a radius-0 table for three nodes has no entry for identifier 4, and
+        # the 4-node path takes the table path
+        table = tmp_path / "c3.json"
+        argv = ["derandomize", "--problem", "coloring:3", "--n", "3", "--T", "0"]
+        assert run(argv + ["--out-table", str(table)]) == 0
+        capsys.readouterr()
+        argv = ["connected-run", "--problem", "coloring:3", "--table", str(table), "--n", "4"]
+        assert run(argv) == 2
+        assert "incomplete table" in capsys.readouterr().err

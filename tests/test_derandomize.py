@@ -1,10 +1,16 @@
 """Both pipelines: certificates, assignment search, and direct table search."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import naive_lex_first_table
+from conftest import (
+    copy_neighbor_parity_problem,
+    naive_lex_first_table,
+    one_leader_problem,
+    random_instance,
+)
 from derandlab import (
     AssignmentNotGood,
     InstanceFamilySpec,
@@ -17,6 +23,7 @@ from derandlab import (
     assignment_is_good,
     brute_force_solve,
     certify_good_f,
+    compile_family,
     compute_success_exact,
     derandomize,
     derandomize_via_f,
@@ -26,6 +33,7 @@ from derandlab import (
     lift_to_claimed_size,
     make_coloring,
     make_mis,
+    problem_by_name,
     run_normal_form,
     search_good_f,
     verify,
@@ -41,19 +49,6 @@ def output_one_problem():
         radius=0,
         output_alphabet=("0", "1"),
         ball_predicate=lambda ball, outputs: outputs[ball.center_id] == "1",
-    )
-
-
-def one_leader_problem():
-    def component_pred(_instance, component, outputs):
-        return sum(outputs[v] == "L" for v in component) == 1
-
-    return ProblemSpec(
-        name="one-leader",
-        radius=0,
-        output_alphabet=("F", "L"),
-        locally_verifiable=False,
-        component_predicate=component_pred,
     )
 
 
@@ -272,21 +267,7 @@ class TestFindNormalForm:
         assert brute_force_solve(make_coloring(1), outcome.witness) is None
 
     def test_unsat_without_witness_reports_exhausted_search(self):
-        # every instance is solvable alone (copy the neighbor's parity), but a
-        # radius-0 table sees only (id, degree, input), and with c=2 the same
-        # view needs different outputs in different instances
-        def pred(ball, outputs):
-            nbrs = ball.neighbors_of_center()
-            if not nbrs:
-                return True
-            return outputs[ball.center_id] == ("even" if nbrs[0] % 2 == 0 else "odd")
-
-        problem = ProblemSpec(
-            name="copy-neighbor-parity",
-            radius=1,
-            output_alphabet=("even", "odd"),
-            ball_predicate=pred,
-        )
+        problem = copy_neighbor_parity_problem()
         outcome = find_normal_form(
             SearchConfig(problem=problem, family=InstanceFamilySpec(n=2, c=2), radius=0)
         )
@@ -336,6 +317,56 @@ class TestFindNormalForm:
             )
 
 
+class TestFamilyIndex:
+    @pytest.mark.parametrize("name", ["mis", "coloring:2", "coloring:3"])
+    def test_solvable_agrees_with_brute_force_on_small_families(self, name):
+        problem = problem_by_name(name)
+        for n in (1, 2, 3):
+            family = list(enumerate_instances(InstanceFamilySpec(n=n)))
+            index = compile_family(problem, family, 0)
+            for idx, inst in enumerate(family):
+                expected = brute_force_solve(problem, inst) is not None
+                assert index.solvable(idx) == expected, (name, n, idx)
+
+    def test_solvable_agrees_with_brute_force_on_random_instances(self):
+        rng = random.Random(20230512)
+        problems = [problem_by_name(name) for name in ("mis", "coloring:2", "coloring:3")]
+        outcomes = set()
+        for draw in range(200):
+            problem = problems[draw % len(problems)]
+            inst = random_instance(rng, max_n=6)
+            index = compile_family(problem, [inst], rng.choice((0, 1)))
+            expected = brute_force_solve(problem, inst) is not None
+            assert index.solvable(0) == expected, (problem.name, inst)
+            outcomes.add(expected)
+        assert outcomes == {True, False}
+
+    def test_checks_are_deduplicated_and_triggered_once(self):
+        family = list(enumerate_instances(InstanceFamilySpec(n=3)))
+        index = compile_family(make_mis(), family, 1)
+        # 48 instances x 3 nodes = 144 per-node checks, 21 of them distinct
+        assert len(index.constraints) == 21
+        triggered = [con for group in index.triggers for con in group]
+        assert sorted(map(id, triggered)) == sorted(map(id, index.constraints))
+        for con in index.constraints:
+            assert con in index.triggers[max(con.scope)]
+
+    def test_component_wise_problem_gets_one_constraint_per_instance(self):
+        family = list(enumerate_instances(InstanceFamilySpec(n=3)))
+        index = compile_family(one_leader_problem(), family, 1)
+        assert len(index.constraints) == len(family)
+        assert index.instance_constraints == [(i,) for i in range(len(family))]
+
+    def test_memo_evaluates_each_label_tuple_once(self):
+        outcome = find_normal_form(
+            SearchConfig(problem=make_coloring(2), family=InstanceFamilySpec(n=3), radius=2)
+        )
+        stats = outcome.stats
+        assert stats.placements == 56318
+        assert stats.constraints == 21
+        assert stats.predicate_calls < stats.checks
+
+
 class TestDerandomizeReport:
     def test_mis_n3_report(self):
         config = SearchConfig(
@@ -370,12 +401,3 @@ class TestDerandomizeReport:
         assert first.to_jsonable(include_timing=False) == second.to_jsonable(
             include_timing=False
         )
-
-    def test_workers_do_not_change_the_report(self):
-        base = SearchConfig(problem=make_mis(), family=InstanceFamilySpec(n=2), radius=1)
-        threaded = SearchConfig(
-            problem=make_mis(), family=InstanceFamilySpec(n=2), radius=1, workers=4
-        )
-        a, _ = derandomize(base)
-        b, _ = derandomize(threaded)
-        assert a.to_jsonable(include_timing=False) == b.to_jsonable(include_timing=False)

@@ -5,13 +5,12 @@ import random
 
 import pytest
 
-from conftest import exhaustive_solvable, random_instance
+from conftest import exhaustive_solvable, one_leader_problem, random_instance
 from derandlab import (
     Graph,
     InputInstance,
     InstanceFamilySpec,
     ProblemFormatError,
-    ProblemSpec,
     brute_force_solve,
     enumerate_instances,
     extend_instance,
@@ -39,21 +38,6 @@ def triangle():
 
 def edge2():
     return InputInstance(Graph(2, ((0, 1),)), (1, 2), ("x", "x"), 1)
-
-
-def one_leader_problem():
-    """Component-wise-only: each component carries exactly one L."""
-
-    def component_pred(_instance, component, outputs):
-        return sum(outputs[v] == "L" for v in component) == 1
-
-    return ProblemSpec(
-        name="one-leader",
-        radius=0,
-        output_alphabet=("F", "L"),
-        locally_verifiable=False,
-        component_predicate=component_pred,
-    )
 
 
 class TestVerifyLocally:

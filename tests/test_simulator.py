@@ -19,6 +19,7 @@ from derandlab import (
     RandomAssignment,
     SimulationError,
     StreamExhausted,
+    TableFormatError,
     UnassignedIdentifier,
     as_randomized,
     assignment_is_good,
@@ -304,6 +305,22 @@ class TestNormalFormTables:
         keys = [e["key"] for e in payload["entries"]]
         assert keys == sorted(keys)
         assert set(payload) == {"T", "output_alphabet", "entries", "provenance"}
+
+    @pytest.mark.parametrize(
+        "text,alphabet",
+        [
+            ("{not json", None),
+            ('{"T": 1}', None),
+            ('{"T": 0, "output_alphabet": "AB", "entries": []}', None),
+            ('{"T": 0, "output_alphabet": ["A", "B"], "entries": []}', ("A", "C")),
+        ],
+        ids=["invalid-json", "missing-key", "wrong-type", "foreign-alphabet"],
+    )
+    def test_malformed_files_raise_table_format_error(self, tmp_path, text, alphabet):
+        path = tmp_path / "table.json"
+        path.write_text(text)
+        with pytest.raises(TableFormatError):
+            load_table(path, alphabet)
 
 
 class TestTabulate:

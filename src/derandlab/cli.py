@@ -205,7 +205,6 @@ def cmd_certify(args: argparse.Namespace) -> int:
             family,
             bits=args.bits,
             id_space=list(spec.id_space),
-            workers=args.workers,
         )
         payload["good_f"] = (
             {str(k): list(v) for k, v in sorted(found.vectors.items())}
@@ -368,7 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=1000, help="mc trials")
     p.add_argument("--seed", default=None, help="mc seed (required in mc mode)")
     p.add_argument("--find-f", action="store_true", help="also search for a good assignment")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_certify)
 

@@ -13,14 +13,11 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .graphs import (
-    BallView,
     InputInstance,
     InstanceFamilySpec,
     canonicalize,
@@ -28,12 +25,19 @@ from .graphs import (
     extract_ball,
     instance_to_jsonable,
 )
-from .problems import ProblemSpec, brute_force_solve, verify
+from .problems import (
+    CompiledCheck,
+    ProblemSpec,
+    _tuple_getter,
+    brute_force_solve,
+    compile_checks,
+    verify,
+)
 from .simulator import (
-    LocalityViolation,
     NormalFormTable,
     RandomizedNodeProgram,
     SimulationError,
+    _tabulate,
     fix_randomness,
     run_deterministic,
     run_normal_form,
@@ -132,40 +136,22 @@ def assignment_is_good(
     problem: ProblemSpec,
     claimed_n: int | None = None,
     bit_cap: int = DEFAULT_BIT_CAP,
+    checks: Iterable[CompiledCheck] | None = None,
 ) -> tuple[bool, int | None]:
     """Whether the fixed program verifies on every instance; on failure also
-    the first failing instance index."""
+    the first failing instance index.
+
+    ``checks`` are the family's compiled checks (:func:`compile_checks`, in
+    family order); a caller that tries many assignments compiles them once.
+    """
     fixed = fix_randomness(program, assignment, bit_cap)
-    for idx, instance in enumerate(family):
-        result = run_deterministic(fixed, instance, claimed_n)
-        if not verify(problem, instance, result.outputs).valid:
+    if checks is None:
+        checks = compile_checks(problem, family)
+    for idx, compiled in enumerate(checks):
+        result = run_deterministic(fixed, compiled.instance, claimed_n)
+        if not compiled.valid(result.outputs):
             return False, idx
     return True, None
-
-
-def _parallel_first(
-    candidates: Iterator, is_hit: Callable, workers: int, wave: int = 16
-) -> object | None:
-    """First hit in candidate order, optionally fanning a wave of candidates
-    across threads; the scan of each wave is in order, so the answer does not
-    depend on worker timing."""
-    if workers <= 1:
-        for cand in candidates:
-            if is_hit(cand):
-                return cand
-        return None
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        while True:
-            batch = []
-            for cand in candidates:
-                batch.append(cand)
-                if len(batch) >= workers * wave:
-                    break
-            if not batch:
-                return None
-            for cand, hit in zip(batch, pool.map(is_hit, batch)):
-                if hit:
-                    return cand
 
 
 def search_good_f(
@@ -176,32 +162,29 @@ def search_good_f(
     id_space: Sequence[int],
     claimed_n: int | None = None,
     budget: int | None = 1 << 22,
-    workers: int = 1,
     bit_cap: int = DEFAULT_BIT_CAP,
 ) -> RandomAssignment | None:
     """Lexicographically first good bounded assignment, or None.
 
     Enumerates every assignment of ``bits``-bit vectors to the identifier
     space and returns the first one whose fixed program verifies on the whole
-    family.  None means the entire bounded space fails, which says nothing
-    about unbounded assignments.
+    family.  The family's checks are compiled once for the whole search.
+    None means the entire bounded space fails, which says nothing about
+    unbounded assignments.
     """
     size = assignment_space_size(id_space, bits)
     if budget is not None and size > budget:
         raise SearchBudgetExceeded(
             f"assignment space holds {size} candidates, over the budget {budget}"
         )
-
-    def is_hit(assignment: RandomAssignment) -> bool:
+    checks = list(compile_checks(problem, family))
+    for assignment in iter_bounded_assignments(id_space, bits):
         ok, _ = assignment_is_good(
-            program, assignment, family, problem, claimed_n, bit_cap
+            program, assignment, family, problem, claimed_n, bit_cap, checks
         )
-        return ok
-
-    found = _parallel_first(
-        iter_bounded_assignments(id_space, bits), is_hit, workers
-    )
-    return found
+        if ok:
+            return assignment
+    return None
 
 
 def derandomize_via_f(
@@ -217,28 +200,21 @@ def derandomize_via_f(
 
     Raises :class:`AssignmentNotGood` naming the first failing instance if the
     assignment is not good, and :class:`LocalityViolation` if the fixed
-    program provably uses more than ``radius`` rounds.
+    program provably uses more than ``radius`` rounds.  Each instance's run
+    is checked against its compiled checks before it is tabulated; the
+    finished table is verified once more with :func:`verify`.
     """
-    fixed = fix_randomness(program, assignment, bit_cap)
-    entries: dict[str, str] = {}
-    origin: dict[str, tuple[int, int, str]] = {}
-    for idx, instance in enumerate(family):
-        result = run_deterministic(fixed, instance, claimed_n)
-        if not verify(problem, instance, result.outputs).valid:
+    checks = list(compile_checks(problem, family))
+
+    def accept(idx: int, instance: InputInstance, outputs: dict[int, str]) -> None:
+        if not checks[idx].valid(outputs):
             raise AssignmentNotGood(idx, instance)
-        for v in range(instance.n):
-            key = canonicalize(extract_ball(instance, v, radius))
-            out = result.outputs[v]
-            if key in entries:
-                if entries[key] != out:
-                    raise LocalityViolation(key, origin[key], (idx, v, out))
-            else:
-                entries[key] = out
-                origin[key] = (idx, v, out)
+
+    fixed = fix_randomness(program, assignment, bit_cap)
     table = NormalFormTable.from_mapping(
         radius,
         problem.output_alphabet,
-        entries,
+        _tabulate(fixed, radius, family, claimed_n, accept),
         provenance=f"via-f:{program.name}",
     )
     for instance in family:
@@ -291,11 +267,7 @@ class Constraint:
     ):
         self.scope = scope
         self.last = max(scope)  # the check becomes decidable once this is labeled
-        if len(scope) > 1:
-            self.labels_at = itemgetter(*scope)
-        else:  # itemgetter of one position returns the bare label
-            (only,) = scope
-            self.labels_at = lambda labels: (labels[only],)
+        self.labels_at = _tuple_getter(scope)
         self.predicate = predicate
         self.memo: dict[tuple[str, ...], bool] = {}
 
@@ -350,7 +322,13 @@ def compile_family(
     problem: ProblemSpec, instances: Sequence[InputInstance], radius: int
 ) -> FamilyIndex:
     """Build the :class:`FamilyIndex` of ``instances`` at table radius
-    ``radius``."""
+    ``radius``.
+
+    Constraints come from the instances' compiled checks
+    (:func:`compile_checks`): a check's member node indices are mapped to
+    realized-view positions, and checks with equal canonical keys and equal
+    positions become one constraint.
+    """
     node_keys = [
         tuple(canonicalize(extract_ball(inst, v, radius)) for v in range(inst.n))
         for inst in instances
@@ -360,23 +338,19 @@ def compile_family(
     node_pos = [tuple(pos_of[key] for key in keys) for keys in node_keys]
 
     constraints: list[Constraint] = []
-    seen: dict[tuple[str, tuple[int, ...]], int] = {}
+    seen: dict[object, int] = {}
     instance_constraints: list[tuple[int, ...]] = []
-    for inst, positions in zip(instances, node_pos):
-        if not problem.locally_verifiable:
-            instance_constraints.append((len(constraints),))
-            constraints.append(Constraint(positions, _instance_check(problem, inst)))
-            continue
+    for compiled, positions in zip(compile_checks(problem, instances), node_pos):
         own: dict[int, None] = {}
-        for v in range(inst.n):
-            ball = extract_ball(inst, v, problem.radius)
-            scope = tuple(
-                positions[inst.node_with_id(b.identifier)] for b in ball.nodes
-            )
-            key = (canonicalize(ball), scope)
+        # node order fixes the order of each trigger list, which decides the
+        # search's check and predicate counts (not its tables or placements)
+        for check in sorted(compiled.checks, key=lambda c: c.members[0]):
+            scope = tuple(positions[m] for m in check.members)
+            # a component-wise check has no key and is never shared
+            key = check if check.key is None else (check.key, scope)
             if key not in seen:
                 seen[key] = len(constraints)
-                constraints.append(Constraint(scope, _ball_check(problem, ball)))
+                constraints.append(Constraint(scope, check.evaluate))
             own[seen[key]] = None
         instance_constraints.append(tuple(own))
 
@@ -391,17 +365,6 @@ def compile_family(
         instance_constraints,
         [tuple(t) for t in triggers],
     )
-
-
-def _ball_check(problem: ProblemSpec, ball: BallView) -> Callable[[tuple[str, ...]], bool]:
-    ids = ball.identifiers
-    return lambda labels: problem.ball_valid(ball, dict(zip(ids, labels)))
-
-
-def _instance_check(
-    problem: ProblemSpec, instance: InputInstance
-) -> Callable[[tuple[str, ...]], bool]:
-    return lambda labels: verify(problem, instance, dict(enumerate(labels))).valid
 
 
 def _backtrack(

@@ -21,6 +21,11 @@ from typing import Iterator, Mapping, Sequence
 MAX_ID_SPACE = 2**63 - 1
 
 
+class InstanceFormatError(ValueError):
+    """An instance record or instance file line that does not describe a
+    valid instance."""
+
+
 def _normalize_edge(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
@@ -144,6 +149,21 @@ class InputInstance:
 
     def node_with_id(self, identifier: int) -> int:
         return self._id_to_node[identifier]
+
+    @cached_property
+    def port_layout(
+        self,
+    ) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...], tuple[int, ...]]:
+        """``(ports, port_of, degrees)`` as the round simulator sees them:
+        ``ports[v][p]`` is the p-th neighbor of ``v`` in increasing identifier
+        order, ``port_of[v][p]`` is the port under which that neighbor sees
+        ``v``, and ``degrees[v]`` is the degree of ``v``."""
+        ports = tuple(
+            tuple(sorted(self.graph.neighbors(v), key=self.identifier))
+            for v in range(self.n)
+        )
+        port_of = tuple(tuple(ports[u].index(v) for u in ports[v]) for v in range(self.n))
+        return ports, port_of, tuple(map(len, ports))
 
     def identifier(self, v: int) -> int:
         return self.ids[v]
@@ -430,12 +450,19 @@ def instance_to_jsonable(instance: InputInstance) -> dict:
 
 
 def instance_from_jsonable(obj: Mapping) -> InputInstance:
-    n = int(obj["n"])
-    edges = tuple((int(u), int(v)) for u, v in obj["edges"])
-    ids = tuple(int(obj["ids"][str(v)]) for v in range(n))
-    inputs = tuple(str(obj["inputs"][str(v)]) for v in range(n))
-    c = obj.get("c")
-    return InputInstance(Graph(n, edges), ids, inputs, None if c is None else int(c))
+    """Parse the dump format, raising :class:`InstanceFormatError` on a
+    missing key, a wrong type or an invalid instance."""
+    try:
+        n = int(obj["n"])
+        edges = tuple((int(u), int(v)) for u, v in obj["edges"])
+        ids = tuple(int(obj["ids"][str(v)]) for v in range(n))
+        inputs = tuple(str(obj["inputs"][str(v)]) for v in range(n))
+        c = obj.get("c")
+        return InputInstance(Graph(n, edges), ids, inputs, None if c is None else int(c))
+    except KeyError as exc:
+        raise InstanceFormatError(f"missing the key {exc}") from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise InstanceFormatError(f"malformed instance: {exc}") from exc
 
 
 def dump_instances(instances: Sequence[InputInstance]) -> str:
@@ -447,8 +474,14 @@ def dump_instances(instances: Sequence[InputInstance]) -> str:
 
 
 def load_instances(text: str) -> list[InputInstance]:
-    return [
-        instance_from_jsonable(json.loads(line))
-        for line in text.splitlines()
-        if line.strip()
-    ]
+    """One instance per nonempty line; a line that is not valid JSON or not a
+    valid instance raises :class:`InstanceFormatError` naming its number."""
+    instances = []
+    for number, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            instances.append(instance_from_jsonable(json.loads(line)))
+        except ValueError as exc:  # invalid JSON or InstanceFormatError
+            raise InstanceFormatError(f"instance line {number}: {exc}") from exc
+    return instances

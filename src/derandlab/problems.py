@@ -5,10 +5,12 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
+from functools import partial
+from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .graphs import BallView, Graph, InputInstance, extract_ball
+from .graphs import BallView, Graph, InputInstance, canonicalize, extract_ball
 
 # Ball predicates see the view plus candidate outputs keyed by identifier.
 BallPredicate = Callable[[BallView, Mapping[int, str]], bool]
@@ -154,6 +156,144 @@ def verify(
     if problem.locally_verifiable:
         return verify_locally(problem, instance, outputs)
     return verify_componentwise(problem, instance, outputs)
+
+
+# ---------------------------------------------------------------------------
+# Compiled verification.  A node's check depends only on its verification
+# ball and on the labels of the ball's members, so an instance's checks are
+# built once and a labeling is checked by one tuple build and one memo lookup
+# per check.  :func:`verify` stays the oracle these checks must agree with.
+
+
+def _tuple_getter(indices: Sequence[int]) -> Callable[[Sequence], tuple]:
+    """A function from a sequence to the tuple of its items at ``indices``."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    (only,) = indices  # itemgetter of one index returns the bare item
+    return lambda items: (items[only],)
+
+
+class Check:
+    """One compiled verification check of an instance.
+
+    ``members`` are the node indices whose labels the check reads,
+    ``evaluate`` maps the tuple of their labels to the problem's verdict,
+    and ``verdicts`` memoizes it.  A locally verifiable problem has one check
+    per node: ``ball`` is the node's verification ball, ``key`` its canonical
+    key, and ``members`` follow ``ball.nodes`` (so ``members[0]`` is the
+    node); checks with equal keys share ``ball``, ``evaluate`` and
+    ``verdicts``.  A component-wise problem has one check per instance that
+    reads the whole labeling, with ``ball`` and ``key`` None and a memo of
+    its own.
+    """
+
+    __slots__ = ("ball", "key", "members", "evaluate", "verdicts", "labels_at")
+
+    def __init__(
+        self,
+        ball: BallView | None,
+        key: str | None,
+        members: tuple[int, ...],
+        evaluate: Callable[[tuple[str, ...]], bool],
+        verdicts: dict[tuple[str, ...], bool],
+    ):
+        self.ball = ball
+        self.key = key
+        self.members = members
+        self.evaluate = evaluate
+        self.verdicts = verdicts
+        self.labels_at = _tuple_getter(members)
+
+
+class CompiledCheck:
+    """The verification of one instance under one problem, compiled.
+
+    ``checks`` are the instance's :class:`Check` objects in the order
+    :func:`verify` visits them: nodes by increasing identifier, or the one
+    whole-instance check of a component-wise problem.
+    """
+
+    __slots__ = ("problem", "instance", "checks", "_alphabet")
+
+    def __init__(
+        self,
+        problem: ProblemSpec,
+        instance: InputInstance,
+        checks: tuple[Check, ...],
+        alphabet: frozenset[str],
+    ):
+        self.problem = problem
+        self.instance = instance
+        self.checks = checks
+        self._alphabet = alphabet  # the problem's output labels
+
+    def valid(self, outputs: Mapping[int, str]) -> bool:
+        """``verify(problem, instance, outputs).valid``, by memo lookups.
+
+        A labeling that is not total, or that has a label outside the output
+        alphabet, goes to :func:`verify`, which raises the same ValueError.
+        """
+        try:
+            labels = tuple([outputs[v] for v in range(self.instance.n)])
+        except KeyError:
+            labels = None
+        if labels is None or not self._alphabet.issuperset(labels):
+            return verify(self.problem, self.instance, outputs).valid
+        for check in self.checks:
+            key = check.labels_at(labels)
+            verdict = check.verdicts.get(key)
+            if verdict is None:
+                verdict = check.verdicts[key] = check.evaluate(key)
+            if not verdict:
+                return False
+        return True
+
+
+def compile_checks(
+    problem: ProblemSpec, instances: Iterable[InputInstance]
+) -> Iterator[CompiledCheck]:
+    """The :class:`CompiledCheck` of each instance, built lazily in order.
+
+    Node checks whose balls have equal canonical keys share one verdict memo
+    across all the instances of the call, so each distinct (key, label tuple)
+    reaches the problem's predicate once.  A caller that passes over the
+    instances once holds only the current instance's checks.
+    """
+    alphabet = frozenset(problem.output_alphabet)
+    shared: dict[str, Check] = {}
+    for instance in instances:
+        if problem.locally_verifiable:
+            order = sorted(range(instance.n), key=instance.identifier)
+            checks = tuple(_node_check(problem, instance, v, shared) for v in order)
+        else:
+            whole = tuple(range(instance.n))
+            evaluate = partial(_labeling_verdict, problem, instance)
+            checks = (Check(None, None, whole, evaluate, {}),)
+        yield CompiledCheck(problem, instance, checks, alphabet)
+
+
+def _node_check(
+    problem: ProblemSpec, instance: InputInstance, v: int, shared: dict[str, Check]
+) -> Check:
+    ball = extract_ball(instance, v, problem.radius)
+    key = canonicalize(ball)
+    members = tuple(map(instance.node_with_id, ball.identifiers))
+    first = shared.get(key)
+    if first is None:
+        evaluate = partial(_ball_verdict, problem, ball)
+        first = shared[key] = Check(ball, key, members, evaluate, {})
+        return first
+    return Check(first.ball, first.key, members, first.evaluate, first.verdicts)
+
+
+def _ball_verdict(problem: ProblemSpec, ball: BallView, labels: tuple[str, ...]) -> bool:
+    return problem.ball_valid(ball, dict(zip(ball.identifiers, labels)))
+
+
+def _labeling_verdict(
+    problem: ProblemSpec, instance: InputInstance, labels: tuple[str, ...]
+) -> bool:
+    return verify(problem, instance, dict(enumerate(labels))).valid
 
 
 def brute_force_solve(

@@ -18,6 +18,7 @@ programs cannot observe anything beyond what their gathered views contain.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -26,10 +27,11 @@ from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
 from .graphs import InputInstance, canonicalize, extract_ball
-from .problems import ProblemSpec, verify
+from .problems import ProblemSpec, compile_checks
 from .streams import (
     DEFAULT_BIT_CAP,
     BitReader,
+    BitStream,
     RandomAssignment,
 )
 
@@ -139,13 +141,7 @@ def _run(
     allowed = set(program.output_alphabet) if program.output_alphabet else None
 
     # Port p of node v is its p-th neighbor in increasing identifier order.
-    ports = [
-        sorted(instance.graph.neighbors(v), key=instance.identifier)
-        for v in range(n)
-    ]
-    port_of = [
-        {u: p for p, u in enumerate(ports[v])} for v in range(n)
-    ]
+    ports, port_of, degrees = instance.port_layout
 
     state: list[Any] = [None] * n
     halted = [False] * n
@@ -156,12 +152,12 @@ def _run(
 
     for rnd in range(bound + 1):
         if rnd == 0:
-            inboxes = [(None,) * len(ports[v]) for v in range(n)]
+            inboxes = [(None,) * degrees[v] for v in range(n)]
         else:
             inboxes = [
                 tuple(
-                    outbox[u][port_of[u][v]] if outbox[u] is not None else None
-                    for u in ports[v]
+                    outbox[u][p] if outbox[u] is not None else None
+                    for u, p in zip(ports[v], port_of[v])
                 )
                 for v in range(n)
             ]
@@ -175,7 +171,7 @@ def _run(
                     round=rnd,
                     claimed_n=claimed_n,
                     identifier=instance.ids[v],
-                    degree=instance.graph.degree(v),
+                    degree=degrees[v],
                     input=instance.inputs[v],
                     state=state[v],
                     inbox=inboxes[v],
@@ -184,7 +180,7 @@ def _run(
             )
             state[v] = res.state
             if res.send is not None or res.send_ports:
-                per_port = [res.send] * len(ports[v])
+                per_port = [res.send] * degrees[v]
                 if res.send_ports:
                     for p, msg in res.send_ports.items():
                         per_port[p] = msg
@@ -450,10 +446,32 @@ def tabulate(
     than ``radius`` rounds of information and :class:`LocalityViolation` is
     raised with both witnesses.
     """
+    entries = _tabulate(program, radius, family, claimed_n)
+    alphabet = program.output_alphabet or tuple(sorted(set(entries.values())))
+    return NormalFormTable.from_mapping(
+        radius, alphabet, entries, provenance=f"tabulate:{program.name}"
+    )
+
+
+def _tabulate(
+    program: NodeProgram,
+    radius: int,
+    family: Sequence[InputInstance],
+    claimed_n: int | None,
+    accept: Callable[[int, InputInstance, dict[int, str]], None] | None = None,
+) -> dict[str, str]:
+    """The loop of :func:`tabulate`: run the program on each instance in
+    family order and record each node's output under its radius-T view key.
+
+    ``accept(index, instance, outputs)``, when given, sees each run before it
+    is recorded and may raise to stop the loop.
+    """
     entries: dict[str, str] = {}
     origin: dict[str, tuple[int, int, str]] = {}
     for idx, instance in enumerate(family):
         result = run_deterministic(program, instance, claimed_n)
+        if accept is not None:
+            accept(idx, instance, result.outputs)
         for v in range(instance.n):
             key = canonicalize(extract_ball(instance, v, radius))
             out = result.outputs[v]
@@ -463,10 +481,7 @@ def tabulate(
             else:
                 entries[key] = out
                 origin[key] = (idx, v, out)
-    alphabet = program.output_alphabet or tuple(sorted(set(entries.values())))
-    return NormalFormTable.from_mapping(
-        radius, alphabet, entries, provenance=f"tabulate:{program.name}"
-    )
+    return entries
 
 
 # ---------------------------------------------------------------------------
@@ -484,17 +499,17 @@ def compute_success_exact(
     most ``bits`` bits per node (reading further raises).
 
     For each instance all (2**bits)**n joint choices of per-node bit vectors
-    are enumerated, run, and verified; the result is the exact fraction that
-    fails verification.
+    are enumerated, run, and checked; the result is the exact fraction that
+    fails verification.  Runs are checked against the instance's compiled
+    checks (:func:`compile_checks`), which agree with :func:`verify`.
     """
-    import itertools as _it
-
     failures: list[Fraction] = []
-    for instance in family:
+    for compiled in compile_checks(problem, family):
+        instance = compiled.instance
         n = instance.n
         bad = 0
         total = 0
-        for flat in _it.product((0, 1), repeat=bits * n):
+        for flat in itertools.product((0, 1), repeat=bits * n):
             vectors = {
                 instance.ids[v]: flat[v * bits : (v + 1) * bits] for v in range(n)
             }
@@ -505,7 +520,7 @@ def compute_success_exact(
                 streams=RandomAssignment.from_vectors(vectors),
             )
             total += 1
-            if not verify(problem, instance, result.outputs).valid:
+            if not compiled.valid(result.outputs):
                 bad += 1
         failures.append(Fraction(bad, total))
     return failures
@@ -533,11 +548,14 @@ def estimate_success_mc(
 
     Trial k of instance i draws each node's stream from the key
     (seed, i, k, identifier), so identical seeds replay identical estimates.
+    Trials are checked against the instance's compiled checks
+    (:func:`compile_checks`), which agree with :func:`verify`.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     estimates: list[McEstimate] = []
-    for idx, instance in enumerate(family):
+    for idx, compiled in enumerate(compile_checks(problem, family)):
+        instance = compiled.instance
         bad = 0
         for k in range(trials):
             assignment = RandomAssignment(
@@ -548,7 +566,7 @@ def estimate_success_mc(
             result = run_randomized(
                 program, instance, streams=assignment, bit_cap=bit_cap
             )
-            if not verify(problem, instance, result.outputs).valid:
+            if not compiled.valid(result.outputs):
                 bad += 1
         p = Fraction(bad, trials)
         stderr = (float(p) * (1.0 - float(p)) / trials) ** 0.5
@@ -557,8 +575,6 @@ def estimate_success_mc(
 
 
 def _trial_stream(seed: object, instance_index: int, trial: int, identifier: int):
-    from .streams import BitStream
-
     return BitStream.keyed(seed, instance_index, trial, identifier)
 
 

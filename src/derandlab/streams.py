@@ -67,10 +67,6 @@ class BitStream:
         return cls(getter, f"keyed:{key}")
 
     @classmethod
-    def from_seed(cls, seed: object, identifier: int) -> "BitStream":
-        return cls.keyed(seed, identifier)
-
-    @classmethod
     def from_prefix(cls, bits: Sequence[int], pad: int = 0) -> "BitStream":
         prefix = _as_bits(bits)
         if pad not in (0, 1):
@@ -173,11 +169,6 @@ class RandomAssignment:
         streams = {k: BitStream.from_bits(v) for k, v in fixed.items()}
         desc = ",".join(f"{k}:{''.join(map(str, v))}" for k, v in sorted(fixed.items()))
         return cls(streams.__getitem__, frozenset(fixed), desc, vectors=fixed)
-
-    @classmethod
-    def from_streams(cls, streams: Mapping[int, BitStream]) -> "RandomAssignment":
-        fixed = dict(streams)
-        return cls(fixed.__getitem__, frozenset(fixed), "explicit-streams")
 
 
 def assignment_space_size(id_space: Sequence[int], bits: int) -> int:

@@ -381,3 +381,24 @@ class TestTableFileErrors:
         argv = ["connected-run", "--problem", "coloring:3", "--table", str(table), "--n", "4"]
         assert run(argv) == 2
         assert "incomplete table" in capsys.readouterr().err
+
+
+class TestInstanceFileErrors:
+    """A malformed instance line exits 3 with one stderr line naming it."""
+
+    def bad_line(self, argv, tmp_path, capsys) -> None:
+        instances = tmp_path / "bad.jsonl"
+        instances.write_text('{"n": 2}\n')
+        capsys.readouterr()
+        assert run(argv + ["--instances", str(instances)]) == 3
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["error: instance line 1: missing the key 'edges'"]
+
+    def test_simulate(self, tmp_path, capsys):
+        self.bad_line(["simulate", "--program", "parity"], tmp_path, capsys)
+
+    def test_verify(self, tmp_path, capsys):
+        table = tmp_path / "mis.json"
+        argv = ["derandomize", "--problem", "mis", "--n", "2", "--T", "1"]
+        assert run(argv + ["--out-table", str(table)]) == 0
+        self.bad_line(["verify", "--problem", "mis", "--table", str(table)], tmp_path, capsys)

@@ -158,16 +158,6 @@ class TestSearchGoodAssignment:
                 program, output_one_problem(), family, bits=8, id_space=[1], budget=100
             )
 
-    def test_workers_do_not_change_the_answer(self):
-        program = first_bit_label_program(("A", "B"))
-        problem = make_coloring(2)
-        family = list(enumerate_instances(InstanceFamilySpec(n=2)))
-        serial = search_good_f(program, problem, family, bits=1, id_space=[1, 2])
-        threaded = search_good_f(
-            program, problem, family, bits=1, id_space=[1, 2], workers=3
-        )
-        assert serial.vectors == threaded.vectors
-
     def test_union_bound_verdict_implies_search_succeeds(self):
         # exact certificate below one, so some bounded assignment must work
         program = first_bit_label_program(("0", "1"))
@@ -364,7 +354,7 @@ class TestFamilyIndex:
         stats = outcome.stats
         assert stats.placements == 56318
         assert stats.constraints == 21
-        assert stats.predicate_calls < stats.checks
+        assert (stats.checks, stats.predicate_calls) == (74242, 72)
 
 
 class TestDerandomizeReport:

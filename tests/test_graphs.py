@@ -16,6 +16,7 @@ from derandlab import (
     Graph,
     InputInstance,
     InstanceFamilySpec,
+    InstanceFormatError,
     ball_covers_instance,
     canonicalize,
     count_bound,
@@ -323,6 +324,22 @@ class TestSerialization:
     def test_dump_load_round_trip(self):
         fam = list(enumerate_instances(InstanceFamilySpec(n=2, input_alphabet=("a", "b"))))
         assert load_instances(dump_instances(fam)) == fam
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"n": 2}',
+            "{not json",
+            "[1, 2]",
+            '{"n": 1, "edges": [], "ids": {"0": "one"}, "inputs": {"0": "x"}}',
+            '{"n": 2, "edges": [[0, 1, 2]], "ids": {"0": 1, "1": 2}, "inputs": {"0": "x", "1": "x"}}',
+            '{"n": 2, "edges": [], "ids": {"0": 1, "1": 1}, "inputs": {"0": "x", "1": "x"}}',
+        ],
+    )
+    def test_bad_instance_lines_name_their_line(self, line):
+        good = dump_instances([path_instance()])
+        with pytest.raises(InstanceFormatError, match="^instance line 3: "):
+            load_instances(good + "\n" + line + "\n")
 
     def test_disjoint_union_preserves_parts(self):
         a = path_instance()

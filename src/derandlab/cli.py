@@ -181,7 +181,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
         print(f"error: unknown randomized program {args.program!r}", file=sys.stderr)
         return EXIT_BAD_INPUT
     program = factory(problem.output_alphabet)
-    lift = lift_to_claimed_size(spec.n, spec.c, len(spec.input_alphabet))
+    lift = lift_to_claimed_size(spec)
 
     payload: dict = {"manifest": _manifest(args), "mode": args.mode}
     if args.mode == "exact":

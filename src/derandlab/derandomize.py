@@ -11,7 +11,6 @@ because it never looks at the program's internals.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,26 +20,27 @@ from .graphs import (
     InputInstance,
     InstanceFamilySpec,
     canonicalize,
+    count_bound,
     enumerate_instances,
     extract_ball,
     instance_to_jsonable,
 )
 from .problems import (
+    Check,
     CompiledCheck,
     ProblemSpec,
-    _tuple_getter,
     brute_force_solve,
     compile_checks,
     verify,
 )
 from .simulator import (
+    NodeProgram,
     NormalFormTable,
-    RandomizedNodeProgram,
     SimulationError,
     _tabulate,
     fix_randomness,
-    run_deterministic,
     run_normal_form,
+    run_randomized,
 )
 from .streams import (
     DEFAULT_BIT_CAP,
@@ -76,11 +76,10 @@ class ClaimedSizeLift:
     bound_below_claimed_over_n: bool  # family_bound * n < claimed_size
 
 
-def lift_to_claimed_size(n: int, c: int, input_alphabet_size: int) -> ClaimedSizeLift:
-    if n < 1 or c < 1 or input_alphabet_size < 1:
-        raise ValueError("n, c and alphabet size must be positive")
+def lift_to_claimed_size(spec: InstanceFamilySpec) -> ClaimedSizeLift:
+    n = spec.n
     claimed = 2 ** (n * n)
-    bound = 2 ** math.comb(n, 2) * n ** (c * n) * input_alphabet_size**n
+    bound = count_bound(spec)
     return ClaimedSizeLift(
         n=n,
         claimed_size=claimed,
@@ -130,7 +129,7 @@ def certify_good_f(
 
 
 def assignment_is_good(
-    program: RandomizedNodeProgram,
+    program: NodeProgram,
     assignment: RandomAssignment,
     family: Sequence[InputInstance],
     problem: ProblemSpec,
@@ -138,24 +137,25 @@ def assignment_is_good(
     bit_cap: int = DEFAULT_BIT_CAP,
     checks: Iterable[CompiledCheck] | None = None,
 ) -> tuple[bool, int | None]:
-    """Whether the fixed program verifies on every instance; on failure also
-    the first failing instance index.
+    """Whether the program, run with the streams of ``assignment``, verifies
+    on every instance; on failure also the first failing instance index.
 
     ``checks`` are the family's compiled checks (:func:`compile_checks`, in
     family order); a caller that tries many assignments compiles them once.
     """
-    fixed = fix_randomness(program, assignment, bit_cap)
     if checks is None:
         checks = compile_checks(problem, family)
     for idx, compiled in enumerate(checks):
-        result = run_deterministic(fixed, compiled.instance, claimed_n)
+        result = run_randomized(
+            program, compiled.instance, claimed_n, streams=assignment, bit_cap=bit_cap
+        )
         if not compiled.valid(result.outputs):
             return False, idx
     return True, None
 
 
 def search_good_f(
-    program: RandomizedNodeProgram,
+    program: NodeProgram,
     problem: ProblemSpec,
     family: Sequence[InputInstance],
     bits: int,
@@ -188,7 +188,7 @@ def search_good_f(
 
 
 def derandomize_via_f(
-    program: RandomizedNodeProgram,
+    program: NodeProgram,
     assignment: RandomAssignment,
     radius: int,
     family: Sequence[InputInstance],
@@ -251,34 +251,6 @@ class SearchStats:
     predicate_calls: int = 0  # memo misses: interpreted predicate evaluations
 
 
-class Constraint:
-    """One distinct verification check, compiled.
-
-    ``scope`` holds the realized-view positions whose labels the check reads,
-    and ``predicate`` maps the tuple of those labels to the verdict of the
-    problem's own verifier.  Verdicts are memoized per label tuple, so each
-    distinct tuple reaches the interpreted predicate once.
-    """
-
-    __slots__ = ("scope", "last", "labels_at", "predicate", "memo")
-
-    def __init__(
-        self, scope: tuple[int, ...], predicate: Callable[[tuple[str, ...]], bool]
-    ):
-        self.scope = scope
-        self.last = max(scope)  # the check becomes decidable once this is labeled
-        self.labels_at = _tuple_getter(scope)
-        self.predicate = predicate
-        self.memo: dict[tuple[str, ...], bool] = {}
-
-    def holds(self, labels: Sequence[str | None]) -> bool:
-        key = self.labels_at(labels)
-        verdict = self.memo.get(key)
-        if verdict is None:
-            verdict = self.memo[key] = self.predicate(key)
-        return verdict
-
-
 @dataclass
 class FamilyIndex:
     """A family compiled once for one table radius and one problem.
@@ -288,24 +260,27 @@ class FamilyIndex:
     them.  A node's verification check depends only on its canonical
     verification ball and on the positions of the ball's members, so checks
     are deduplicated on that pair: ``constraints`` holds each distinct one
-    once, ``instance_constraints[i]`` names those of instance ``i``, and
-    ``triggers[p]`` those that become decidable once position ``p`` is
-    labeled.  A component-wise problem gets one constraint per instance.
+    once, as a :class:`Check` whose ``members`` are realized-view positions,
+    ``instance_constraints[i]`` names those of instance ``i``, and
+    ``triggers[p]`` those that become decidable once position ``p`` (the
+    largest they read) is labeled.  A component-wise problem gets one
+    constraint per instance.
     """
 
     problem: ProblemSpec
     realized: list[str]
     node_pos: list[tuple[int, ...]]
-    constraints: list[Constraint]
+    constraints: list[Check]
     instance_constraints: list[tuple[int, ...]]
-    triggers: list[tuple[Constraint, ...]]
+    triggers: list[tuple[Check, ...]]
 
     def solvable(self, index: int) -> bool:
         """Whether instance ``index`` admits any valid labeling, decided over
         its own compiled constraints."""
-        triggers: list[list[Constraint]] = [[] for _ in self.realized]
+        triggers: list[list[Check]] = [[] for _ in self.realized]
         for c in self.instance_constraints[index]:
-            triggers[self.constraints[c].last].append(self.constraints[c])
+            con = self.constraints[c]
+            triggers[max(con.members)].append(con)
         order = sorted(set(self.node_pos[index]))
         labels: list[str | None] = [None] * len(self.realized)
         return _backtrack(
@@ -315,7 +290,7 @@ class FamilyIndex:
     @property
     def predicate_calls(self) -> int:
         # every memo miss stores exactly one verdict
-        return sum(len(con.memo) for con in self.constraints)
+        return sum(len(con.verdicts) for con in self.constraints)
 
 
 def compile_family(
@@ -327,7 +302,7 @@ def compile_family(
     Constraints come from the instances' compiled checks
     (:func:`compile_checks`): a check's member node indices are mapped to
     realized-view positions, and checks with equal canonical keys and equal
-    positions become one constraint.
+    positions become one constraint, with a verdict memo of its own.
     """
     node_keys = [
         tuple(canonicalize(extract_ball(inst, v, radius)) for v in range(inst.n))
@@ -337,7 +312,7 @@ def compile_family(
     pos_of = {key: i for i, key in enumerate(realized)}
     node_pos = [tuple(pos_of[key] for key in keys) for keys in node_keys]
 
-    constraints: list[Constraint] = []
+    constraints: list[Check] = []
     seen: dict[object, int] = {}
     instance_constraints: list[tuple[int, ...]] = []
     for compiled, positions in zip(compile_checks(problem, instances), node_pos):
@@ -350,13 +325,15 @@ def compile_family(
             key = check if check.key is None else (check.key, scope)
             if key not in seen:
                 seen[key] = len(constraints)
-                constraints.append(Constraint(scope, check.evaluate))
+                constraints.append(
+                    Check(check.ball, check.key, scope, check.evaluate, {})
+                )
             own[seen[key]] = None
         instance_constraints.append(tuple(own))
 
-    triggers: list[list[Constraint]] = [[] for _ in realized]
+    triggers: list[list[Check]] = [[] for _ in realized]
     for con in constraints:
-        triggers[con.last].append(con)
+        triggers[max(con.members)].append(con)
     return FamilyIndex(
         problem,
         realized,
@@ -369,7 +346,7 @@ def compile_family(
 
 def _backtrack(
     order: Sequence[int],
-    triggers: Sequence[Sequence[Constraint]],
+    triggers: Sequence[Sequence[Check]],
     alphabet: Sequence[str],
     labels: list[str | None],
     stats: SearchStats,
@@ -573,7 +550,7 @@ def derandomize(
     size, which is the round count the table stands in for.
     """
     spec = config.family
-    lift = lift_to_claimed_size(spec.n, spec.c, len(spec.input_alphabet))
+    lift = lift_to_claimed_size(spec)
     start = time.perf_counter()
     outcome = find_normal_form(config)
     wall = time.perf_counter() - start

@@ -204,6 +204,14 @@ class Check:
         self.verdicts = verdicts
         self.labels_at = _tuple_getter(members)
 
+    def holds(self, labels: Sequence[str | None]) -> bool:
+        """The verdict on the labels at ``members``, memoized in ``verdicts``."""
+        key = self.labels_at(labels)
+        verdict = self.verdicts.get(key)
+        if verdict is None:
+            verdict = self.verdicts[key] = self.evaluate(key)
+        return verdict
+
 
 class CompiledCheck:
     """The verification of one instance under one problem, compiled.
@@ -240,11 +248,7 @@ class CompiledCheck:
         if labels is None or not self._alphabet.issuperset(labels):
             return verify(self.problem, self.instance, outputs).valid
         for check in self.checks:
-            key = check.labels_at(labels)
-            verdict = check.verdicts.get(key)
-            if verdict is None:
-                verdict = check.verdicts[key] = check.evaluate(key)
-            if not verdict:
+            if not check.holds(labels):
                 return False
         return True
 

@@ -16,7 +16,6 @@ from .simulator import (
     NodeContext,
     NodeProgram,
     NormalFormTable,
-    RandomizedNodeProgram,
     SimulationError,
     StepResult,
 )
@@ -183,7 +182,7 @@ def wait_for_claimed_count_program() -> NodeProgram:
     return NodeProgram("wait-claimed", step, lambda claimed: claimed, ("done",))
 
 
-def first_bit_label_program(alphabet: Sequence[str]) -> RandomizedNodeProgram:
+def first_bit_label_program(alphabet: Sequence[str]) -> NodeProgram:
     """Read one private bit and output ``alphabet[bit]`` (0 rounds)."""
     labels = tuple(alphabet)
     if len(labels) < 2:
@@ -192,12 +191,12 @@ def first_bit_label_program(alphabet: Sequence[str]) -> RandomizedNodeProgram:
     def step(ctx: NodeContext) -> StepResult:
         return StepResult(output=labels[ctx.bits.next_bit()])
 
-    return RandomizedNodeProgram(
+    return NodeProgram(
         f"first-bit[{','.join(labels)}]", step, lambda _claimed: 0, labels
     )
 
 
-def two_bit_label_program(alphabet: Sequence[str]) -> RandomizedNodeProgram:
+def two_bit_label_program(alphabet: Sequence[str]) -> NodeProgram:
     """Read two bits and map 00,01,10,11 to labels 0,1,2,0 (0 rounds).
 
     With three labels the induced distribution is (1/2, 1/4, 1/4).
@@ -210,12 +209,12 @@ def two_bit_label_program(alphabet: Sequence[str]) -> RandomizedNodeProgram:
     def step(ctx: NodeContext) -> StepResult:
         return StepResult(output=pick[2 * ctx.bits.next_bit() + ctx.bits.next_bit()])
 
-    return RandomizedNodeProgram(
+    return NodeProgram(
         f"two-bit[{','.join(labels[:3])}]", step, lambda _claimed: 0, labels
     )
 
 
-def id_parity_label_program(alphabet: Sequence[str]) -> RandomizedNodeProgram:
+def id_parity_label_program(alphabet: Sequence[str]) -> NodeProgram:
     """Output a label by own identifier parity, reading no bits (0 rounds).
 
     Adjacent identifiers of opposite parity get distinct labels, so this is a
@@ -229,12 +228,12 @@ def id_parity_label_program(alphabet: Sequence[str]) -> RandomizedNodeProgram:
     def step(ctx: NodeContext) -> StepResult:
         return StepResult(output=labels[ctx.identifier % 2])
 
-    return RandomizedNodeProgram(
+    return NodeProgram(
         f"id-parity[{labels[0]},{labels[1]}]", step, lambda _claimed: 0, labels
     )
 
 
-def leading_ones_program() -> RandomizedNodeProgram:
+def leading_ones_program() -> NodeProgram:
     """Count leading 1-bits of the private stream and output the count.
 
     Samples a geometric variable by repeated trials, so no fixed bound on the
@@ -247,7 +246,7 @@ def leading_ones_program() -> RandomizedNodeProgram:
             count += 1
         return StepResult(output=str(count))
 
-    return RandomizedNodeProgram("leading-ones", step, lambda _claimed: 0)
+    return NodeProgram("leading-ones", step, lambda _claimed: 0)
 
 
 DETERMINISTIC_BUILTINS: dict[str, Callable[[], NodeProgram]] = {
@@ -255,7 +254,7 @@ DETERMINISTIC_BUILTINS: dict[str, Callable[[], NodeProgram]] = {
     "degree": degree_label_program,
 }
 
-RANDOMIZED_BUILTINS: dict[str, Callable[[Sequence[str]], RandomizedNodeProgram]] = {
+RANDOMIZED_BUILTINS: dict[str, Callable[[Sequence[str]], NodeProgram]] = {
     "first-bit": first_bit_label_program,
     "two-bit": two_bit_label_program,
     "id-parity": id_parity_label_program,

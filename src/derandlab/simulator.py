@@ -28,12 +28,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 from .graphs import InputInstance, canonicalize, extract_ball
 from .problems import ProblemSpec, compile_checks
-from .streams import (
-    DEFAULT_BIT_CAP,
-    BitReader,
-    BitStream,
-    RandomAssignment,
-)
+from .streams import DEFAULT_BIT_CAP, BitReader, RandomAssignment
 
 
 class SimulationError(RuntimeError):
@@ -98,19 +93,13 @@ class StepResult:
 
 @dataclass(frozen=True)
 class NodeProgram:
-    """A deterministic node program: a pure step function plus a round bound
-    as a function of the claimed node count."""
+    """A node program: a pure step function plus a round bound as a function
+    of the claimed node count.
 
-    name: str
-    step: Callable[[NodeContext], StepResult] = field(repr=False)
-    round_bound: Callable[[int], int] = field(repr=False)
-    output_alphabet: tuple[str, ...] | None = None
-
-
-@dataclass(frozen=True)
-class RandomizedNodeProgram:
-    """Like :class:`NodeProgram` but the step function may read private bits
-    from ``ctx.bits`` with no a-priori bound."""
+    A step may read private bits from ``ctx.bits`` when the run supplies
+    streams (:func:`run_randomized`), with no a-priori bound on how many; under
+    :func:`run_deterministic` ``ctx.bits`` is None.
+    """
 
     name: str
     step: Callable[[NodeContext], StepResult] = field(repr=False)
@@ -126,7 +115,7 @@ class RunResult:
 
 
 def _run(
-    program: NodeProgram | RandomizedNodeProgram,
+    program: NodeProgram,
     instance: InputInstance,
     claimed_n: int | None,
     readers: list[BitReader] | None,
@@ -220,24 +209,16 @@ def run_deterministic(
 
 
 def run_randomized(
-    program: RandomizedNodeProgram,
+    program: NodeProgram,
     instance: InputInstance,
     claimed_n: int | None = None,
-    streams: RandomAssignment | None = None,
-    seed: object | None = None,
+    *,
+    streams: RandomAssignment,
     bit_cap: int = DEFAULT_BIT_CAP,
     trace: bool = False,
 ) -> RunResult:
-    """Run with per-node private bit streams.
-
-    Provide either ``streams`` (an assignment of streams to identifiers) or a
-    ``seed``, from which per-node streams are derived as pure functions of
-    (seed, identifier) so that runs replay exactly.
-    """
-    if (streams is None) == (seed is None):
-        raise ValueError("provide exactly one of streams or seed")
-    if streams is None:
-        streams = RandomAssignment.from_seed(seed)
+    """Run with per-node private bit streams: each node reads the stream that
+    ``streams`` assigns to its identifier, so runs replay exactly."""
     readers = [
         BitReader(streams.stream_for(instance.ids[v]), cap=bit_cap)
         for v in range(instance.n)
@@ -246,7 +227,7 @@ def run_randomized(
 
 
 def fix_randomness(
-    program: RandomizedNodeProgram,
+    program: NodeProgram,
     assignment: RandomAssignment,
     bit_cap: int = DEFAULT_BIT_CAP,
 ) -> NodeProgram:
@@ -489,7 +470,7 @@ def _tabulate(
 
 
 def compute_success_exact(
-    program: RandomizedNodeProgram,
+    program: NodeProgram,
     problem: ProblemSpec,
     family: Sequence[InputInstance],
     bits: int,
@@ -531,13 +512,9 @@ class McEstimate:
     failure: Fraction  # exact fraction of failing trials
     stderr: float
 
-    @property
-    def failure_float(self) -> float:
-        return float(self.failure)
-
 
 def estimate_success_mc(
-    program: RandomizedNodeProgram,
+    program: NodeProgram,
     problem: ProblemSpec,
     family: Sequence[InputInstance],
     trials: int,
@@ -558,13 +535,11 @@ def estimate_success_mc(
         instance = compiled.instance
         bad = 0
         for k in range(trials):
-            assignment = RandomAssignment(
-                lambda ident, idx=idx, k=k: _trial_stream(seed, idx, k, ident),
-                None,
-                f"mc:{seed}:{idx}:{k}",
-            )
             result = run_randomized(
-                program, instance, streams=assignment, bit_cap=bit_cap
+                program,
+                instance,
+                streams=RandomAssignment.from_seed(seed, idx, k),
+                bit_cap=bit_cap,
             )
             if not compiled.valid(result.outputs):
                 bad += 1
@@ -572,17 +547,3 @@ def estimate_success_mc(
         stderr = (float(p) * (1.0 - float(p)) / trials) ** 0.5
         estimates.append(McEstimate(p, stderr))
     return estimates
-
-
-def _trial_stream(seed: object, instance_index: int, trial: int, identifier: int):
-    return BitStream.keyed(seed, instance_index, trial, identifier)
-
-
-def as_randomized(program: NodeProgram) -> RandomizedNodeProgram:
-    """View a deterministic program as a randomized one that ignores its bits."""
-    return RandomizedNodeProgram(
-        name=program.name,
-        step=program.step,
-        round_bound=program.round_bound,
-        output_alphabet=program.output_alphabet,
-    )

@@ -79,16 +79,20 @@ class BitStream:
 
     @classmethod
     def from_bits(cls, bits: Sequence[int]) -> "BitStream":
-        recorded = _as_bits(bits)
+        return _recorded(_as_bits(bits))
 
-        def getter(i: int) -> int:
-            if i >= len(recorded):
-                raise StreamExhausted(
-                    f"bit budget exceeded: recorded stream holds {len(recorded)} bits"
-                )
-            return recorded[i]
 
-        return cls(getter, f"recorded:{''.join(map(str, recorded))}")
+def _recorded(recorded: tuple[int, ...]) -> BitStream:
+    """The stream of :meth:`BitStream.from_bits` over already validated bits."""
+
+    def getter(i: int) -> int:
+        if i >= len(recorded):
+            raise StreamExhausted(
+                f"bit budget exceeded: recorded stream holds {len(recorded)} bits"
+            )
+        return recorded[i]
+
+    return BitStream(getter, f"recorded:{''.join(map(str, recorded))}")
 
 
 def _as_bits(bits: Sequence[int]) -> tuple[int, ...]:
@@ -155,18 +159,19 @@ class RandomAssignment:
         return f"RandomAssignment({self.description})"
 
     @classmethod
-    def from_seed(cls, seed: object, domain: Sequence[int] | None = None) -> "RandomAssignment":
-        dom = frozenset(domain) if domain is not None else None
+    def from_seed(cls, *key: object) -> "RandomAssignment":
+        """Total assignment giving identifier ``i`` the stream
+        ``BitStream.keyed(*key, i)``."""
         return cls(
-            lambda ident: BitStream.keyed(seed, ident),
-            dom,
-            f"seed:{seed}",
+            lambda ident: BitStream.keyed(*key, ident),
+            None,
+            "seed:" + "|".join(map(str, key)),
         )
 
     @classmethod
     def from_vectors(cls, vectors: Mapping[int, Sequence[int]]) -> "RandomAssignment":
         fixed = {int(k): _as_bits(v) for k, v in vectors.items()}
-        streams = {k: BitStream.from_bits(v) for k, v in fixed.items()}
+        streams = {k: _recorded(v) for k, v in fixed.items()}
         desc = ",".join(f"{k}:{''.join(map(str, v))}" for k, v in sorted(fixed.items()))
         return cls(streams.__getitem__, frozenset(fixed), desc, vectors=fixed)
 

@@ -63,7 +63,7 @@ def test_family_counts_and_size_lift():
     spec = InstanceFamilySpec(n=3, c=1, input_alphabet=("x",))
     family_size = sum(1 for _ in enumerate_instances(spec))
     bound = count_bound(spec)
-    lift = lift_to_claimed_size(3, 1, 1)
+    lift = lift_to_claimed_size(spec)
     elapsed = time.perf_counter() - start
     ok = (
         family_size == 48
@@ -188,7 +188,8 @@ def test_first_bit_coloring_union_bound_certificate():
     # module docstring.
     problem, family, program = _first_bit_setup()
     probs = compute_success_exact(program, problem, family, bits=1)
-    certificate = certify_good_f(probs, lift_to_claimed_size(2, 1, 1).claimed_size)
+    lift = lift_to_claimed_size(InstanceFamilySpec(n=2))
+    certificate = certify_good_f(probs, lift.claimed_size)
     ok = certificate.total < 1 and certificate.verdict
     _report(
         "first-bit coloring union-bound certificate (strict)",

@@ -19,7 +19,6 @@ from derandlab import (
     RandomAssignment,
     SearchBudgetExceeded,
     SearchConfig,
-    as_randomized,
     assignment_is_good,
     brute_force_solve,
     certify_good_f,
@@ -29,11 +28,13 @@ from derandlab import (
     derandomize_via_f,
     enumerate_instances,
     find_normal_form,
+    fix_randomness,
     iter_bounded_assignments,
     lift_to_claimed_size,
     make_coloring,
     make_mis,
     problem_by_name,
+    run_deterministic,
     run_normal_form,
     search_good_f,
     verify,
@@ -54,27 +55,28 @@ def output_one_problem():
 
 class TestClaimedSizeLift:
     def test_n1(self):
-        lift = lift_to_claimed_size(1, 1, 1)
+        lift = lift_to_claimed_size(InstanceFamilySpec(n=1))
         assert lift.claimed_size == 2
         assert lift.family_bound == 1
         assert lift.bound_below_claimed
         assert lift.bound_below_claimed_over_n
 
     def test_n3_checks(self):
-        lift = lift_to_claimed_size(3, 1, 1)
+        lift = lift_to_claimed_size(InstanceFamilySpec(n=3))
         assert lift.claimed_size == 512
         assert lift.family_bound == 216
         assert lift.bound_below_claimed
         assert not lift.bound_below_claimed_over_n  # 216 * 3 = 648 >= 512
 
     def test_n2_strictness(self):
-        lift = lift_to_claimed_size(2, 1, 1)
+        lift = lift_to_claimed_size(InstanceFamilySpec(n=2))
         assert (lift.claimed_size, lift.family_bound) == (16, 8)
         assert lift.bound_below_claimed
         assert not lift.bound_below_claimed_over_n  # 8 * 2 == 16 exactly
 
     def test_exact_big_integers(self):
-        lift = lift_to_claimed_size(10, 2, 3)
+        spec = InstanceFamilySpec(n=10, c=2, input_alphabet=("a", "b", "c"))
+        lift = lift_to_claimed_size(spec)
         assert lift.claimed_size == 2**100
         assert lift.family_bound == 2**45 * 10**20 * 3**10
 
@@ -107,9 +109,9 @@ class TestCertificate:
 
 class TestSearchGoodAssignment:
     def test_bit_insensitive_program_returns_first_candidate(self):
-        program = as_randomized(
-            __import__("derandlab.programs", fromlist=["parity_program"]).parity_program()
-        )
+        program = __import__(
+            "derandlab.programs", fromlist=["parity_program"]
+        ).parity_program()
         problem = ProblemSpec(
             name="any",
             radius=0,
@@ -134,10 +136,20 @@ class TestSearchGoodAssignment:
         found = search_good_f(program, problem, family, bits=1, id_space=[1, 2])
         assert found.vectors == {1: (0,), 2: (1,)}
         verdicts = [
-            assignment_is_good(program, f, family, problem)[0]
+            assignment_is_good(program, f, family, problem)
             for f in iter_bounded_assignments([1, 2], 1)
         ]
-        assert verdicts == [False, True, True, False]
+        assert [ok for ok, _ in verdicts] == [False, True, True, False]
+        # differential gate: running with streams decides exactly what the
+        # fixed program's verify loop decides, down to the first failing index
+        for f, verdict in zip(iter_bounded_assignments([1, 2], 1), verdicts):
+            fixed = fix_randomness(program, f)
+            failing = [
+                idx
+                for idx, inst in enumerate(family)
+                if not verify(problem, inst, run_deterministic(fixed, inst).outputs).valid
+            ]
+            assert verdict == (not failing, failing[0] if failing else None)
 
     def test_whole_space_can_fail(self):
         program = first_bit_label_program(("0", "1"))
@@ -164,7 +176,9 @@ class TestSearchGoodAssignment:
         problem = output_one_problem()
         family = list(enumerate_instances(InstanceFamilySpec(n=1)))
         probs = compute_success_exact(program, problem, family, bits=1)
-        cert = certify_good_f(probs, lift_to_claimed_size(1, 1, 1).claimed_size)
+        cert = certify_good_f(
+            probs, lift_to_claimed_size(InstanceFamilySpec(n=1)).claimed_size
+        )
         assert cert.total == Fraction(1, 2)
         assert cert.verdict
         assert search_good_f(program, problem, family, bits=1, id_space=[1]) is not None
@@ -197,7 +211,7 @@ class TestDerandomizeViaAssignment:
 
     def test_radius_too_small_raises_locality_violation(self):
         # a 1-round gather cannot be a function of radius-0 views
-        program = as_randomized(id_sum_parity_program(1))
+        program = id_sum_parity_program(1)
         problem = ProblemSpec(
             name="any",
             radius=0,
@@ -339,7 +353,7 @@ class TestFamilyIndex:
         triggered = [con for group in index.triggers for con in group]
         assert sorted(map(id, triggered)) == sorted(map(id, index.constraints))
         for con in index.constraints:
-            assert con in index.triggers[max(con.scope)]
+            assert con in index.triggers[max(con.members)]
 
     def test_component_wise_problem_gets_one_constraint_per_instance(self):
         family = list(enumerate_instances(InstanceFamilySpec(n=3)))

@@ -21,7 +21,6 @@ from derandlab import (
     StreamExhausted,
     TableFormatError,
     UnassignedIdentifier,
-    as_randomized,
     assignment_is_good,
     compute_success_exact,
     disjoint_union,
@@ -89,6 +88,14 @@ class TestStreams:
         reader.take(3)
         with pytest.raises(BitBudgetExceeded):
             reader.next_bit()
+
+    def test_non_bits_are_rejected(self):
+        with pytest.raises(ValueError):
+            RandomAssignment.from_vectors({1: (0, 2)})
+        with pytest.raises(ValueError):
+            BitStream.from_bits((1, 2))
+        with pytest.raises(ValueError):
+            BitStream.from_prefix((2,))
 
     def test_assignment_domain(self):
         f = RandomAssignment.from_vectors({1: (0,), 2: (1,)})
@@ -178,7 +185,9 @@ class TestRunRandomized:
         program = parity_program()
         for inst in enumerate_instances(InstanceFamilySpec(n=2)):
             det = run_deterministic(program, inst)
-            rand = run_randomized(as_randomized(program), inst, seed=9)
+            rand = run_randomized(
+                program, inst, streams=RandomAssignment.from_seed(9)
+            )
             assert rand.outputs == det.outputs
 
     def test_all_zero_streams(self):
@@ -206,14 +215,9 @@ class TestRunRandomized:
 
     def test_seed_replays_exactly(self):
         program = first_bit_label_program(("0", "1"))
-        a = run_randomized(program, path3(), seed="replay")
-        b = run_randomized(program, path3(), seed="replay")
+        a = run_randomized(program, path3(), streams=RandomAssignment.from_seed("replay"))
+        b = run_randomized(program, path3(), streams=RandomAssignment.from_seed("replay"))
         assert a.outputs == b.outputs
-
-    def test_streams_xor_seed_required(self):
-        program = first_bit_label_program(("0", "1"))
-        with pytest.raises(ValueError):
-            run_randomized(program, path3())
 
 
 class TestFixRandomness:
@@ -246,7 +250,7 @@ class TestFixRandomness:
 
     def test_multi_round_bit_consumption_is_tracked(self):
         # read one bit per round for three rounds; bits must not repeat
-        from derandlab import RandomizedNodeProgram, StepResult
+        from derandlab import NodeProgram, StepResult
 
         def step(ctx):
             bits = [] if ctx.state is None else ctx.state
@@ -255,7 +259,7 @@ class TestFixRandomness:
                 return StepResult(output="".join(map(str, bits)))
             return StepResult(state=bits)
 
-        program = RandomizedNodeProgram("three-bits", step, lambda _n: 3)
+        program = NodeProgram("three-bits", step, lambda _n: 3)
         f = RandomAssignment.from_vectors({1: (1, 0, 1)})
         fixed = fix_randomness(program, f)
         assert run_deterministic(fixed, single()).outputs == {0: "101"}
@@ -381,7 +385,7 @@ class TestSuccessProbabilities:
     def test_bit_free_correct_program_never_fails(self):
         family = list(enumerate_instances(InstanceFamilySpec(n=1)))
         probs = compute_success_exact(
-            as_randomized(constant_program("IN")), make_mis(), family, bits=0
+            constant_program("IN"), make_mis(), family, bits=0
         )
         assert probs == [Fraction(0)]
 
@@ -420,7 +424,7 @@ class TestSuccessProbabilities:
     def test_mc_bit_free_program_estimates_zero_exactly(self):
         family = list(enumerate_instances(InstanceFamilySpec(n=1)))
         estimates = estimate_success_mc(
-            as_randomized(constant_program("IN")), make_mis(), family, trials=50, seed=3
+            constant_program("IN"), make_mis(), family, trials=50, seed=3
         )
         assert estimates[0].failure == 0
         assert estimates[0].stderr == 0.0

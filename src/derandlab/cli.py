@@ -32,7 +32,7 @@ from .graphs import (
     enumerate_instances,
     load_instances,
 )
-from .problems import ProblemFormatError, problem_by_name, verify
+from .problems import ProblemFormatError, compile_checks, problem_by_name, verify
 from .programs import DETERMINISTIC_BUILTINS, RANDOMIZED_BUILTINS
 from .simulator import (
     IncompleteTableError,
@@ -184,8 +184,10 @@ def cmd_certify(args: argparse.Namespace) -> int:
     lift = lift_to_claimed_size(spec)
 
     payload: dict = {"manifest": _manifest(args), "mode": args.mode}
+    # with --find-f the assignment search and the exact pass share one compilation
+    checks = list(compile_checks(problem, family)) if args.find_f else None
     if args.mode == "exact":
-        probs = compute_success_exact(program, problem, family, args.bits)
+        probs = compute_success_exact(program, problem, family, args.bits, checks=checks)
     else:
         if args.seed is None:
             print("error: --seed is required in mc mode", file=sys.stderr)
@@ -195,7 +197,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
         )
         probs = [e.failure for e in estimates]
         payload["stderr"] = [e.stderr for e in estimates]
-    certificate = certify_good_f(probs, lift.claimed_size)
+    certificate = certify_good_f(probs, lift.claimed_size, estimated=args.mode == "mc")
     payload["certificate"] = certificate.to_jsonable()
 
     if args.find_f:
@@ -205,6 +207,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
             family,
             bits=args.bits,
             id_space=list(spec.id_space),
+            checks=checks,
         )
         payload["good_f"] = (
             {str(k): list(v) for k, v in sorted(found.vectors.items())}
@@ -217,9 +220,13 @@ def cmd_certify(args: argparse.Namespace) -> int:
     else:
         json.dump(payload, sys.stdout, indent=2, sort_keys=True)
         print()
+    if certificate.estimated:
+        summary = " is a Monte-Carlo estimate; no verdict"
+    else:
+        summary = f"; verdict {certificate.verdict}"
     print(
         f"certificate total {certificate.total} over {certificate.family_size} "
-        f"instances; verdict {certificate.verdict}",
+        f"instances{summary}",
         file=sys.stderr,
     )
     return EXIT_OK

@@ -1,4 +1,4 @@
-"""Connected-graph runtime: brute-force when some node sees the whole graph,
+"""Connected-graph runtime: solve outright when some node sees the whole graph,
 table lookup otherwise, plus the view-preserving extension check."""
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from .graphs import (
     extend_instance,
     extract_ball,
 )
-from .problems import ProblemSpec, brute_force_solve
+from .problems import ProblemSpec, solve_lex_first
 from .simulator import NormalFormTable, run_normal_form
 
 
@@ -52,7 +52,8 @@ def run_connected_aware(
     Phase one: every node explores to the exploration radius t and checks
     whether its view contains the entire graph (all nodes and all edges).  If
     any node's check passes, that node can reach everyone within t rounds, so
-    all nodes learn the graph and adopt its canonical brute-force solution;
+    all nodes learn the graph and adopt its canonical solution, the
+    lexicographically first valid labeling (:func:`solve_lex_first`);
     the run charges 2t rounds (explore + inform).  Otherwise every node
     applies the table to its radius-T view, already gathered during
     exploration; waiting out the silent inform window still costs 2t rounds.
@@ -67,7 +68,7 @@ def run_connected_aware(
         for v in range(instance.n)
     )
     if covered:
-        outputs = brute_force_solve(config.problem, instance)
+        outputs = solve_lex_first(config.problem, instance)
         if outputs is None:
             raise UnsolvableInstance(
                 f"{config.problem.name} has no valid labeling on this instance"

@@ -29,6 +29,8 @@ from .problems import (
     Check,
     CompiledCheck,
     ProblemSpec,
+    SearchBudgetExceeded,
+    _backtrack,
     brute_force_solve,
     compile_checks,
     verify,
@@ -48,10 +50,6 @@ from .streams import (
     assignment_space_size,
     iter_bounded_assignments,
 )
-
-
-class SearchBudgetExceeded(RuntimeError):
-    """A search hit its configured budget before reaching a verdict."""
 
 
 class AssignmentNotGood(RuntimeError):
@@ -92,16 +90,22 @@ def lift_to_claimed_size(spec: InstanceFamilySpec) -> ClaimedSizeLift:
 @dataclass(frozen=True)
 class GoodnessCertificate:
     """Union-bound certificate: if the per-instance failure probabilities sum
-    below one, some assignment succeeds on every instance at once."""
+    below one, some assignment succeeds on every instance at once.
+
+    ``estimated`` marks Monte-Carlo estimates in place of exact
+    probabilities.  An estimated total below one proves nothing, so such a
+    certificate has no verdict.
+    """
 
     failure_probs: tuple[Fraction, ...]
     total: Fraction
     family_size: int
     claimed_size: int
+    estimated: bool = False
 
     @property
-    def verdict(self) -> bool:
-        return self.total < 1
+    def verdict(self) -> bool | None:
+        return None if self.estimated else self.total < 1
 
     def to_jsonable(self) -> dict:
         return {
@@ -114,7 +118,7 @@ class GoodnessCertificate:
 
 
 def certify_good_f(
-    failure_probs: Sequence[Fraction], claimed_size: int
+    failure_probs: Sequence[Fraction], claimed_size: int, estimated: bool = False
 ) -> GoodnessCertificate:
     probs = tuple(Fraction(p) for p in failure_probs)
     for p in probs:
@@ -125,6 +129,7 @@ def certify_good_f(
         total=sum(probs, Fraction(0)),
         family_size=len(probs),
         claimed_size=claimed_size,
+        estimated=estimated,
     )
 
 
@@ -163,21 +168,24 @@ def search_good_f(
     claimed_n: int | None = None,
     budget: int | None = 1 << 22,
     bit_cap: int = DEFAULT_BIT_CAP,
+    checks: Sequence[CompiledCheck] | None = None,
 ) -> RandomAssignment | None:
     """Lexicographically first good bounded assignment, or None.
 
     Enumerates every assignment of ``bits``-bit vectors to the identifier
     space and returns the first one whose fixed program verifies on the whole
-    family.  The family's checks are compiled once for the whole search.
-    None means the entire bounded space fails, which says nothing about
-    unbounded assignments.
+    family.  The family's checks are compiled once for the whole search,
+    unless the caller passes them as ``checks`` (in family order).  None
+    means the entire bounded space fails, which says nothing about unbounded
+    assignments.
     """
     size = assignment_space_size(id_space, bits)
     if budget is not None and size > budget:
         raise SearchBudgetExceeded(
             f"assignment space holds {size} candidates, over the budget {budget}"
         )
-    checks = list(compile_checks(problem, family))
+    if checks is None:
+        checks = list(compile_checks(problem, family))
     for assignment in iter_bounded_assignments(id_space, bits):
         ok, _ = assignment_is_good(
             program, assignment, family, problem, claimed_n, bit_cap, checks
@@ -283,9 +291,7 @@ class FamilyIndex:
             triggers[max(con.members)].append(con)
         order = sorted(set(self.node_pos[index]))
         labels: list[str | None] = [None] * len(self.realized)
-        return _backtrack(
-            order, triggers, self.problem.output_alphabet, labels, SearchStats()
-        )
+        return _backtrack(order, triggers, self.problem.output_alphabet, labels)[0]
 
     @property
     def predicate_calls(self) -> int:
@@ -342,51 +348,6 @@ def compile_family(
         instance_constraints,
         [tuple(t) for t in triggers],
     )
-
-
-def _backtrack(
-    order: Sequence[int],
-    triggers: Sequence[Sequence[Check]],
-    alphabet: Sequence[str],
-    labels: list[str | None],
-    stats: SearchStats,
-    budget: int | None = None,
-) -> bool:
-    """Label the positions in ``order`` one by one, trying labels in alphabet
-    order and backtracking on the first violated triggered constraint.
-
-    Returns True with ``labels`` holding the first complete assignment that
-    satisfies every constraint in ``triggers``, or False once the space is
-    exhausted.  Placements and checks are added to ``stats``.
-    """
-    placements, checks = stats.placements, stats.checks
-    depth = 0
-    next_try = [0] * len(order)
-    width = len(alphabet)
-    while 0 <= depth < len(order):
-        pos = order[depth]
-        if next_try[depth] == width:
-            next_try[depth] = 0
-            labels[pos] = None
-            depth -= 1
-            if depth >= 0:
-                next_try[depth] += 1
-            continue
-        labels[pos] = alphabet[next_try[depth]]
-        placements += 1
-        if budget is not None and placements > budget:
-            raise SearchBudgetExceeded(
-                f"table search exceeded its budget of {budget} placements"
-            )
-        for con in triggers[pos]:
-            checks += 1
-            if not con.holds(labels):
-                next_try[depth] += 1
-                break
-        else:
-            depth += 1
-    stats.placements, stats.checks = placements, checks
-    return depth == len(order)
 
 
 @dataclass
@@ -446,8 +407,8 @@ def find_normal_form(config: SearchConfig) -> TableSearchOutcome:
     )
 
     labels: list[str | None] = [None] * len(realized)
-    found = _backtrack(
-        range(len(realized)), index.triggers, alphabet, labels, stats, config.node_budget
+    found, stats.placements, stats.checks = _backtrack(
+        range(len(realized)), index.triggers, alphabet, labels, config.node_budget
     )
     witness = None if found else next(
         (i for i in range(len(instances)) if not index.solvable(i)), None

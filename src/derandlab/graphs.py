@@ -135,9 +135,11 @@ class InputInstance:
         if self.c is not None:
             if self.c < 1:
                 raise ValueError("identifier exponent must be >= 1")
-            top = n**self.c
-            if any(i > top for i in self.ids):
-                raise ValueError(f"identifier out of range 1..{top}")
+            largest = max(self.ids)
+            # for n >= 2, n**c >= 2**c exceeds every identifier once c reaches
+            # their bit length; skipping n**c there keeps a huge c from a file cheap
+            if (n == 1 or self.c < largest.bit_length()) and largest > n**self.c:
+                raise ValueError(f"identifier out of range 1..{n**self.c}")
 
     @property
     def n(self) -> int:
@@ -167,9 +169,6 @@ class InputInstance:
 
     def identifier(self, v: int) -> int:
         return self.ids[v]
-
-    def input_of(self, v: int) -> str:
-        return self.inputs[v]
 
 
 @dataclass(frozen=True)
@@ -291,6 +290,20 @@ class BallView:
             if min(du, dv) > self.radius - 1 or max(du, dv) > self.radius:
                 raise ValueError(f"edge ({u},{v}) violates the view edge rule")
 
+    @classmethod
+    def _trusted(
+        cls,
+        radius: int,
+        nodes: tuple[BallNode, ...],
+        edges: tuple[tuple[int, int], ...],
+    ) -> "BallView":
+        """A view from parts that are valid and in canonical order by
+        construction, built without :meth:`__post_init__`.  Only
+        :func:`extract_ball` calls it; every other view is validated."""
+        view = object.__new__(cls)
+        view.__dict__.update(radius=radius, nodes=nodes, edges=edges)
+        return view
+
     @property
     def center(self) -> BallNode:
         return self.nodes[0]
@@ -324,11 +337,13 @@ def extract_ball(instance: InputInstance, v: int, radius: int) -> BallView:
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     g = instance.graph
+    ids = instance.ids
     dist = g.bfs_distances(v)
+    # sorted by (distance, identifier), as BallView stores them; the BFS puts
+    # the center first and keeps every distance within the radius rule
+    inside = sorted((d, ids[u], u) for u, d in dist.items() if d <= radius)
     nodes = tuple(
-        BallNode(instance.ids[u], g.degree(u), instance.inputs[u], d)
-        for u, d in dist.items()
-        if d <= radius
+        BallNode(ident, g.degree(u), instance.inputs[u], d) for d, ident, u in inside
     )
     edges = []
     for s, t in g.edges:
@@ -336,8 +351,9 @@ def extract_ball(instance: InputInstance, v: int, radius: int) -> BallView:
         if ds is None or dt is None:
             continue
         if min(ds, dt) <= radius - 1 and max(ds, dt) <= radius:
-            edges.append(_normalize_edge(instance.ids[s], instance.ids[t]))
-    return BallView(radius, nodes, tuple(edges))
+            edges.append(_normalize_edge(ids[s], ids[t]))
+    edges.sort()
+    return BallView._trusted(radius, nodes, tuple(edges))
 
 
 def canonicalize(ball: BallView) -> str:
@@ -461,7 +477,7 @@ def instance_from_jsonable(obj: Mapping) -> InputInstance:
         return InputInstance(Graph(n, edges), ids, inputs, None if c is None else int(c))
     except KeyError as exc:
         raise InstanceFormatError(f"missing the key {exc}") from exc
-    except (AttributeError, TypeError, ValueError) as exc:
+    except (AttributeError, OverflowError, TypeError, ValueError) as exc:
         raise InstanceFormatError(f"malformed instance: {exc}") from exc
 
 

@@ -1,4 +1,5 @@
-"""Labeling problems: local and component-wise verification, canonical brute force."""
+"""Labeling problems: local and component-wise verification, compiled checks,
+and the canonical (lexicographically first) solution of one instance."""
 
 from __future__ import annotations
 
@@ -179,12 +180,13 @@ class Check:
     ``members`` are the node indices whose labels the check reads,
     ``evaluate`` maps the tuple of their labels to the problem's verdict,
     and ``verdicts`` memoizes it.  A locally verifiable problem has one check
-    per node: ``ball`` is the node's verification ball, ``key`` its canonical
-    key, and ``members`` follow ``ball.nodes`` (so ``members[0]`` is the
-    node); checks with equal keys share ``ball``, ``evaluate`` and
-    ``verdicts``.  A component-wise problem has one check per instance that
-    reads the whole labeling, with ``ball`` and ``key`` None and a memo of
-    its own.
+    per node: ``ball`` is the node's verification ball and ``members`` follow
+    ``ball.nodes`` (so ``members[0]`` is the node).  When checks are shared
+    across instances, ``key`` is the ball's canonical key and checks with
+    equal keys share ``ball``, ``evaluate`` and ``verdicts``; otherwise
+    ``key`` is None and the memo is the check's own.  A component-wise
+    problem has one check per instance that reads the whole labeling, with
+    ``ball`` and ``key`` None and a memo of its own.
     """
 
     __slots__ = ("ball", "key", "members", "evaluate", "verdicts", "labels_at")
@@ -266,28 +268,43 @@ def compile_checks(
     alphabet = frozenset(problem.output_alphabet)
     shared: dict[str, Check] = {}
     for instance in instances:
-        if problem.locally_verifiable:
-            order = sorted(range(instance.n), key=instance.identifier)
-            checks = tuple(_node_check(problem, instance, v, shared) for v in order)
-        else:
-            whole = tuple(range(instance.n))
-            evaluate = partial(_labeling_verdict, problem, instance)
-            checks = (Check(None, None, whole, evaluate, {}),)
+        checks = _instance_checks(problem, instance, shared)
         yield CompiledCheck(problem, instance, checks, alphabet)
 
 
+def _instance_checks(
+    problem: ProblemSpec, instance: InputInstance, shared: dict[str, Check] | None
+) -> tuple[Check, ...]:
+    """The :class:`Check` objects of one instance, in the order :func:`verify`
+    visits them.
+
+    With ``shared``, node checks are keyed by their balls' canonical keys and
+    checks with equal keys share one verdict memo, registered in ``shared``.
+    Without it no key is computed and every check has a memo of its own.
+    """
+    if not problem.locally_verifiable:
+        evaluate = partial(_labeling_verdict, problem, instance)
+        return (Check(None, None, tuple(range(instance.n)), evaluate, {}),)
+    order = sorted(range(instance.n), key=instance.identifier)
+    return tuple(_node_check(problem, instance, v, shared) for v in order)
+
+
 def _node_check(
-    problem: ProblemSpec, instance: InputInstance, v: int, shared: dict[str, Check]
+    problem: ProblemSpec,
+    instance: InputInstance,
+    v: int,
+    shared: dict[str, Check] | None,
 ) -> Check:
     ball = extract_ball(instance, v, problem.radius)
-    key = canonicalize(ball)
     members = tuple(map(instance.node_with_id, ball.identifiers))
-    first = shared.get(key)
+    key = None if shared is None else canonicalize(ball)
+    first = None if shared is None else shared.get(key)
     if first is None:
-        evaluate = partial(_ball_verdict, problem, ball)
-        first = shared[key] = Check(ball, key, members, evaluate, {})
+        first = Check(ball, key, members, partial(_ball_verdict, problem, ball), {})
+        if shared is not None:
+            shared[key] = first
         return first
-    return Check(first.ball, first.key, members, first.evaluate, first.verdicts)
+    return Check(first.ball, key, members, first.evaluate, first.verdicts)
 
 
 def _ball_verdict(problem: ProblemSpec, ball: BallView, labels: tuple[str, ...]) -> bool:
@@ -300,6 +317,76 @@ def _labeling_verdict(
     return verify(problem, instance, dict(enumerate(labels))).valid
 
 
+class SearchBudgetExceeded(RuntimeError):
+    """A search hit its configured budget before reaching a verdict."""
+
+
+def _backtrack(
+    order: Sequence[int],
+    triggers: Sequence[Sequence[Check]],
+    alphabet: Sequence[str],
+    labels: list[str | None],
+    budget: int | None = None,
+) -> tuple[bool, int, int]:
+    """Label the positions in ``order`` one by one, trying labels in alphabet
+    order and backtracking on the first violated triggered check.
+
+    ``triggers[p]`` lists the checks that become decidable once position
+    ``p`` is labeled.  Returns ``(found, placements, checks)``: ``found`` is
+    True with ``labels`` holding the first complete assignment that satisfies
+    every check in ``triggers``, and False once the space is exhausted.
+    Raises :class:`SearchBudgetExceeded` once placements exceed ``budget``.
+    """
+    placements = checks = 0
+    depth = 0
+    next_try = [0] * len(order)
+    width = len(alphabet)
+    while 0 <= depth < len(order):
+        pos = order[depth]
+        if next_try[depth] == width:
+            next_try[depth] = 0
+            labels[pos] = None
+            depth -= 1
+            if depth >= 0:
+                next_try[depth] += 1
+            continue
+        labels[pos] = alphabet[next_try[depth]]
+        placements += 1
+        if budget is not None and placements > budget:
+            raise SearchBudgetExceeded(
+                f"table search exceeded its budget of {budget} placements"
+            )
+        for con in triggers[pos]:
+            checks += 1
+            if not con.holds(labels):
+                next_try[depth] += 1
+                break
+        else:
+            depth += 1
+    return depth == len(order), placements, checks
+
+
+def solve_lex_first(
+    problem: ProblemSpec, instance: InputInstance
+) -> dict[int, str] | None:
+    """Lexicographically smallest valid labeling, or None: the answer of
+    :func:`brute_force_solve`, found by backtracking over compiled checks.
+
+    The instance's checks are built once.  Nodes are labeled in increasing
+    identifier order with labels in output-alphabet order, and each check
+    fires when the last of its members in that order is labeled.  Pruning
+    only drops prefixes on which some check already fails, so the first
+    complete labeling is the lexicographically smallest valid one.
+    """
+    order = sorted(range(instance.n), key=instance.identifier)
+    triggers: list[list[Check]] = [[] for _ in order]
+    for check in _instance_checks(problem, instance, None):
+        triggers[max(check.members, key=instance.identifier)].append(check)
+    labels: list[str | None] = [None] * instance.n
+    found, _, _ = _backtrack(order, triggers, problem.output_alphabet, labels)
+    return {v: labels[v] for v in order} if found else None
+
+
 def brute_force_solve(
     problem: ProblemSpec, instance: InputInstance
 ) -> dict[int, str] | None:
@@ -307,7 +394,9 @@ def brute_force_solve(
 
     Candidates are ordered by reading nodes in increasing identifier order and
     labels in output-alphabet order, so every caller that solves the same
-    labeled graph lands on the same answer.
+    labeled graph lands on the same answer.  This is the spec-level oracle:
+    it runs :func:`verify` on every candidate.  :func:`solve_lex_first`
+    returns the same answer and is what the product calls.
     """
     order = sorted(range(instance.n), key=instance.identifier)
     for combo in itertools.product(problem.output_alphabet, repeat=instance.n):
@@ -342,7 +431,7 @@ def solve_ball_component(problem: ProblemSpec, ball: BallView) -> dict[int, str]
         tuple(ball.node(ident).input for ident in idents),
         None,
     )
-    solved = brute_force_solve(problem, sub)
+    solved = solve_lex_first(problem, sub)
     if solved is None:
         return None
     return {idents[i]: solved[i] for i in range(len(idents))}

@@ -24,10 +24,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .graphs import InputInstance, canonicalize, extract_ball
-from .problems import ProblemSpec, compile_checks
+from .problems import CompiledCheck, ProblemSpec, compile_checks
 from .streams import DEFAULT_BIT_CAP, BitReader, RandomAssignment
 
 
@@ -475,6 +475,7 @@ def compute_success_exact(
     family: Sequence[InputInstance],
     bits: int,
     claimed_n: int | None = None,
+    checks: Iterable[CompiledCheck] | None = None,
 ) -> list[Fraction]:
     """Exact per-instance failure probabilities for a program that reads at
     most ``bits`` bits per node (reading further raises).
@@ -482,10 +483,14 @@ def compute_success_exact(
     For each instance all (2**bits)**n joint choices of per-node bit vectors
     are enumerated, run, and checked; the result is the exact fraction that
     fails verification.  Runs are checked against the instance's compiled
-    checks (:func:`compile_checks`), which agree with :func:`verify`.
+    checks (:func:`compile_checks`), which agree with :func:`verify`;
+    ``checks``, when given, are the family's compiled checks in family order,
+    so a caller can share them with another pass over the same family.
     """
+    if checks is None:
+        checks = compile_checks(problem, family)
     failures: list[Fraction] = []
-    for compiled in compile_checks(problem, family):
+    for compiled in checks:
         instance = compiled.instance
         n = instance.n
         bad = 0

@@ -175,6 +175,25 @@ class TestCertify:
         assert payload["certificate"]["total"] == "0"
         assert payload["certificate"]["verdict"] is True
 
+    def test_mc_mode_claims_no_verdict(self, tmp_path, capsys):
+        # the estimated total is below one, yet the exact total is 1
+        out = tmp_path / "mc.json"
+        argv = [
+            "certify", "--problem", "coloring:2", "--n", "2", "--program", "first-bit",
+            "--mode", "mc", "--trials", "10000", "--seed", "7", "--out", str(out),
+        ]
+        capsys.readouterr()
+        assert run(argv) == 0
+        certificate = json.loads(out.read_text())["certificate"]
+        assert certificate["total"] == "9887/10000"
+        assert certificate["verdict"] is None
+        assert len(certificate["failure_probs"]) == 4
+        err = capsys.readouterr().err
+        assert err == (
+            "certificate total 9887/10000 over 4 instances is a Monte-Carlo "
+            "estimate; no verdict\n"
+        )
+
     def test_mc_mode_requires_seed(self, tmp_path):
         code = run(
             ["certify", "--problem", "coloring:2", "--n", "2", "--mode", "mc"]

@@ -73,6 +73,9 @@ class TestGraph:
             InputInstance(Graph(2), (1, 3), ("x", "x"), 1)
         InputInstance(Graph(2), (1, 3), ("x", "x"), 2)  # 3 <= 2**2
         InputInstance(Graph(2), (1, 400), ("x", "x"), None)  # unchecked
+        InputInstance(Graph(3), (1, 2, 3), ("x",) * 3, 10**8)  # without computing 3**c
+        with pytest.raises(ValueError, match="range"):
+            InputInstance(Graph(1), (2,), ("x",), 10**8)
 
 
 class TestEnumeration:
@@ -246,6 +249,22 @@ class TestCanonicalize:
 
 
 class TestBallViewValidation:
+    def test_extracted_views_equal_their_validated_rebuilds(self):
+        # extract_ball skips validation; rebuilding each view from reversed
+        # parts through the public constructor must give the same view and key
+        for n in range(1, 5):
+            for inst in enumerate_instances(InstanceFamilySpec(n=n)):
+                for v in range(n):
+                    for radius in range(4):
+                        ball = extract_ball(inst, v, radius)
+                        rebuilt = BallView(
+                            radius,
+                            ball.nodes[::-1],
+                            tuple((b, a) for a, b in reversed(ball.edges)),
+                        )
+                        assert ball == rebuilt
+                        assert canonicalize(ball) == canonicalize(rebuilt)
+
     def test_requires_exactly_one_center(self):
         with pytest.raises(ValueError, match="center"):
             BallView(1, (BallNode(1, 0, "x", 1),))
@@ -334,6 +353,8 @@ class TestSerialization:
             '{"n": 1, "edges": [], "ids": {"0": "one"}, "inputs": {"0": "x"}}',
             '{"n": 2, "edges": [[0, 1, 2]], "ids": {"0": 1, "1": 2}, "inputs": {"0": "x", "1": "x"}}',
             '{"n": 2, "edges": [], "ids": {"0": 1, "1": 1}, "inputs": {"0": "x", "1": "x"}}',
+            '{"n": Infinity, "edges": [], "ids": {}, "inputs": {}}',
+            '{"n": 1, "edges": [], "ids": {"0": 1e999}, "inputs": {"0": "x"}}',
         ],
     )
     def test_bad_instance_lines_name_their_line(self, line):

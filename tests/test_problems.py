@@ -1,4 +1,5 @@
-"""Problem definitions, the two verifiers, and canonical brute force."""
+"""Problem definitions, the two verifiers, the canonical solver and its
+brute-force oracle."""
 
 import itertools
 import random
@@ -22,6 +23,7 @@ from derandlab import (
     problem_from_jsonable,
     save_problem,
     solve_ball_component,
+    solve_lex_first,
     verify,
     verify_componentwise,
     verify_locally,
@@ -151,6 +153,34 @@ class TestBruteForce:
         assert brute_force_solve(problem, two_comps) == {0: "F", 1: "L", 2: "L"}
 
 
+class TestSolveLexFirst:
+    """The backtracking solver returns exactly what the brute-force oracle
+    returns, in the same (identifier) order."""
+
+    PROBLEMS = (make_mis(), make_coloring(2), make_coloring(3), one_leader_problem())
+
+    def assert_matches_oracle(self, problem, inst):
+        expected = brute_force_solve(problem, inst)
+        solved = solve_lex_first(problem, inst)
+        if expected is None:
+            assert solved is None
+        else:
+            assert list(solved.items()) == list(expected.items())
+
+    def test_every_instance_up_to_three_nodes(self):
+        for n in (1, 2, 3):
+            for inst in enumerate_instances(InstanceFamilySpec(n=n)):
+                for problem in self.PROBLEMS:
+                    self.assert_matches_oracle(problem, inst)
+
+    def test_random_instances_up_to_six_nodes(self):
+        rng = random.Random(606)
+        for _ in range(200):
+            inst = random_instance(rng, max_n=6)
+            for problem in self.PROBLEMS:
+                self.assert_matches_oracle(problem, inst)
+
+
 class TestLocalityOfVerification:
     def test_ball_verdict_survives_modification_outside_the_ball(self):
         rng = random.Random(501)
@@ -264,6 +294,19 @@ class TestSolveBallComponent:
         inst = path3()
         ball = extract_ball(inst, 1, 2)
         assert solve_ball_component(make_mis(), ball) == {1: "IN", 2: "OUT", 3: "IN"}
+
+    def test_every_connected_four_node_instance_matches_brute_force(self):
+        problems = (make_mis(), make_coloring(2), make_coloring(3))
+        for inst in enumerate_instances(InstanceFamilySpec(n=4)):
+            if not inst.graph.is_connected:
+                continue
+            ball = extract_ball(inst, 0, 3)  # a connected 4-node graph has diameter <= 3
+            for problem in problems:
+                expected = brute_force_solve(problem, inst)
+                by_id = None if expected is None else {
+                    inst.identifier(v): label for v, label in expected.items()
+                }
+                assert solve_ball_component(problem, ball) == by_id
 
     def test_rejects_views_missing_component_edges(self):
         inst = c4 = InputInstance(

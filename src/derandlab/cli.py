@@ -158,6 +158,11 @@ def cmd_derandomize(args: argparse.Namespace) -> int:
         f"{stats.predicate_calls} predicate_calls",
         file=sys.stderr,
     )
+    print(
+        "phases: "
+        + " / ".join(f"{phase} {seconds:.3f} s" for phase, seconds in outcome.phase_s.items()),
+        file=sys.stderr,
+    )
     if outcome.found:
         if args.out_table:
             save_table(outcome.table, _out_path(args.out_table))

@@ -12,7 +12,7 @@ because it never looks at the program's internals.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
@@ -359,7 +359,9 @@ class TableSearchOutcome:
     space was searched without success (the instances are individually
     solvable but no single consistent table covers them all).
     ``verified_count`` is the number of family instances on which a found
-    table passed the final verification.
+    table passed the final verification.  ``phase_s`` holds the seconds
+    spent enumerating the family, compiling it, searching and verifying;
+    timings are kept out of every report.
     """
 
     table: NormalFormTable | None
@@ -369,6 +371,7 @@ class TableSearchOutcome:
     exhausted: bool
     stats: SearchStats
     verified_count: int | None = None
+    phase_s: dict[str, float] = field(default_factory=dict)
 
     @property
     def found(self) -> bool:
@@ -395,10 +398,21 @@ def find_normal_form(config: SearchConfig) -> TableSearchOutcome:
     more on the whole family with :func:`verify` and :func:`run_normal_form`,
     the spec-level oracle.
     """
+    phase_s: dict[str, float] = {}
+    mark = time.perf_counter()
+
+    def lap(phase: str) -> None:
+        nonlocal mark
+        now = time.perf_counter()
+        phase_s[phase] = now - mark
+        mark = now
+
     problem = config.problem
     alphabet = problem.output_alphabet
     instances = list(enumerate_instances(config.family))
+    lap("enumerate")
     index = compile_family(problem, instances, config.radius)
+    lap("compile")
     realized = index.realized
     stats = SearchStats(
         family_size=len(instances),
@@ -414,17 +428,20 @@ def find_normal_form(config: SearchConfig) -> TableSearchOutcome:
         (i for i in range(len(instances)) if not index.solvable(i)), None
     )
     stats.predicate_calls = index.predicate_calls
+    lap("search")
 
     if not found:
         if witness is None:
-            return TableSearchOutcome(None, True, None, None, True, stats)
+            lap("verify")
+            return TableSearchOutcome(None, True, None, None, True, stats, phase_s=phase_s)
         inst = instances[witness]
         if brute_force_solve(problem, inst) is not None:
             raise SimulationError(
                 f"internal: instance {witness} is unsolvable over its compiled "
                 "constraints but brute force finds a labeling"
             )
-        return TableSearchOutcome(None, True, witness, inst, False, stats)
+        lap("verify")
+        return TableSearchOutcome(None, True, witness, inst, False, stats, phase_s=phase_s)
 
     table = NormalFormTable.from_mapping(
         config.radius,
@@ -435,8 +452,9 @@ def find_normal_form(config: SearchConfig) -> TableSearchOutcome:
     for inst in instances:
         if not verify(problem, inst, run_normal_form(table, inst)).valid:
             raise SimulationError("internal: searched table failed final verification")
+    lap("verify")
     return TableSearchOutcome(
-        table, False, None, None, False, stats, verified_count=len(instances)
+        table, False, None, None, False, stats, len(instances), phase_s
     )
 
 

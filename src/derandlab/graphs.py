@@ -14,6 +14,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from json.encoder import encode_basestring_ascii as _input_literal
 from typing import Iterator, Mapping, Sequence
 
 # Identifier spaces larger than a 64-bit word are rejected by the enumerator
@@ -141,6 +142,21 @@ class InputInstance:
             if (n == 1 or self.c < largest.bit_length()) and largest > n**self.c:
                 raise ValueError(f"identifier out of range 1..{n**self.c}")
 
+    @classmethod
+    def _trusted(
+        cls, graph: Graph, ids: tuple[int, ...], inputs: tuple[str, ...], c: int
+    ) -> "InputInstance":
+        """An instance from parts that are valid by construction, built
+        without :meth:`__post_init__`.  Only :func:`enumerate_instances`
+        calls it; every other instance is validated."""
+        instance = object.__new__(cls)
+        fields = instance.__dict__
+        fields["graph"] = graph
+        fields["ids"] = ids
+        fields["inputs"] = inputs
+        fields["c"] = c
+        return instance
+
     @property
     def n(self) -> int:
         return self.graph.n
@@ -217,6 +233,9 @@ def enumerate_instances(spec: InstanceFamilySpec) -> Iterator[InputInstance]:
     if spec.id_space_size > MAX_ID_SPACE:
         raise ValueError("identifier space n**c exceeds the 64-bit range")
     n = spec.n
+    # identifiers are distinct picks from 1..n**c and labels come from the
+    # alphabet, so every instance is valid by construction
+    instance = InputInstance._trusted
     pairs = list(itertools.combinations(range(n), 2))
     for mask in range(2 ** len(pairs)):
         edges = tuple(pairs[i] for i in range(len(pairs)) if mask >> i & 1)
@@ -225,7 +244,7 @@ def enumerate_instances(spec: InstanceFamilySpec) -> Iterator[InputInstance]:
             continue
         for ids in itertools.permutations(spec.id_space, n):
             for labels in itertools.product(spec.input_alphabet, repeat=n):
-                yield InputInstance(graph, ids, labels, spec.c)
+                yield instance(graph, ids, labels, spec.c)
 
 
 def count_bound(spec: InstanceFamilySpec) -> int:
@@ -249,6 +268,19 @@ class BallNode:
     degree: int
     input: str
     dist: int
+
+    @classmethod
+    def _trusted(cls, identifier: int, degree: int, input: str, dist: int) -> "BallNode":
+        """A node built without the frozen dataclass ``__init__``, which sets
+        each field through ``object.__setattr__``.  Only :func:`extract_ball`
+        calls it."""
+        node = object.__new__(cls)
+        fields = node.__dict__
+        fields["identifier"] = identifier
+        fields["degree"] = degree
+        fields["input"] = input
+        fields["dist"] = dist
+        return node
 
 
 @dataclass(frozen=True)
@@ -301,7 +333,10 @@ class BallView:
         construction, built without :meth:`__post_init__`.  Only
         :func:`extract_ball` calls it; every other view is validated."""
         view = object.__new__(cls)
-        view.__dict__.update(radius=radius, nodes=nodes, edges=edges)
+        fields = view.__dict__
+        fields["radius"] = radius
+        fields["nodes"] = nodes
+        fields["edges"] = edges
         return view
 
     @property
@@ -336,40 +371,59 @@ def extract_ball(instance: InputInstance, v: int, radius: int) -> BallView:
         raise ValueError(f"node {v} not in instance")
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    g = instance.graph
+    adjacency = instance.graph.adjacency
     ids = instance.ids
-    dist = g.bfs_distances(v)
-    # sorted by (distance, identifier), as BallView stores them; the BFS puts
-    # the center first and keeps every distance within the radius rule
-    inside = sorted((d, ids[u], u) for u, d in dist.items() if d <= radius)
-    nodes = tuple(
-        BallNode(ident, g.degree(u), instance.inputs[u], d) for d, ident, u in inside
-    )
+    inputs = instance.inputs
+    node = BallNode._trusted
+    # breadth-first search that stops at the radius; sorting each level by
+    # identifier lists the nodes by (distance, identifier), as BallView does
+    dist = {v: 0}
+    nodes = [node(ids[v], len(adjacency[v]), inputs[v], 0)]
+    frontier = [v]
+    for d in range(1, radius + 1):
+        reached = []
+        for u in frontier:
+            for w in adjacency[u]:
+                if w not in dist:
+                    dist[w] = d
+                    reached.append(w)
+        if not reached:
+            break
+        reached.sort(key=ids.__getitem__)
+        nodes += [node(ids[u], len(adjacency[u]), inputs[u], d) for u in reached]
+        frontier = reached
+    # an edge is in the view iff an endpoint lies within radius-1; the other
+    # endpoint is then within the radius.  Each edge is taken once: from its
+    # smaller endpoint, or from its only endpoint within radius-1.
+    inner = radius - 1
     edges = []
-    for s, t in g.edges:
-        ds, dt = dist.get(s), dist.get(t)
-        if ds is None or dt is None:
+    for u, du in dist.items():
+        if du > inner:
             continue
-        if min(ds, dt) <= radius - 1 and max(ds, dt) <= radius:
-            edges.append(_normalize_edge(ids[s], ids[t]))
+        iu = ids[u]
+        for w in adjacency[u]:
+            if u < w or dist[w] > inner:
+                iw = ids[w]
+                edges.append((iu, iw) if iu < iw else (iw, iu))
     edges.sort()
-    return BallView._trusted(radius, nodes, tuple(edges))
+    return BallView._trusted(radius, tuple(nodes), tuple(edges))
 
 
 def canonicalize(ball: BallView) -> str:
     """Deterministic text key of a view.
 
     The key is the compact JSON of [radius, nodes, edges] with nodes as
-    [dist, identifier, degree, input] sorted by (dist, identifier) and edges
-    as sorted identifier pairs.  Two views get equal keys iff they are equal
-    as identifier-labeled structures; keys compare under plain string order.
+    [dist, identifier, degree, input] sorted by (dist, identifier), edges as
+    sorted identifier pairs, and non-ASCII characters escaped.  It is built
+    directly, not through :func:`json.dumps`; only the input labels need JSON
+    encoding.  Two views get equal keys iff they are equal as
+    identifier-labeled structures; keys compare under plain string order.
     """
-    payload = [
-        ball.radius,
-        [[b.dist, b.identifier, b.degree, b.input] for b in ball.nodes],
-        [list(e) for e in ball.edges],
-    ]
-    return json.dumps(payload, separators=(",", ":"), ensure_ascii=True)
+    nodes = ",".join(
+        [f"[{b.dist},{b.identifier},{b.degree},{_input_literal(b.input)}]" for b in ball.nodes]
+    )
+    edges = ",".join([f"[{u},{v}]" for u, v in ball.edges])
+    return f"[{ball.radius},[{nodes}],[{edges}]]"
 
 
 def ball_covers_instance(ball: BallView, instance: InputInstance) -> bool:

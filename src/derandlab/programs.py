@@ -100,17 +100,30 @@ def component_solver_program(problem: ProblemSpec, radius: int) -> NodeProgram:
     Raises during the run if the component is not degree-closed inside the
     view (the gather radius was too small) or if the component has no valid
     labeling at all.
+
+    The program keeps each solution it finds, keyed by the component's
+    identifier-labeled content, so all nodes of a component, and all
+    instances that share it, reuse one solve.  Failures are not kept.
     """
+    solutions: dict[tuple, dict[int, str]] = {}
 
     def decide(ball: BallView) -> str:
-        try:
-            solved = solve_ball_component(problem, ball)
-        except ValueError as exc:
-            raise SimulationError(str(exc)) from exc
+        # a degree-closed view is its whole component, whatever its radius
+        content = (
+            tuple(sorted([(b.identifier, b.degree, b.input) for b in ball.nodes])),
+            ball.edges,
+        )
+        solved = solutions.get(content)
         if solved is None:
-            raise SimulationError(
-                f"component of node {ball.center_id} admits no valid labeling"
-            )
+            try:
+                solved = solve_ball_component(problem, ball)
+            except ValueError as exc:
+                raise SimulationError(str(exc)) from exc
+            if solved is None:
+                raise SimulationError(
+                    f"component of node {ball.center_id} admits no valid labeling"
+                )
+            solutions[content] = solved
         return solved[ball.center_id]
 
     return gather_program(

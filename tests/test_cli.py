@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, file outputs, manifest reproducibility."""
 
 import json
+import re
 
 import pytest
 
@@ -91,6 +92,22 @@ class TestDerandomize:
             "search: 21 views / 21 constraints / 44 placements / 50 checks / "
             "34 predicate_calls"
         ) in err
+
+    def test_stderr_times_each_phase(self, capsys):
+        for argv, code in (
+            (["--problem", "mis", "--n", "3", "--T", "1"], 0),  # found
+            (["--problem", "coloring:2", "--n", "3", "--T", "1"], 1),  # witness
+            (["--problem", "mis", "--n", "3", "--T", "0"], 1),  # exhausted
+        ):
+            assert run(["derandomize", *argv]) == code
+            lines = capsys.readouterr().err.splitlines()
+            phases = [line for line in lines if line.startswith("phases: ")]
+            assert len(phases) == 1
+            assert re.fullmatch(
+                r"phases: enumerate \d+\.\d{3} s / compile \d+\.\d{3} s / "
+                r"search \d+\.\d{3} s / verify \d+\.\d{3} s",
+                phases[0],
+            )
 
     def test_missing_radius_exits_3(self):
         with pytest.raises(SystemExit) as err:

@@ -113,6 +113,18 @@ class TestEnumeration:
             ]
             assert len(set(dumps)) == len(dumps)
 
+    def test_enumerated_instances_equal_their_validated_rebuilds(self):
+        # enumerate_instances skips validation; the public constructor must
+        # accept every instance it yields and build an equal one
+        for spec in (
+            InstanceFamilySpec(n=4),
+            InstanceFamilySpec(n=3, c=2, input_alphabet=("a", "b")),
+            InstanceFamilySpec(n=3, max_degree=1),
+        ):
+            for inst in enumerate_instances(spec):
+                graph = Graph(inst.n, inst.graph.edges)
+                assert InputInstance(graph, inst.ids, inst.inputs, inst.c) == inst
+
     def test_max_degree_filter(self):
         spec = InstanceFamilySpec(n=3, max_degree=1)
         graphs = {i.graph.edges for i in enumerate_instances(spec)}
@@ -246,6 +258,46 @@ class TestCanonicalize:
         a = InputInstance(Graph(1), (1,), ("a",), 1)
         b = InputInstance(Graph(1), (1,), ("b",), 1)
         assert canonicalize(extract_ball(a, 0, 0)) != canonicalize(extract_ball(b, 0, 0))
+
+
+def reference_key(ball: BallView) -> str:
+    """The key as canonicalize first built it, through json.dumps; the byte
+    format it defines is fixed."""
+    payload = [
+        ball.radius,
+        [[b.dist, b.identifier, b.degree, b.input] for b in ball.nodes],
+        [list(e) for e in ball.edges],
+    ]
+    return json.dumps(payload, separators=(",", ":"), ensure_ascii=True)
+
+
+class TestKeyFormat:
+    def test_keys_match_the_json_reference_up_to_four_nodes(self):
+        for n in range(1, 5):
+            for inst in enumerate_instances(InstanceFamilySpec(n=n)):
+                for v in range(n):
+                    for radius in range(4):
+                        ball = extract_ball(inst, v, radius)
+                        assert canonicalize(ball) == reference_key(ball)
+
+    def test_labels_needing_escapes_match_the_json_reference(self):
+        # a quote, a backslash, a control character, and non-ASCII labels
+        # inside and outside the basic multilingual plane
+        alphabet = ('say "hi"', "back\\slash\n", "\u00e9t\u00e9", "\U0001d535")
+        for n in range(1, 4):
+            for inst in enumerate_instances(InstanceFamilySpec(n=n, input_alphabet=alphabet)):
+                for v in range(n):
+                    for radius in range(3):
+                        ball = extract_ball(inst, v, radius)
+                        key = canonicalize(ball)
+                        assert key == reference_key(ball)
+                        assert key.isascii()
+
+    def test_validated_views_match_the_json_reference(self):
+        nodes = (BallNode(7, 1, "\u00fc", 0), BallNode(3, 2, '"', 1))
+        ball = BallView(1, nodes, ((7, 3),))
+        assert canonicalize(ball) == reference_key(ball)
+        assert canonicalize(ball) == '[1,[[0,7,1,"\\u00fc"],[1,3,2,"\\""]],[[3,7]]]'
 
 
 class TestBallViewValidation:

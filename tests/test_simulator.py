@@ -38,7 +38,9 @@ from derandlab import (
     tabulate,
     verify,
 )
+import derandlab.programs
 from derandlab.graphs import canonicalize, extract_ball
+from derandlab.problems import solve_ball_component
 from derandlab.programs import (
     component_solver_program,
     constant_program,
@@ -361,6 +363,60 @@ class TestTabulate:
         table = tabulate(program, 1, family)
         for inst in family:
             assert run_normal_form(table, inst) == run_deterministic(program, inst).outputs
+
+
+class TestComponentSolverMemo:
+    @staticmethod
+    def count_solves(monkeypatch) -> list[int]:
+        calls = [0]
+
+        def counted(problem, ball):
+            calls[0] += 1
+            return solve_ball_component(problem, ball)
+
+        monkeypatch.setattr(derandlab.programs, "solve_ball_component", counted)
+        return calls
+
+    def test_table_equals_a_solve_per_node_reference(self):
+        mis = make_mis()
+        family = list(enumerate_instances(InstanceFamilySpec(n=4)))
+        reference = gather_program(
+            3,
+            lambda ball: solve_ball_component(mis, ball)[ball.center_id],
+            "solve-per-node",
+            mis.output_alphabet,
+        )
+        table = tabulate(component_solver_program(mis, 3), 3, family)
+        assert table.entries == tabulate(reference, 3, family).entries
+
+    def test_one_solve_per_distinct_component(self, monkeypatch):
+        calls = self.count_solves(monkeypatch)
+        family = list(enumerate_instances(InstanceFamilySpec(n=4)))
+        tabulate(component_solver_program(make_mis(), 3), 3, family)
+        assert sum(inst.n for inst in family) == 6144
+        assert calls[0] == 64
+
+    def test_too_small_a_radius_raises_on_every_run(self, monkeypatch):
+        calls = self.count_solves(monkeypatch)
+        program = component_solver_program(make_mis(), 1)
+        for attempt in (1, 2):
+            with pytest.raises(
+                SimulationError,
+                match=r"^view is not a whole component: node 2 has 1 of 2 edges$",
+            ):
+                run_deterministic(program, path3())
+            assert calls[0] == attempt
+
+    def test_unsolvable_component_raises_on_every_run(self, monkeypatch):
+        calls = self.count_solves(monkeypatch)
+        triangle = InputInstance(Graph(3, ((0, 1), (0, 2), (1, 2))), (1, 2, 3), ("x",) * 3, 1)
+        program = component_solver_program(make_coloring(2), 2)
+        for attempt in (1, 2):
+            with pytest.raises(
+                SimulationError, match=r"^component of node 1 admits no valid labeling$"
+            ):
+                run_deterministic(program, triangle)
+            assert calls[0] == attempt
 
 
 class TestClaimedSizeOpacity:

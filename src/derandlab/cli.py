@@ -188,17 +188,30 @@ def cmd_certify(args: argparse.Namespace) -> int:
     program = factory(problem.output_alphabet)
     lift = lift_to_claimed_size(spec)
 
-    payload: dict = {"manifest": _manifest(args), "mode": args.mode}
+    # every run is told the claimed size, not the true node count
+    claimed_n = lift.claimed_size
+    payload: dict = {
+        "manifest": _manifest(args),
+        "mode": args.mode,
+        "claimed_n": claimed_n,
+    }
     # with --find-f the assignment search and the exact pass share one compilation
     checks = list(compile_checks(problem, family)) if args.find_f else None
     if args.mode == "exact":
-        probs = compute_success_exact(program, problem, family, args.bits, checks=checks)
+        probs = compute_success_exact(
+            program, problem, family, args.bits, claimed_n, checks=checks
+        )
     else:
         if args.seed is None:
             print("error: --seed is required in mc mode", file=sys.stderr)
             return EXIT_BAD_INPUT
         estimates = estimate_success_mc(
-            program, problem, family, trials=args.trials, seed=args.seed
+            program,
+            problem,
+            family,
+            trials=args.trials,
+            seed=args.seed,
+            claimed_n=claimed_n,
         )
         probs = [e.failure for e in estimates]
         payload["stderr"] = [e.stderr for e in estimates]
@@ -212,6 +225,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
             family,
             bits=args.bits,
             id_space=list(spec.id_space),
+            claimed_n=claimed_n,
             checks=checks,
         )
         payload["good_f"] = (

@@ -18,7 +18,6 @@ programs cannot observe anything beyond what their gathered views contain.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -28,7 +27,7 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .graphs import InputInstance, canonicalize, extract_ball
 from .problems import CompiledCheck, ProblemSpec, compile_checks
-from .streams import DEFAULT_BIT_CAP, BitReader, RandomAssignment
+from .streams import DEFAULT_BIT_CAP, BitReader, BoundedVectors, RandomAssignment
 
 
 class SimulationError(RuntimeError):
@@ -74,6 +73,33 @@ class NodeContext:
     state: Any
     inbox: tuple[Any, ...]
     bits: BitReader | None = None
+
+    @classmethod
+    def _trusted(
+        cls,
+        round: int,
+        claimed_n: int,
+        identifier: int,
+        degree: int,
+        input: str,
+        state: Any,
+        inbox: tuple[Any, ...],
+        bits: BitReader | None,
+    ) -> "NodeContext":
+        """A context built without the frozen dataclass ``__init__``, which
+        sets each field through ``object.__setattr__``.  Only :func:`_run`
+        calls it."""
+        ctx = object.__new__(cls)
+        fields = ctx.__dict__
+        fields["round"] = round
+        fields["claimed_n"] = claimed_n
+        fields["identifier"] = identifier
+        fields["degree"] = degree
+        fields["input"] = input
+        fields["state"] = state
+        fields["inbox"] = inbox
+        fields["bits"] = bits
+        return ctx
 
 
 @dataclass
@@ -127,13 +153,20 @@ def _run(
     if claimed_n < n:
         raise ValueError(f"claimed node count {claimed_n} below true count {n}")
     bound = program.round_bound(claimed_n)
-    allowed = set(program.output_alphabet) if program.output_alphabet else None
+    # a handful of labels: a tuple scan costs less than building a set per run
+    alphabet = program.output_alphabet or None
+    step = program.step
+    context = NodeContext._trusted
+    ids, inputs = instance.ids, instance.inputs
+    if readers is None:
+        readers = [None] * n
 
     # Port p of node v is its p-th neighbor in increasing identifier order.
     ports, port_of, degrees = instance.port_layout
 
     state: list[Any] = [None] * n
     halted = [False] * n
+    running = n
     outputs: dict[int, str] = {}
     last_output_round = 0
     outbox: list[list[Any] | None] = [None] * n
@@ -141,7 +174,7 @@ def _run(
 
     for rnd in range(bound + 1):
         if rnd == 0:
-            inboxes = [(None,) * degrees[v] for v in range(n)]
+            inboxes = list(map((None,).__mul__, degrees))  # (None,) * degree
         else:
             inboxes = [
                 tuple(
@@ -151,43 +184,47 @@ def _run(
                 for v in range(n)
             ]
         new_outbox: list[list[Any] | None] = [None] * n
-        sent_counts = [0] * n
+        sent_counts = [0] * n if trace else None
         for v in range(n):
             if halted[v]:
                 continue
-            res = program.step(
-                NodeContext(
-                    round=rnd,
-                    claimed_n=claimed_n,
-                    identifier=instance.ids[v],
-                    degree=degrees[v],
-                    input=instance.inputs[v],
-                    state=state[v],
-                    inbox=inboxes[v],
-                    bits=readers[v] if readers is not None else None,
+            res = step(
+                context(
+                    rnd,
+                    claimed_n,
+                    ids[v],
+                    degrees[v],
+                    inputs[v],
+                    state[v],
+                    inboxes[v],
+                    readers[v],
                 )
             )
             state[v] = res.state
-            if res.send is not None or res.send_ports:
-                per_port = [res.send] * degrees[v]
-                if res.send_ports:
-                    for p, msg in res.send_ports.items():
+            send, send_ports = res.send, res.send_ports
+            if send is not None or send_ports:
+                per_port = [send] * degrees[v]
+                if send_ports:
+                    for p, msg in send_ports.items():
                         per_port[p] = msg
                 new_outbox[v] = per_port
-                sent_counts[v] = sum(m is not None for m in per_port)
-            if res.output is not None:
-                if allowed is not None and res.output not in allowed:
+                if trace:
+                    sent_counts[v] = sum(m is not None for m in per_port)
+            output = res.output
+            if output is not None:
+                if alphabet is not None and output not in alphabet:
                     raise SimulationError(
-                        f"node {v} emitted label {res.output!r} outside the "
+                        f"node {v} emitted label {output!r} outside the "
                         f"output alphabet"
                     )
-                outputs[v] = res.output
+                outputs[v] = output
                 halted[v] = True
-                last_output_round = max(last_output_round, rnd)
+                running -= 1
+                last_output_round = rnd
         if trace:
             trace_rows.append(tuple(sent_counts))
         outbox = new_outbox
-        if all(halted):
+        if not running:
             break
     else:
         stuck = [v for v in range(n) if not halted[v]]
@@ -219,10 +256,8 @@ def run_randomized(
 ) -> RunResult:
     """Run with per-node private bit streams: each node reads the stream that
     ``streams`` assigns to its identifier, so runs replay exactly."""
-    readers = [
-        BitReader(streams.stream_for(instance.ids[v]), cap=bit_cap)
-        for v in range(instance.n)
-    ]
+    stream_for = streams.stream_for
+    readers = [BitReader(stream_for(ident), bit_cap) for ident in instance.ids]
     return _run(program, instance, claimed_n, readers, trace)
 
 
@@ -482,29 +517,24 @@ def compute_success_exact(
 
     For each instance all (2**bits)**n joint choices of per-node bit vectors
     are enumerated, run, and checked; the result is the exact fraction that
-    fails verification.  Runs are checked against the instance's compiled
+    fails verification.  The 2**bits recorded streams are built and
+    validated once per call (:class:`BoundedVectors`); each run only picks
+    one of them per node.  Runs are checked against the instance's compiled
     checks (:func:`compile_checks`), which agree with :func:`verify`;
     ``checks``, when given, are the family's compiled checks in family order,
     so a caller can share them with another pass over the same family.
     """
     if checks is None:
         checks = compile_checks(problem, family)
+    space = BoundedVectors(bits)
     failures: list[Fraction] = []
     for compiled in checks:
         instance = compiled.instance
-        n = instance.n
         bad = 0
         total = 0
-        for flat in itertools.product((0, 1), repeat=bits * n):
-            vectors = {
-                instance.ids[v]: flat[v * bits : (v + 1) * bits] for v in range(n)
-            }
-            result = run_randomized(
-                program,
-                instance,
-                claimed_n,
-                streams=RandomAssignment.from_vectors(vectors),
-            )
+        # identifiers in node order: node v's vector is the v-th of the choice
+        for assignment in space.assignments(instance.ids):
+            result = run_randomized(program, instance, claimed_n, streams=assignment)
             total += 1
             if not compiled.valid(result.outputs):
                 bad += 1
@@ -525,13 +555,15 @@ def estimate_success_mc(
     trials: int,
     seed: object,
     bit_cap: int = DEFAULT_BIT_CAP,
+    claimed_n: int | None = None,
 ) -> list[McEstimate]:
     """Per-instance Monte-Carlo failure estimates with standard errors.
 
     Trial k of instance i draws each node's stream from the key
     (seed, i, k, identifier), so identical seeds replay identical estimates.
     Trials are checked against the instance's compiled checks
-    (:func:`compile_checks`), which agree with :func:`verify`.
+    (:func:`compile_checks`), which agree with :func:`verify`.  Every node is
+    told ``claimed_n`` as the number of nodes (default: the true count).
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -543,6 +575,7 @@ def estimate_success_mc(
             result = run_randomized(
                 program,
                 instance,
+                claimed_n,
                 streams=RandomAssignment.from_seed(seed, idx, k),
                 bit_cap=bit_cap,
             )

@@ -53,16 +53,17 @@ class BitStream:
         Distinct keys give computationally unrelated streams, which is how
         per-identifier independence is realized.
         """
-        key = "|".join(str(p) for p in key_parts)
+        key = "|".join(map(str, key_parts))
         blocks: dict[int, bytes] = {}
 
         def getter(i: int) -> int:
-            block_index, offset = divmod(i, 256)
+            # bit i is bit (i % 8) of byte (i % 256) // 8 of hash block i // 256
+            block_index = i >> 8
             block = blocks.get(block_index)
             if block is None:
                 block = hashlib.sha256(f"{key}#{block_index}".encode()).digest()
                 blocks[block_index] = block
-            return block[offset // 8] >> (7 - offset % 8) & 1
+            return block[(i & 255) >> 3] >> (7 - (i & 7)) & 1
 
         return cls(getter, f"keyed:{key}")
 
@@ -107,21 +108,27 @@ class BitReader:
 
     ``position`` is the absolute index of the next bit; a run that resumes a
     reader at a later start keeps the cap meaningful because the cap bounds
-    the absolute position reached.
+    the absolute position reached.  The reader calls the stream's getter
+    directly, so a negative start is rejected here, where
+    :meth:`BitStream.bit` would reject a negative index.
     """
 
     def __init__(self, stream: BitStream, cap: int = DEFAULT_BIT_CAP, start: int = 0):
+        if start < 0:
+            raise IndexError("negative bit index")
         self.stream = stream
+        self._getter = stream._getter
         self.cap = cap
         self.position = start
 
     def next_bit(self) -> int:
-        if self.position >= self.cap:
+        position = self.position
+        if position >= self.cap:
             raise BitBudgetExceeded(
                 f"per-run bit cap of {self.cap} reached on {self.stream!r}"
             )
-        bit = self.stream.bit(self.position)
-        self.position += 1
+        bit = self._getter(position)
+        self.position = position + 1
         return bit
 
     def take(self, k: int) -> list[int]:
@@ -145,8 +152,34 @@ class RandomAssignment:
     ):
         self._stream_for = stream_for
         self.domain = domain
-        self.description = description
+        self._description: str | None = description
         self.vectors = dict(vectors) if vectors is not None else None
+
+    @classmethod
+    def _trusted(
+        cls,
+        domain: frozenset[int],
+        vectors: dict[int, tuple[int, ...]],
+        streams: dict[int, BitStream],
+    ) -> "RandomAssignment":
+        """The assignment of :meth:`from_vectors` over validated ``vectors``
+        whose recorded streams ``streams`` are already built, keyed by the
+        identifiers of ``domain``.  Nothing is validated or copied, and the
+        description is built only when asked for."""
+        assignment = object.__new__(cls)
+        assignment._stream_for = streams.__getitem__
+        assignment.domain = domain
+        assignment._description = None
+        assignment.vectors = vectors
+        return assignment
+
+    @property
+    def description(self) -> str:
+        if self._description is None:
+            self._description = ",".join(
+                f"{k}:{''.join(map(str, v))}" for k, v in sorted(self.vectors.items())
+            )
+        return self._description
 
     def stream_for(self, identifier: int) -> BitStream:
         if self.domain is not None and identifier not in self.domain:
@@ -161,19 +194,53 @@ class RandomAssignment:
     @classmethod
     def from_seed(cls, *key: object) -> "RandomAssignment":
         """Total assignment giving identifier ``i`` the stream
-        ``BitStream.keyed(*key, i)``."""
-        return cls(
-            lambda ident: BitStream.keyed(*key, ident),
-            None,
-            "seed:" + "|".join(map(str, key)),
-        )
+        ``BitStream.keyed(*key, i)``.
+
+        The key parts are joined once here, not once per identifier:
+        ``keyed(joined, i)`` hashes the same strings as ``keyed(*key, i)``.
+        """
+        if not key:
+            return cls(BitStream.keyed, None, "seed:")
+        joined = "|".join(map(str, key))
+        return cls(lambda ident: BitStream.keyed(joined, ident), None, f"seed:{joined}")
 
     @classmethod
     def from_vectors(cls, vectors: Mapping[int, Sequence[int]]) -> "RandomAssignment":
         fixed = {int(k): _as_bits(v) for k, v in vectors.items()}
         streams = {k: _recorded(v) for k, v in fixed.items()}
-        desc = ",".join(f"{k}:{''.join(map(str, v))}" for k, v in sorted(fixed.items()))
-        return cls(streams.__getitem__, frozenset(fixed), desc, vectors=fixed)
+        return cls._trusted(frozenset(fixed), fixed, streams)
+
+
+class BoundedVectors:
+    """Every ``bits``-bit vector together with its recorded stream, built
+    and validated once, for enumerating many bounded assignments.
+
+    Vectors are in lexicographic order: most significant bit first, 0
+    before 1.
+    """
+
+    def __init__(self, bits: int):
+        if bits < 0:
+            raise ValueError("bit budget must be nonnegative")
+        self.vectors = tuple(itertools.product((0, 1), repeat=bits))
+        self.streams = tuple(_recorded(v) for v in self.vectors)
+
+    def assignments(self, identifiers: Sequence[int]) -> Iterator[RandomAssignment]:
+        """All assignments of the vectors to the distinct ``identifiers``, in
+        lexicographic order with the identifiers in the order given.  Each
+        run only picks streams; none is built or validated again."""
+        domain = frozenset(identifiers)
+        vectors = self.vectors.__getitem__
+        streams = self.streams.__getitem__
+        trusted = RandomAssignment._trusted
+        for choice in itertools.product(
+            range(len(self.vectors)), repeat=len(identifiers)
+        ):
+            yield trusted(
+                domain,
+                dict(zip(identifiers, map(vectors, choice))),
+                dict(zip(identifiers, map(streams, choice))),
+            )
 
 
 def assignment_space_size(id_space: Sequence[int], bits: int) -> int:
@@ -186,13 +253,4 @@ def iter_bounded_assignments(
     """All assignments of ``bits``-bit vectors to the identifiers, in
     lexicographic order (identifiers ascending, vector bits most significant
     first, 0 before 1)."""
-    if bits < 0:
-        raise ValueError("bit budget must be nonnegative")
-    idents = sorted(set(id_space))
-    for flat in itertools.product((0, 1), repeat=bits * len(idents)):
-        yield RandomAssignment.from_vectors(
-            {
-                ident: flat[i * bits : (i + 1) * bits]
-                for i, ident in enumerate(idents)
-            }
-        )
+    yield from BoundedVectors(bits).assignments(sorted(set(id_space)))

@@ -13,7 +13,10 @@ import random
 from derandlab import (
     Graph,
     InputInstance,
+    NodeContext,
+    NodeProgram,
     ProblemSpec,
+    StepResult,
     canonicalize,
     extract_ball,
     verify,
@@ -148,3 +151,16 @@ def copy_neighbor_parity_problem() -> ProblemSpec:
         output_alphabet=("even", "odd"),
         ball_predicate=pred,
     )
+
+
+def claimed_size_program(alphabet) -> NodeProgram:
+    """Colors by identifier parity when told at least 16 nodes (the claimed
+    size of the n=2 family), and by a private bit otherwise."""
+    labels = tuple(alphabet)
+
+    def step(ctx: NodeContext) -> StepResult:
+        if ctx.claimed_n >= 16:
+            return StepResult(output=labels[ctx.identifier % 2])
+        return StepResult(output=labels[ctx.bits.next_bit()])
+
+    return NodeProgram("claimed-size", step, lambda _claimed: 0, labels)

@@ -5,7 +5,9 @@ import re
 
 import pytest
 
+from conftest import claimed_size_program
 from derandlab.cli import main
+from derandlab.programs import RANDOMIZED_BUILTINS
 
 
 def run(argv):
@@ -167,6 +169,34 @@ class TestCertify:
         assert payload["certificate"]["failure_probs"] == ["0", "0", "1/2", "1/2"]
         assert payload["certificate"]["total"] == "1"
         assert payload["good_f"] == {"1": [0], "2": [1]}
+
+    @pytest.mark.parametrize("mode", ["exact", "mc"])
+    def test_runs_are_told_the_claimed_size(self, tmp_path, mode):
+        out = tmp_path / "cert.json"
+        argv = [
+            "certify", "--problem", "coloring:3", "--n", "3", "--program", "two-bit",
+            "--mode", mode, "--bits", "2", "--trials", "20", "--seed", "7",
+            "--out", str(out),
+        ]
+        assert run(argv) == 0
+        payload = json.loads(out.read_text())
+        assert payload["claimed_n"] == payload["certificate"]["claimed_size"] == 2**9
+
+    @pytest.mark.parametrize("mode", ["exact", "mc"])
+    def test_every_pass_runs_at_the_claimed_size(self, tmp_path, monkeypatch, mode):
+        # told 16 nodes, the program colors the n=2 family by identifier parity
+        monkeypatch.setitem(RANDOMIZED_BUILTINS, "claimed-size", claimed_size_program)
+        out = tmp_path / "cert.json"
+        argv = [
+            "certify", "--problem", "coloring:2", "--n", "2", "--program",
+            "claimed-size", "--mode", mode, "--bits", "1", "--trials", "50",
+            "--seed", "3", "--find-f", "--out", str(out),
+        ]
+        assert run(argv) == 0
+        payload = json.loads(out.read_text())
+        assert payload["claimed_n"] == 16
+        assert payload["certificate"]["failure_probs"] == ["0", "0", "0", "0"]
+        assert payload["good_f"] == {"1": [0], "2": [0]}
 
     def test_bit_free_correct_program_certifies_true(self, tmp_path):
         out = tmp_path / "cert.json"

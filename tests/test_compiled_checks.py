@@ -5,29 +5,43 @@ estimators that check runs against compiled checks must return exactly what
 the old loop, which called ``verify`` on every run, returns.
 """
 
+import hashlib
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import copy_neighbor_parity_problem, one_leader_problem, random_instance
+from conftest import (
+    claimed_size_program,
+    copy_neighbor_parity_problem,
+    one_leader_problem,
+    random_instance,
+)
 from derandlab import (
+    BitReader,
     BitStream,
     InstanceFamilySpec,
     McEstimate,
     RandomAssignment,
+    StreamExhausted,
     compile_checks,
     compute_success_exact,
     enumerate_instances,
     estimate_success_mc,
     extract_ball,
+    lift_to_claimed_size,
     make_mis,
     problem_by_name,
     run_randomized,
+    search_good_f,
     verify,
 )
-from derandlab.programs import first_bit_label_program, two_bit_label_program
+from derandlab.programs import (
+    first_bit_label_program,
+    id_parity_label_program,
+    two_bit_label_program,
+)
 
 SMALL_FAMILIES = [
     inst for n in (1, 2, 3) for inst in enumerate_instances(InstanceFamilySpec(n=n))
@@ -180,3 +194,88 @@ def test_monte_carlo_estimates_match_the_verify_loop():
     got = estimate_success_mc(program, problem, family, trials=500, seed=7)
     assert got == reference_success_mc(program, problem, family, trials=500, seed=7)
     assert any(e.failure for e in got)
+
+
+@pytest.mark.parametrize(
+    "factory, bits",
+    [
+        # reads one bit, fewer than the budget
+        (first_bit_label_program, 1),
+        (first_bit_label_program, 2),
+        # reads no bits at all
+        (id_parity_label_program, 0),
+        (id_parity_label_program, 1),
+    ],
+)
+def test_exact_probabilities_match_the_verify_loop_below_the_budget(factory, bits):
+    problem = problem_by_name("coloring:2")
+    program = factory(problem.output_alphabet)
+    family = list(enumerate_instances(InstanceFamilySpec(n=3)))
+    got = compute_success_exact(program, problem, family, bits=bits)
+    assert got == reference_success_exact(program, problem, family, bits=bits)
+
+
+def test_exact_probabilities_past_the_budget_raise_like_the_verify_loop():
+    problem = problem_by_name("coloring:3")
+    program = two_bit_label_program(problem.output_alphabet)
+    family = list(enumerate_instances(InstanceFamilySpec(n=3)))
+    with pytest.raises(StreamExhausted) as expected:
+        reference_success_exact(program, problem, family, bits=1)
+    with pytest.raises(StreamExhausted) as got:
+        compute_success_exact(program, problem, family, bits=1)
+    assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize(
+    "key", [(7,), ("seed",), ("seed", 3, 11), (7, "a|b", 2.5, "x"), ()]
+)
+def test_seeded_assignments_read_the_keyed_streams(key):
+    """``from_seed(*key)`` joins the key once, yet identifier ``i`` still reads
+    ``BitStream.keyed(*key, i)``: the SHA-256 blocks of the string
+    ``"<key parts and i joined by |>#<block index>"``."""
+    assignment = RandomAssignment.from_seed(*key)
+    for ident in (1, 2, 37):
+        got = assignment.stream_for(ident)
+        want = BitStream.keyed(*key, ident)
+        text = "|".join(map(str, (*key, ident)))
+        blocks = b"".join(
+            hashlib.sha256(f"{text}#{block}".encode()).digest() for block in (0, 1)
+        )
+        bits = [got.bit(i) for i in range(512)]
+        assert bits == [want.bit(i) for i in range(512)]
+        assert bits == [blocks[i // 8] >> (7 - i % 8) & 1 for i in range(512)]
+        reader = BitReader(got)
+        assert reader.take(512) == bits
+
+
+def test_readers_reject_a_negative_start():
+    with pytest.raises(IndexError, match="negative bit index"):
+        BitReader(BitStream.keyed("s"), start=-1)
+    with pytest.raises(IndexError, match="negative bit index"):
+        BitStream.keyed("s").bit(-1)
+
+
+def test_estimators_and_the_search_pass_the_claimed_count_on():
+    spec = InstanceFamilySpec(n=2)
+    claimed = lift_to_claimed_size(spec).claimed_size
+    assert claimed == 16
+    problem = problem_by_name("coloring:2")
+    program = claimed_size_program(problem.output_alphabet)
+    family = list(enumerate_instances(spec))
+    ids = list(spec.id_space)
+
+    told = compute_success_exact(program, problem, family, 1, claimed)
+    assert told == reference_success_exact(program, problem, family, 1, claimed)
+    assert told == [0] * len(family)
+    untold = compute_success_exact(program, problem, family, 1)
+    assert untold == reference_success_exact(program, problem, family, 1)
+    assert any(untold)
+
+    mc = estimate_success_mc(program, problem, family, 50, seed=3, claimed_n=claimed)
+    assert [e.failure for e in mc] == [0] * len(family)
+    assert any(e.failure for e in estimate_success_mc(program, problem, family, 50, 3))
+
+    found = search_good_f(program, problem, family, 1, ids, claimed_n=claimed)
+    assert found.vectors == {1: (0,), 2: (0,)}
+    found = search_good_f(program, problem, family, 1, ids)
+    assert found.vectors == {1: (0,), 2: (1,)}

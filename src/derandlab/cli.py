@@ -43,6 +43,7 @@ from .simulator import (
     run_normal_form,
     save_table,
 )
+from .streams import BitBudgetExceeded, StreamExhausted
 
 EXIT_OK = 0
 EXIT_UNSAT = 1
@@ -178,6 +179,15 @@ def cmd_derandomize(args: argparse.Namespace) -> int:
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
+    try:
+        return _certify(args)
+    except (StreamExhausted, BitBudgetExceeded, SearchBudgetExceeded) as exc:
+        # a read past --bits or the bit cap, or an assignment space over budget
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
+
+
+def _certify(args: argparse.Namespace) -> int:
     problem = problem_by_name(args.problem)
     spec = _family_spec(args)
     family = list(enumerate_instances(spec))

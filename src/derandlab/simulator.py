@@ -19,6 +19,7 @@ programs cannot observe anything beyond what their gathered views contain.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -27,7 +28,15 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .graphs import InputInstance, canonicalize, extract_ball
 from .problems import CompiledCheck, ProblemSpec, compile_checks
-from .streams import DEFAULT_BIT_CAP, BitReader, BoundedVectors, RandomAssignment
+from .streams import (
+    DEFAULT_BIT_CAP,
+    BitReader,
+    BitStream,
+    RandomAssignment,
+    ReadPath,
+    join_key,
+    keyed_bit,
+)
 
 
 class SimulationError(RuntimeError):
@@ -503,6 +512,8 @@ def _tabulate(
 # ---------------------------------------------------------------------------
 # Success probabilities of randomized programs over a family.
 
+_IMPURE = "program {} read different bits on one read path; its steps are not pure"
+
 
 def compute_success_exact(
     program: NodeProgram,
@@ -515,30 +526,48 @@ def compute_success_exact(
     """Exact per-instance failure probabilities for a program that reads at
     most ``bits`` bits per node (reading further raises).
 
-    For each instance all (2**bits)**n joint choices of per-node bit vectors
-    are enumerated, run, and checked; the result is the exact fraction that
-    fails verification.  The 2**bits recorded streams are built and
-    validated once per call (:class:`BoundedVectors`); each run only picks
-    one of them per node.  Runs are checked against the instance's compiled
-    checks (:func:`compile_checks`), which agree with :func:`verify`;
-    ``checks``, when given, are the family's compiled checks in family order,
-    so a caller can share them with another pass over the same family.
+    The result is the exact fraction of the (2**bits)**n joint choices of
+    per-node bit vectors whose run fails verification.  A run is a pure
+    function of the bits its nodes read, in global read order, so each
+    instance walks the tree of those read paths depth first (Knuth & Yao,
+    1976), one run per leaf: a bit not yet on the current path reads as 0,
+    and after each run the deepest 0 of its path flips to 1 and the bits
+    after it are dropped.  A leaf at depth d weighs 2**-d.  The walk holds
+    only the current path (:class:`ReadPath`), and a program that reads
+    fewer bits than the budget needs fewer runs.  Runs are checked against
+    the instance's compiled checks (:func:`compile_checks`), which agree
+    with :func:`verify`; ``checks``, when given, are the family's compiled
+    checks in family order, so a caller can share them with another pass
+    over the same family.
     """
+    if bits < 0:
+        raise ValueError("bit budget must be nonnegative")
     if checks is None:
         checks = compile_checks(problem, family)
-    space = BoundedVectors(bits)
+    # a read at the run's bit cap raises before it asks the stream
+    zeros = BitStream.from_bits((0,) * min(bits, DEFAULT_BIT_CAP))
+    source = RandomAssignment(lambda _ident: zeros)
     failures: list[Fraction] = []
     for compiled in checks:
         instance = compiled.instance
-        bad = 0
-        total = 0
-        # identifiers in node order: node v's vector is the v-th of the choice
-        for assignment in space.assignments(instance.ids):
-            result = run_randomized(program, instance, claimed_n, streams=assignment)
-            total += 1
+        log = ReadPath(source, instance.ids)
+        path = log.bits
+        failed_at_depth: Counter[int] = Counter()
+        while True:
+            result = run_randomized(program, instance, claimed_n, streams=log.assignment)
+            if len(log.reads) != len(path):
+                raise SimulationError(_IMPURE.format(program.name))
             if not compiled.valid(result.outputs):
-                bad += 1
-        failures.append(Fraction(bad, total))
+                failed_at_depth[len(path)] += 1
+            while path and path[-1]:
+                path.pop()
+            if not path:
+                break
+            path[-1] = 1
+            log.replay()
+        failures.append(
+            sum((Fraction(c, 1 << d) for d, c in failed_at_depth.items()), Fraction(0))
+        )
     return failures
 
 
@@ -559,9 +588,14 @@ def estimate_success_mc(
 ) -> list[McEstimate]:
     """Per-instance Monte-Carlo failure estimates with standard errors.
 
-    Trial k of instance i draws each node's stream from the key
+    Trial k of instance i reads each node's stream from the key
     (seed, i, k, identifier), so identical seeds replay identical estimates.
-    Trials are checked against the instance's compiled checks
+    A trial is a pure function of the bits it reads, so each instance keeps
+    a trie of the read paths simulated so far, each ending in its verdict.
+    A trial walks the trie with its own keyed bits and runs the program only
+    where the trie has no branch for them.  The trie holds at most one entry
+    per bit read by a simulated run of the instance, and is dropped after
+    the instance.  Runs are checked against the instance's compiled checks
     (:func:`compile_checks`), which agree with :func:`verify`.  Every node is
     told ``claimed_n`` as the number of nodes (default: the true count).
     """
@@ -570,18 +604,49 @@ def estimate_success_mc(
     estimates: list[McEstimate] = []
     for idx, compiled in enumerate(compile_checks(problem, family)):
         instance = compiled.instance
+        # trie[0] is the root.  An inner node is [identifier, index, child on
+        # 0, child on 1] for the next bit read; a leaf is a run's verdict.
+        trie: list = [None]
         bad = 0
+        instance_key = join_key(seed, idx)
         for k in range(trials):
-            result = run_randomized(
-                program,
-                instance,
-                claimed_n,
-                streams=RandomAssignment.from_seed(seed, idx, k),
-                bit_cap=bit_cap,
-            )
-            if not compiled.valid(result.outputs):
+            # the keys and digests of this trial's streams, by identifier;
+            # k and the identifier are integers, so each key is
+            # join_key(seed, idx, k, ident)
+            streams: dict[int, tuple[str, dict[int, bytes]]] = {}
+            node = trie[0]
+            while node.__class__ is list:
+                ident = node[0]
+                stream = streams.get(ident)
+                if stream is None:
+                    stream = streams[ident] = (f"{instance_key}|{k}|{ident}", {})
+                node = node[2 + keyed_bit(stream[0], node[1], stream[1])]
+            if node is None:
+                log = ReadPath(RandomAssignment.from_seed(seed, idx, k), instance.ids)
+                result = run_randomized(
+                    program, instance, claimed_n, streams=log.assignment, bit_cap=bit_cap
+                )
+                node = compiled.valid(result.outputs)
+                _graft(trie, log, node, program.name)
+            if not node:
                 bad += 1
         p = Fraction(bad, trials)
         stderr = (float(p) * (1.0 - float(p)) / trials) ** 0.5
         estimates.append(McEstimate(p, stderr))
     return estimates
+
+
+def _graft(trie: list, log: ReadPath, verdict: bool, name: str) -> None:
+    """Add the read path of a simulated run, ending in its verdict, to the
+    trie of :func:`estimate_success_mc`."""
+    holder, slot = trie, 0
+    for (ident, index), bit in zip(log.reads, log.bits):
+        node = holder[slot]
+        if node is None:
+            node = holder[slot] = [ident, index, None, None]
+        elif node.__class__ is not list or node[0] != ident or node[1] != index:
+            raise SimulationError(_IMPURE.format(name))
+        holder, slot = node, 2 + bit
+    if holder[slot] is not None:
+        raise SimulationError(_IMPURE.format(name))
+    holder[slot] = verdict

@@ -53,19 +53,9 @@ class BitStream:
         Distinct keys give computationally unrelated streams, which is how
         per-identifier independence is realized.
         """
-        key = "|".join(map(str, key_parts))
+        key = join_key(*key_parts)
         blocks: dict[int, bytes] = {}
-
-        def getter(i: int) -> int:
-            # bit i is bit (i % 8) of byte (i % 256) // 8 of hash block i // 256
-            block_index = i >> 8
-            block = blocks.get(block_index)
-            if block is None:
-                block = hashlib.sha256(f"{key}#{block_index}".encode()).digest()
-                blocks[block_index] = block
-            return block[(i & 255) >> 3] >> (7 - (i & 7)) & 1
-
-        return cls(getter, f"keyed:{key}")
+        return cls(lambda i: keyed_bit(key, i, blocks), f"keyed:{key}")
 
     @classmethod
     def from_prefix(cls, bits: Sequence[int], pad: int = 0) -> "BitStream":
@@ -81,6 +71,25 @@ class BitStream:
     @classmethod
     def from_bits(cls, bits: Sequence[int]) -> "BitStream":
         return _recorded(_as_bits(bits))
+
+
+def join_key(*key_parts: object) -> str:
+    """The joined key of a keyed stream: the parts' strings joined by ``|``.
+    Joining joined keys with more parts gives the key of all the parts."""
+    return "|".join(map(str, key_parts))
+
+
+def keyed_bit(key: str, i: int, blocks: dict[int, bytes]) -> int:
+    """Bit ``i`` of the keyed stream of the joined key ``key``: bit ``i % 8``,
+    most significant first, of byte ``(i % 256) // 8`` of the SHA-256 digest
+    of ``f"{key}#{i // 256}"``.  ``blocks`` caches that key's digests by
+    block index."""
+    block_index = i >> 8
+    block = blocks.get(block_index)
+    if block is None:
+        block = hashlib.sha256(f"{key}#{block_index}".encode()).digest()
+        blocks[block_index] = block
+    return block[(i & 255) >> 3] >> (7 - (i & 7)) & 1
 
 
 def _recorded(recorded: tuple[int, ...]) -> BitStream:
@@ -201,7 +210,7 @@ class RandomAssignment:
         """
         if not key:
             return cls(BitStream.keyed, None, "seed:")
-        joined = "|".join(map(str, key))
+        joined = join_key(*key)
         return cls(lambda ident: BitStream.keyed(joined, ident), None, f"seed:{joined}")
 
     @classmethod
@@ -209,6 +218,52 @@ class RandomAssignment:
         fixed = {int(k): _as_bits(v) for k, v in vectors.items()}
         streams = {k: _recorded(v) for k, v in fixed.items()}
         return cls._trusted(frozenset(fixed), fixed, streams)
+
+
+class ReadPath:
+    """The bits one run reads, logged in global read order, and a prefix of
+    them to replay.
+
+    :attr:`assignment` gives each of ``identifiers`` a stream that reads
+    through the log.  ``reads`` maps each distinct bit read, as (identifier,
+    index in its stream), to its place j in read order; a bit read again is
+    answered from the first read.  The bit at place j is ``bits[j]`` when
+    ``bits`` already holds it (a replayed prefix), and otherwise the bit of
+    the identifier's stream in ``source``, appended to ``bits``; a bit that
+    ``source`` refuses raises there.  A replayed bit is not asked of
+    ``source`` again: a pure run replays its reads.  The streams keep the
+    descriptions of ``source``'s streams.
+    """
+
+    def __init__(self, source: RandomAssignment, identifiers: Sequence[int]):
+        self.bits: list[int] = []
+        self.reads: dict[tuple[int, int], int] = {}
+        streams = {
+            ident: self._logged(ident, source.stream_for(ident)) for ident in identifiers
+        }
+        self.assignment = RandomAssignment(
+            streams.__getitem__, frozenset(streams), f"read-path:{source.description}"
+        )
+
+    def _logged(self, ident: int, stream: BitStream) -> BitStream:
+        fresh = stream._getter
+        bits, reads = self.bits, self.reads
+
+        def getter(i: int) -> int:
+            read = (ident, i)
+            j = reads.get(read)
+            if j is None:
+                j = reads[read] = len(reads)
+                if j == len(bits):
+                    bits.append(fresh(i))
+            return bits[j]
+
+        return BitStream(getter, stream.description)
+
+    def replay(self) -> None:
+        """Forget what the last run read, but keep ``bits``, as the caller
+        left them, as the prefix the next run replays."""
+        self.reads.clear()
 
 
 class BoundedVectors:

@@ -164,3 +164,21 @@ def claimed_size_program(alphabet) -> NodeProgram:
         return StepResult(output=labels[ctx.bits.next_bit()])
 
     return NodeProgram("claimed-size", step, lambda _claimed: 0, labels)
+
+
+def adaptive_two_round_program(alphabet) -> NodeProgram:
+    """Reads a bit and sends it.  A node whose neighbors all sent its own
+    bit reads a second bit and outputs the label it picks; the others output
+    the label of their first bit.  How many bits a node reads depends on its
+    neighbors' bits."""
+    labels = tuple(alphabet)
+
+    def step(ctx: NodeContext) -> StepResult:
+        if ctx.round == 0:
+            bit = ctx.bits.next_bit()
+            return StepResult(send=bit, state=bit)
+        if all(msg == ctx.state for msg in ctx.inbox):
+            return StepResult(output=labels[ctx.bits.next_bit()])
+        return StepResult(output=labels[ctx.state])
+
+    return NodeProgram("adaptive-two-round", step, lambda _claimed: 1, labels)

@@ -241,6 +241,46 @@ class TestCertify:
             "estimate; no verdict\n"
         )
 
+    def test_reads_past_the_bit_budget_exit_bad_input(self, capsys):
+        # two-bit reads two bits per node, over a budget of one
+        argv = [
+            "certify", "--problem", "coloring:3", "--n", "3", "--program", "two-bit",
+            "--bits", "1",
+        ]
+        capsys.readouterr()
+        assert run(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: bit budget exceeded: recorded stream holds 1 bits\n"
+        )
+
+    def test_an_assignment_space_over_the_budget_exits_bad_input(self, capsys):
+        # (2**12)**2 candidate assignments, over the search budget of 2**22
+        argv = [
+            "certify", "--problem", "coloring:2", "--n", "2", "--program", "first-bit",
+            "--mode", "mc", "--seed", "1", "--trials", "10", "--bits", "12", "--find-f",
+        ]
+        capsys.readouterr()
+        assert run(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: assignment space holds 16777216 candidates, over the budget "
+            "4194304\n"
+        )
+
+    def test_exact_mode_walks_only_the_bits_read(self, tmp_path):
+        # first-bit reads one bit per node, so a 24-bit budget costs nothing
+        out = tmp_path / "cert.json"
+        argv = [
+            "certify", "--problem", "coloring:2", "--n", "2", "--program", "first-bit",
+            "--bits", "24", "--out", str(out),
+        ]
+        assert run(argv) == 0
+        certificate = json.loads(out.read_text())["certificate"]
+        assert certificate["failure_probs"] == ["0", "0", "1/2", "1/2"]
+
     def test_mc_mode_requires_seed(self, tmp_path):
         code = run(
             ["certify", "--problem", "coloring:2", "--n", "2", "--mode", "mc"]

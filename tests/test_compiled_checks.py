@@ -13,17 +13,24 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    adaptive_two_round_program,
     claimed_size_program,
     copy_neighbor_parity_problem,
     one_leader_problem,
     random_instance,
 )
 from derandlab import (
+    DEFAULT_BIT_CAP,
+    BitBudgetExceeded,
     BitReader,
     BitStream,
     InstanceFamilySpec,
     McEstimate,
+    NodeProgram,
     RandomAssignment,
+    ReadPath,
+    SimulationError,
+    StepResult,
     StreamExhausted,
     compile_checks,
     compute_success_exact,
@@ -35,11 +42,14 @@ from derandlab import (
     problem_by_name,
     run_randomized,
     search_good_f,
+    simulator,
     verify,
 )
+from derandlab.problems import problem_from_jsonable
 from derandlab.programs import (
     first_bit_label_program,
     id_parity_label_program,
+    leading_ones_program,
     two_bit_label_program,
 )
 
@@ -133,7 +143,8 @@ def test_node_checks_follow_verify():
 
 # Verbatim copies of the estimators as they were before runs were checked
 # against compiled checks (each run is checked by ``verify``); only the
-# per-trial stream helper is inlined.
+# per-trial stream helper is inlined, and the Monte-Carlo loop passes the
+# claimed count and the bit cap on to its runs.
 
 
 def reference_success_exact(program, problem, family, bits, claimed_n=None):
@@ -159,7 +170,9 @@ def reference_success_exact(program, problem, family, bits, claimed_n=None):
     return failures
 
 
-def reference_success_mc(program, problem, family, trials, seed):
+def reference_success_mc(
+    program, problem, family, trials, seed, claimed_n=None, bit_cap=DEFAULT_BIT_CAP
+):
     estimates = []
     for idx, instance in enumerate(family):
         bad = 0
@@ -169,7 +182,9 @@ def reference_success_mc(program, problem, family, trials, seed):
                 None,
                 f"mc:{seed}:{idx}:{k}",
             )
-            result = run_randomized(program, instance, streams=assignment)
+            result = run_randomized(
+                program, instance, claimed_n, streams=assignment, bit_cap=bit_cap
+            )
             if not verify(problem, instance, result.outputs).valid:
                 bad += 1
         p = Fraction(bad, trials)
@@ -279,3 +294,193 @@ def test_estimators_and_the_search_pass_the_claimed_count_on():
     assert found.vectors == {1: (0,), 2: (0,)}
     found = search_good_f(program, problem, family, 1, ids)
     assert found.vectors == {1: (0,), 2: (1,)}
+
+
+# The estimators simulate each distinct read path once.  Pinned run counts,
+# and differential tests against the reference loops above.
+
+N2_FAMILY = list(enumerate_instances(InstanceFamilySpec(n=2)))
+N3_FAMILY = list(enumerate_instances(InstanceFamilySpec(n=3)))
+
+
+@pytest.fixture()
+def runs(monkeypatch):
+    """Counts the simulator's runs: every simulation goes through
+    ``run_randomized``."""
+    count = [0]
+    real = simulator.run_randomized
+
+    def counting(*args, **kwargs):
+        count[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(simulator, "run_randomized", counting)
+    return count
+
+
+@pytest.mark.parametrize(
+    "factory, bits, want_runs",
+    [
+        # reads no bits: one run per instance, not (2**2)**3
+        (id_parity_label_program, 2, 48),
+        # reads one bit per node: 2**3 runs per instance, not (2**2)**3
+        (first_bit_label_program, 2, 384),
+    ],
+)
+def test_exact_runs_one_run_per_read_path(runs, factory, bits, want_runs):
+    problem = problem_by_name("coloring:2")
+    program = factory(problem.output_alphabet)
+    got = compute_success_exact(program, problem, N3_FAMILY, bits=bits)
+    assert runs[0] == want_runs
+    assert got == reference_success_exact(program, problem, N3_FAMILY, bits=bits)
+
+
+def test_exact_cost_does_not_grow_with_an_unread_budget(runs):
+    problem = problem_by_name("coloring:2")
+    program = first_bit_label_program(problem.output_alphabet)
+    one = compute_success_exact(program, problem, N2_FAMILY, bits=1)
+    assert runs[0] == 16
+    runs[0] = 0
+    forty = compute_success_exact(program, problem, N2_FAMILY, bits=40)
+    assert runs[0] == 16
+    assert forty == one == [0, 0, Fraction(1, 2), Fraction(1, 2)]
+
+
+def test_monte_carlo_simulates_each_read_path_once(runs):
+    problem = problem_by_name("coloring:2")
+    program = first_bit_label_program(problem.output_alphabet)
+    got = estimate_success_mc(program, problem, N2_FAMILY, trials=10_000, seed=7)
+    # two nodes reading one bit each: at most 4 paths in each of 4 instances
+    assert runs[0] <= 16
+    assert sum(e.failure for e in got) == Fraction(9887, 10000)
+
+
+def leading_ones_count_problem(cap):
+    """Proper coloring by leading-one counts below ``cap``."""
+    return problem_from_jsonable(
+        {
+            "name": f"leading-ones-coloring-{cap}",
+            "radius": 1,
+            "output_alphabet": [str(count) for count in range(cap)],
+            "kind": "coloring-like",
+        }
+    )
+
+
+# (program, problem, exact bit budget, claimed_n)
+DIFFERENTIAL_CASES = {
+    "first-bit": (first_bit_label_program, "coloring:2", 2, None),
+    "two-bit": (two_bit_label_program, "coloring:3", 2, None),
+    "id-parity": (id_parity_label_program, "coloring:2", 1, None),
+    "claimed-size-told": (claimed_size_program, "coloring:2", 1, 16),
+    "claimed-size-untold": (claimed_size_program, "coloring:2", 1, None),
+    "adaptive-two-round": (adaptive_two_round_program, "coloring:2", 2, None),
+}
+
+
+def differential_case(name):
+    factory, problem_name, bits, claimed_n = DIFFERENTIAL_CASES[name]
+    problem = problem_by_name(problem_name)
+    return factory(problem.output_alphabet), problem, bits, claimed_n
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_CASES))
+def test_exact_walk_matches_the_reference_loop(name):
+    program, problem, bits, claimed_n = differential_case(name)
+    family = SMALL_FAMILIES
+    got = compute_success_exact(program, problem, family, bits, claimed_n)
+    assert got == reference_success_exact(program, problem, family, bits, claimed_n)
+    assert all(type(p) is Fraction for p in got)
+
+
+@pytest.mark.parametrize("seed", [1, "walk", 2023])
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_CASES))
+def test_monte_carlo_trie_matches_the_reference_loop(name, seed):
+    program, problem, _, claimed_n = differential_case(name)
+    family = N2_FAMILY + N3_FAMILY[::6]
+    got = estimate_success_mc(program, problem, family, 40, seed, claimed_n=claimed_n)
+    want = reference_success_mc(program, problem, family, 40, seed, claimed_n)
+    assert got == want
+    assert all(type(e) is McEstimate for e in got)
+
+
+def test_the_adaptive_program_reads_one_or_two_bits():
+    """The differential cases include read paths of different lengths."""
+    problem = problem_by_name("coloring:2")
+    program = adaptive_two_round_program(problem.output_alphabet)
+    edge = N2_FAMILY[-1]
+    assert edge.graph.edges
+    a, b = edge.ids  # nodes step in node order
+    for vectors, reads in [
+        ({a: (0, 1), b: (1, 0)}, [(a, 0), (b, 0)]),
+        ({a: (1, 0), b: (1, 1)}, [(a, 0), (b, 0), (a, 1), (b, 1)]),
+    ]:
+        read = ReadPath(RandomAssignment.from_vectors(vectors), edge.ids)
+        run_randomized(program, edge, streams=read.assignment)
+        assert list(read.reads) == reads
+        assert read.bits == [vectors[ident][index] for ident, index in reads]
+
+
+def test_read_paths_log_each_bit_once_and_replay_a_prefix():
+    source = RandomAssignment.from_vectors({1: (1, 0, 1), 2: (0, 1, 1)})
+    read = ReadPath(source, [1, 2])
+    one, two = (read.assignment.stream_for(ident) for ident in (1, 2))
+    assert [one.bit(2), two.bit(0), one.bit(2), one.bit(0)] == [1, 0, 1, 1]
+    assert list(read.reads) == [(1, 2), (2, 0), (1, 0)]
+    assert read.bits == [1, 0, 1]
+    assert repr(one) == "BitStream(recorded:101)"
+    # the first two reads replay a prefix, whatever the source holds
+    read.bits[:] = [0, 1]
+    read.replay()
+    assert [two.bit(1), one.bit(1), one.bit(0)] == [0, 1, 1]
+    assert list(read.reads) == [(2, 1), (1, 1), (1, 0)]
+    assert read.bits == [0, 1, 1]
+    with pytest.raises(StreamExhausted):
+        one.bit(3)
+
+
+@pytest.mark.parametrize("seed", [1, 5, "cap"])
+def test_monte_carlo_past_the_cap_raises_like_the_reference_loop(seed):
+    """The message names the stream, so the key (seed, instance, trial,
+    identifier) of the first trial past the cap must agree too."""
+    cap = 4
+    program = leading_ones_program()
+    problem = leading_ones_count_problem(cap)
+    with pytest.raises(BitBudgetExceeded) as expected:
+        reference_success_mc(program, problem, N2_FAMILY, 200, seed, bit_cap=cap)
+    with pytest.raises(BitBudgetExceeded) as got:
+        estimate_success_mc(program, problem, N2_FAMILY, 200, seed, bit_cap=cap)
+    assert str(got.value) == str(expected.value)
+    assert "keyed:" in str(got.value)
+
+
+def test_exact_walk_past_the_budget_raises_like_the_reference_loop():
+    program = leading_ones_program()
+    problem = leading_ones_count_problem(3)
+    with pytest.raises(StreamExhausted) as expected:
+        reference_success_exact(program, problem, N2_FAMILY, bits=2)
+    with pytest.raises(StreamExhausted) as got:
+        compute_success_exact(program, problem, N2_FAMILY, bits=2)
+    assert str(got.value) == str(expected.value)
+
+
+def impure_program():
+    """Reads a bit on every other step it takes, counted across runs."""
+    steps = [0]
+
+    def step(ctx):
+        steps[0] += 1
+        bit = ctx.bits.next_bit() if steps[0] % 2 else 0
+        return StepResult(output=("A", "B")[bit])
+
+    return NodeProgram("impure", step, lambda _claimed: 0, ("A", "B"))
+
+
+def test_the_estimators_reject_a_program_whose_reads_change_on_replay():
+    problem = problem_by_name("coloring:2")
+    single = SMALL_FAMILIES[0]
+    assert single.n == 1
+    with pytest.raises(SimulationError, match="impure"):
+        compute_success_exact(impure_program(), problem, [single], bits=1)
+    with pytest.raises(SimulationError, match="impure"):
+        estimate_success_mc(impure_program(), problem, [single], trials=50, seed=1)

@@ -43,7 +43,7 @@ from .simulator import (
     run_normal_form,
     save_table,
 )
-from .streams import BitBudgetExceeded, StreamExhausted
+from .streams import BitBudgetExceeded, StreamExhausted, assignment_space_size
 
 EXIT_OK = 0
 EXIT_UNSAT = 1
@@ -205,6 +205,9 @@ def _certify(args: argparse.Namespace) -> int:
         "mode": args.mode,
         "claimed_n": claimed_n,
     }
+    if args.find_f:
+        # a negative --bits fails here, before the probability pass
+        assignment_space_size(spec.id_space, args.bits)
     # with --find-f the assignment search and the exact pass share one compilation
     checks = list(compile_checks(problem, family)) if args.find_f else None
     if args.mode == "exact":

@@ -12,7 +12,7 @@ because it never looks at the program's internals.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
@@ -269,10 +269,8 @@ class FamilyIndex:
     verification ball and on the positions of the ball's members, so checks
     are deduplicated on that pair: ``constraints`` holds each distinct one
     once, as a :class:`Check` whose ``members`` are realized-view positions,
-    ``instance_constraints[i]`` names those of instance ``i``, and
-    ``triggers[p]`` those that become decidable once position ``p`` (the
-    largest they read) is labeled.  A component-wise problem gets one
-    constraint per instance.
+    and ``instance_constraints[i]`` names those of instance ``i``.  A
+    component-wise problem gets one constraint per instance.
     """
 
     problem: ProblemSpec
@@ -280,18 +278,14 @@ class FamilyIndex:
     node_pos: list[tuple[int, ...]]
     constraints: list[Check]
     instance_constraints: list[tuple[int, ...]]
-    triggers: list[tuple[Check, ...]]
 
     def solvable(self, index: int) -> bool:
         """Whether instance ``index`` admits any valid labeling, decided over
         its own compiled constraints."""
-        triggers: list[list[Check]] = [[] for _ in self.realized]
-        for c in self.instance_constraints[index]:
-            con = self.constraints[c]
-            triggers[max(con.members)].append(con)
+        checks = [self.constraints[c] for c in self.instance_constraints[index]]
         order = sorted(set(self.node_pos[index]))
         labels: list[str | None] = [None] * len(self.realized)
-        return _backtrack(order, triggers, self.problem.output_alphabet, labels)[0]
+        return _backtrack(order, checks, self.problem.output_alphabet, labels)[0]
 
     @property
     def predicate_calls(self) -> int:
@@ -323,7 +317,7 @@ def compile_family(
     instance_constraints: list[tuple[int, ...]] = []
     for compiled, positions in zip(compile_checks(problem, instances), node_pos):
         own: dict[int, None] = {}
-        # node order fixes the order of each trigger list, which decides the
+        # node order fixes the order in which checks fire, which decides the
         # search's check and predicate counts (not its tables or placements)
         for check in sorted(compiled.checks, key=lambda c: c.members[0]):
             scope = tuple(positions[m] for m in check.members)
@@ -336,18 +330,7 @@ def compile_family(
                 )
             own[seen[key]] = None
         instance_constraints.append(tuple(own))
-
-    triggers: list[list[Check]] = [[] for _ in realized]
-    for con in constraints:
-        triggers[max(con.members)].append(con)
-    return FamilyIndex(
-        problem,
-        realized,
-        node_pos,
-        constraints,
-        instance_constraints,
-        [tuple(t) for t in triggers],
-    )
+    return FamilyIndex(problem, realized, node_pos, constraints, instance_constraints)
 
 
 @dataclass
@@ -422,7 +405,7 @@ def find_normal_form(config: SearchConfig) -> TableSearchOutcome:
 
     labels: list[str | None] = [None] * len(realized)
     found, stats.placements, stats.checks = _backtrack(
-        range(len(realized)), index.triggers, alphabet, labels, config.node_budget
+        range(len(realized)), index.constraints, alphabet, labels, config.node_budget
     )
     witness = None if found else next(
         (i for i in range(len(instances)) if not index.solvable(i)), None
@@ -488,31 +471,12 @@ class DerandReport:
     t_rand_at_claimed_size: int | None = None
 
     def to_jsonable(self, include_timing: bool = True) -> dict:
-        out = {
-            "n": self.n,
-            "c": self.c,
-            "input_alphabet": list(self.input_alphabet),
-            "max_degree": self.max_degree,
-            "problem": self.problem,
-            "output_alphabet": list(self.output_alphabet),
-            "radius": self.radius,
-            "claimed_size": self.claimed_size,
-            "family_bound": self.family_bound,
-            "bound_below_claimed": self.bound_below_claimed,
-            "bound_below_claimed_over_n": self.bound_below_claimed_over_n,
-            "family_size": self.family_size,
-            "pipeline": self.pipeline,
-            "found": self.found,
-            "table_size": self.table_size,
-            "verified_count": self.verified_count,
-            "unsat_witness_index": self.unsat_witness_index,
-            "unsat_witness": self.unsat_witness,
-            "exhausted_search": self.exhausted_search,
-            "placements": self.placements,
-            "t_rand_at_claimed_size": self.t_rand_at_claimed_size,
-        }
+        out = asdict(self)
+        out["input_alphabet"] = list(self.input_alphabet)
+        out["output_alphabet"] = list(self.output_alphabet)
+        wall_time_s = out.pop("wall_time_s")
         if include_timing:
-            out["timing"] = {"wall_time_s": self.wall_time_s}
+            out["timing"] = {"wall_time_s": wall_time_s}
         return out
 
 

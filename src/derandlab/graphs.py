@@ -15,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from json.encoder import encode_basestring_ascii as _input_literal
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 # Identifier spaces larger than a 64-bit word are rejected by the enumerator
 # (count formulas still evaluate exactly, via native big integers).
@@ -259,8 +259,7 @@ def count_bound(spec: InstanceFamilySpec) -> int:
     return 2 ** math.comb(n, 2) * n ** (c * n) * len(spec.input_alphabet) ** n
 
 
-@dataclass(frozen=True)
-class BallNode:
+class BallNode(NamedTuple):
     """A node as seen inside a view: identifier, degree in the full graph,
     input label, and distance from the view's center."""
 
@@ -268,19 +267,6 @@ class BallNode:
     degree: int
     input: str
     dist: int
-
-    @classmethod
-    def _trusted(cls, identifier: int, degree: int, input: str, dist: int) -> "BallNode":
-        """A node built without the frozen dataclass ``__init__``, which sets
-        each field through ``object.__setattr__``.  Only :func:`extract_ball`
-        calls it."""
-        node = object.__new__(cls)
-        fields = node.__dict__
-        fields["identifier"] = identifier
-        fields["degree"] = degree
-        fields["input"] = input
-        fields["dist"] = dist
-        return node
 
 
 @dataclass(frozen=True)
@@ -374,11 +360,10 @@ def extract_ball(instance: InputInstance, v: int, radius: int) -> BallView:
     adjacency = instance.graph.adjacency
     ids = instance.ids
     inputs = instance.inputs
-    node = BallNode._trusted
     # breadth-first search that stops at the radius; sorting each level by
     # identifier lists the nodes by (distance, identifier), as BallView does
     dist = {v: 0}
-    nodes = [node(ids[v], len(adjacency[v]), inputs[v], 0)]
+    nodes = [BallNode(ids[v], len(adjacency[v]), inputs[v], 0)]
     frontier = [v]
     for d in range(1, radius + 1):
         reached = []
@@ -390,7 +375,7 @@ def extract_ball(instance: InputInstance, v: int, radius: int) -> BallView:
         if not reached:
             break
         reached.sort(key=ids.__getitem__)
-        nodes += [node(ids[u], len(adjacency[u]), inputs[u], d) for u in reached]
+        nodes += [BallNode(ids[u], len(adjacency[u]), inputs[u], d) for u in reached]
         frontier = reached
     # an edge is in the view iff an endpoint lies within radius-1; the other
     # endpoint is then within the radius.  Each edge is taken once: from its

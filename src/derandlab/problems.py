@@ -323,21 +323,23 @@ class SearchBudgetExceeded(RuntimeError):
 
 def _backtrack(
     order: Sequence[int],
-    triggers: Sequence[Sequence[Check]],
+    checks: Iterable[Check],
     alphabet: Sequence[str],
     labels: list[str | None],
     budget: int | None = None,
 ) -> tuple[bool, int, int]:
     """Label the positions in ``order`` one by one, trying labels in alphabet
-    order and backtracking on the first violated triggered check.
+    order and backtracking on the first violated check.
 
-    ``triggers[p]`` lists the checks that become decidable once position
-    ``p`` is labeled.  Returns ``(found, placements, checks)``: ``found`` is
-    True with ``labels`` holding the first complete assignment that satisfies
-    every check in ``triggers``, and False once the space is exhausted.
-    Raises :class:`SearchBudgetExceeded` once placements exceed ``budget``.
+    Each check fires once the last of its members in ``order`` is labeled,
+    in the order ``checks`` lists them (:func:`_triggers`).  Returns
+    ``(found, placements, checks)``: ``found`` is True with ``labels``
+    holding the first complete assignment that satisfies every check, and
+    False once the space is exhausted.  Raises
+    :class:`SearchBudgetExceeded` once placements exceed ``budget``.
     """
-    placements = checks = 0
+    triggers = _triggers(order, checks)
+    placements = evaluated = 0
     depth = 0
     next_try = [0] * len(order)
     width = len(alphabet)
@@ -356,14 +358,25 @@ def _backtrack(
             raise SearchBudgetExceeded(
                 f"table search exceeded its budget of {budget} placements"
             )
-        for con in triggers[pos]:
-            checks += 1
+        for con in triggers[depth]:
+            evaluated += 1
             if not con.holds(labels):
                 next_try[depth] += 1
                 break
         else:
             depth += 1
-    return depth == len(order), placements, checks
+    return depth == len(order), placements, evaluated
+
+
+def _triggers(order: Sequence[int], checks: Iterable[Check]) -> list[list[Check]]:
+    """``triggers[d]``: the checks, in the order given, whose last member in
+    ``order`` is ``order[d]``; they become decidable at search depth ``d``.
+    Every member of every check must appear in ``order``."""
+    depth_of = {pos: depth for depth, pos in enumerate(order)}
+    triggers: list[list[Check]] = [[] for _ in order]
+    for check in checks:
+        triggers[max(map(depth_of.__getitem__, check.members))].append(check)
+    return triggers
 
 
 def solve_lex_first(
@@ -379,11 +392,9 @@ def solve_lex_first(
     complete labeling is the lexicographically smallest valid one.
     """
     order = sorted(range(instance.n), key=instance.identifier)
-    triggers: list[list[Check]] = [[] for _ in order]
-    for check in _instance_checks(problem, instance, None):
-        triggers[max(check.members, key=instance.identifier)].append(check)
+    checks = _instance_checks(problem, instance, None)
     labels: list[str | None] = [None] * instance.n
-    found, _, _ = _backtrack(order, triggers, problem.output_alphabet, labels)
+    found, _, _ = _backtrack(order, checks, problem.output_alphabet, labels)
     return {v: labels[v] for v in order} if found else None
 
 

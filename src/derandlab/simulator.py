@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .graphs import InputInstance, canonicalize, extract_ball
 from .problems import CompiledCheck, ProblemSpec, compile_checks
@@ -70,8 +70,7 @@ class IncompleteTableError(LookupError):
         super().__init__(f"incomplete table: no entry for key {key}")
 
 
-@dataclass(frozen=True)
-class NodeContext:
+class NodeContext(NamedTuple):
     """What one node sees during one step."""
 
     round: int
@@ -82,33 +81,6 @@ class NodeContext:
     state: Any
     inbox: tuple[Any, ...]
     bits: BitReader | None = None
-
-    @classmethod
-    def _trusted(
-        cls,
-        round: int,
-        claimed_n: int,
-        identifier: int,
-        degree: int,
-        input: str,
-        state: Any,
-        inbox: tuple[Any, ...],
-        bits: BitReader | None,
-    ) -> "NodeContext":
-        """A context built without the frozen dataclass ``__init__``, which
-        sets each field through ``object.__setattr__``.  Only :func:`_run`
-        calls it."""
-        ctx = object.__new__(cls)
-        fields = ctx.__dict__
-        fields["round"] = round
-        fields["claimed_n"] = claimed_n
-        fields["identifier"] = identifier
-        fields["degree"] = degree
-        fields["input"] = input
-        fields["state"] = state
-        fields["inbox"] = inbox
-        fields["bits"] = bits
-        return ctx
 
 
 @dataclass
@@ -165,7 +137,6 @@ def _run(
     # a handful of labels: a tuple scan costs less than building a set per run
     alphabet = program.output_alphabet or None
     step = program.step
-    context = NodeContext._trusted
     ids, inputs = instance.ids, instance.inputs
     if readers is None:
         readers = [None] * n
@@ -198,7 +169,7 @@ def _run(
             if halted[v]:
                 continue
             res = step(
-                context(
+                NodeContext(
                     rnd,
                     claimed_n,
                     ids[v],
@@ -288,18 +259,7 @@ def fix_randomness(
         reader = BitReader(
             assignment.stream_for(ctx.identifier), cap=bit_cap, start=consumed
         )
-        res = program.step(
-            NodeContext(
-                round=ctx.round,
-                claimed_n=ctx.claimed_n,
-                identifier=ctx.identifier,
-                degree=ctx.degree,
-                input=ctx.input,
-                state=inner_state,
-                inbox=ctx.inbox,
-                bits=reader,
-            )
-        )
+        res = program.step(ctx._replace(state=inner_state, bits=reader))
         return StepResult(
             send=res.send,
             send_ports=res.send_ports,
@@ -611,15 +571,14 @@ def estimate_success_mc(
         instance_key = join_key(seed, idx)
         for k in range(trials):
             # the keys and digests of this trial's streams, by identifier;
-            # k and the identifier are integers, so each key is
-            # join_key(seed, idx, k, ident)
+            # joining the joined instance key gives join_key(seed, idx, k, ident)
             streams: dict[int, tuple[str, dict[int, bytes]]] = {}
             node = trie[0]
             while node.__class__ is list:
                 ident = node[0]
                 stream = streams.get(ident)
                 if stream is None:
-                    stream = streams[ident] = (f"{instance_key}|{k}|{ident}", {})
+                    stream = streams[ident] = (join_key(instance_key, k, ident), {})
                 node = node[2 + keyed_bit(stream[0], node[1], stream[1])]
             if node is None:
                 log = ReadPath(RandomAssignment.from_seed(seed, idx, k), instance.ids)

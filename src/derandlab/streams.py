@@ -149,38 +149,22 @@ class RandomAssignment:
 
     ``domain=None`` means total on all identifiers (seed-derived assignments).
     Bounded assignments built from explicit vectors remember them for
-    serialization and raise once a run reads past the recorded bits.
+    serialization and raise once a run reads past the recorded bits; with
+    ``description=None`` their description is built from the vectors when
+    first asked for.
     """
 
     def __init__(
         self,
         stream_for: Callable[[int], BitStream],
         domain: frozenset[int] | None = None,
-        description: str = "",
+        description: str | None = "",
         vectors: Mapping[int, tuple[int, ...]] | None = None,
     ):
         self._stream_for = stream_for
         self.domain = domain
-        self._description: str | None = description
+        self._description = description
         self.vectors = dict(vectors) if vectors is not None else None
-
-    @classmethod
-    def _trusted(
-        cls,
-        domain: frozenset[int],
-        vectors: dict[int, tuple[int, ...]],
-        streams: dict[int, BitStream],
-    ) -> "RandomAssignment":
-        """The assignment of :meth:`from_vectors` over validated ``vectors``
-        whose recorded streams ``streams`` are already built, keyed by the
-        identifiers of ``domain``.  Nothing is validated or copied, and the
-        description is built only when asked for."""
-        assignment = object.__new__(cls)
-        assignment._stream_for = streams.__getitem__
-        assignment.domain = domain
-        assignment._description = None
-        assignment.vectors = vectors
-        return assignment
 
     @property
     def description(self) -> str:
@@ -217,7 +201,7 @@ class RandomAssignment:
     def from_vectors(cls, vectors: Mapping[int, Sequence[int]]) -> "RandomAssignment":
         fixed = {int(k): _as_bits(v) for k, v in vectors.items()}
         streams = {k: _recorded(v) for k, v in fixed.items()}
-        return cls._trusted(frozenset(fixed), fixed, streams)
+        return cls(streams.__getitem__, frozenset(fixed), None, fixed)
 
 
 class ReadPath:
@@ -266,39 +250,9 @@ class ReadPath:
         self.reads.clear()
 
 
-class BoundedVectors:
-    """Every ``bits``-bit vector together with its recorded stream, built
-    and validated once, for enumerating many bounded assignments.
-
-    Vectors are in lexicographic order: most significant bit first, 0
-    before 1.
-    """
-
-    def __init__(self, bits: int):
-        if bits < 0:
-            raise ValueError("bit budget must be nonnegative")
-        self.vectors = tuple(itertools.product((0, 1), repeat=bits))
-        self.streams = tuple(_recorded(v) for v in self.vectors)
-
-    def assignments(self, identifiers: Sequence[int]) -> Iterator[RandomAssignment]:
-        """All assignments of the vectors to the distinct ``identifiers``, in
-        lexicographic order with the identifiers in the order given.  Each
-        run only picks streams; none is built or validated again."""
-        domain = frozenset(identifiers)
-        vectors = self.vectors.__getitem__
-        streams = self.streams.__getitem__
-        trusted = RandomAssignment._trusted
-        for choice in itertools.product(
-            range(len(self.vectors)), repeat=len(identifiers)
-        ):
-            yield trusted(
-                domain,
-                dict(zip(identifiers, map(vectors, choice))),
-                dict(zip(identifiers, map(streams, choice))),
-            )
-
-
 def assignment_space_size(id_space: Sequence[int], bits: int) -> int:
+    if bits < 0:
+        raise ValueError("bit budget must be nonnegative")
     return (2**bits) ** len(set(id_space))
 
 
@@ -307,5 +261,14 @@ def iter_bounded_assignments(
 ) -> Iterator[RandomAssignment]:
     """All assignments of ``bits``-bit vectors to the identifiers, in
     lexicographic order (identifiers ascending, vector bits most significant
-    first, 0 before 1)."""
-    yield from BoundedVectors(bits).assignments(sorted(set(id_space)))
+    first, 0 before 1).  The vectors and their recorded streams are built
+    once; each assignment only picks among them."""
+    if bits < 0:
+        raise ValueError("bit budget must be nonnegative")
+    identifiers = sorted(set(id_space))
+    domain = frozenset(identifiers)
+    recorded = [(v, _recorded(v)) for v in itertools.product((0, 1), repeat=bits)]
+    for choice in itertools.product(recorded, repeat=len(identifiers)):
+        streams = {ident: stream for ident, (_, stream) in zip(identifiers, choice)}
+        vectors = {ident: vector for ident, (vector, _) in zip(identifiers, choice)}
+        yield RandomAssignment(streams.__getitem__, domain, None, vectors)

@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, file outputs, manifest reproducibility."""
 
+import importlib
 import json
 import re
 
@@ -269,6 +270,32 @@ class TestCertify:
             "error: assignment space holds 16777216 candidates, over the budget "
             "4194304\n"
         )
+
+    def test_a_negative_bit_budget_exits_bad_input_before_any_run(
+        self, capsys, monkeypatch
+    ):
+        runs = []
+        for name in ("derandlab.simulator", "derandlab.derandomize"):
+            module = importlib.import_module(name)
+            real = module.run_randomized
+            monkeypatch.setattr(
+                module,
+                "run_randomized",
+                lambda *a, real=real, **k: runs.append(1) or real(*a, **k),
+            )
+        argv = [
+            "certify", "--problem", "coloring:2", "--n", "2", "--program", "first-bit",
+            "--mode", "mc", "--seed", "1", "--trials", "10", "--find-f", "--bits",
+        ]
+        capsys.readouterr()
+        assert run(argv + ["-1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: bit budget must be nonnegative\n"
+        assert runs == []
+        # the same call with a valid budget does run the program
+        assert run(argv + ["1"]) == 0
+        assert runs
 
     def test_exact_mode_walks_only_the_bits_read(self, tmp_path):
         # first-bit reads one bit per node, so a 24-bit budget costs nothing

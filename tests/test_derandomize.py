@@ -1,5 +1,6 @@
 """Both pipelines: certificates, assignment search, and direct table search."""
 
+import importlib
 import random
 from fractions import Fraction
 
@@ -40,6 +41,7 @@ from derandlab import (
     verify,
 )
 from derandlab.graphs import canonicalize, extract_ball
+from derandlab.problems import _triggers
 from derandlab.programs import first_bit_label_program, id_sum_parity_program
 
 
@@ -169,6 +171,17 @@ class TestSearchGoodAssignment:
             search_good_f(
                 program, output_one_problem(), family, bits=8, id_space=[1], budget=100
             )
+
+    def test_a_negative_bit_budget_is_rejected_before_any_work(self, monkeypatch):
+        work = []
+        module = importlib.import_module("derandlab.derandomize")
+        for name in ("compile_checks", "run_randomized"):
+            monkeypatch.setattr(module, name, lambda *a, name=name, **k: work.append(name))
+        program = first_bit_label_program(("0", "1"))
+        family = list(enumerate_instances(InstanceFamilySpec(n=1)))
+        with pytest.raises(ValueError, match="^bit budget must be nonnegative$"):
+            search_good_f(program, output_one_problem(), family, bits=-1, id_space=[1])
+        assert work == []
 
     def test_union_bound_verdict_implies_search_succeeds(self):
         # exact certificate below one, so some bounded assignment must work
@@ -350,10 +363,17 @@ class TestFamilyIndex:
         index = compile_family(make_mis(), family, 1)
         # 48 instances x 3 nodes = 144 per-node checks, 21 of them distinct
         assert len(index.constraints) == 21
-        triggered = [con for group in index.triggers for con in group]
-        assert sorted(map(id, triggered)) == sorted(map(id, index.constraints))
-        for con in index.constraints:
-            assert con in index.triggers[max(con.members)]
+        # the table search labels the realized views in key order, so each
+        # check fires at its largest member; in reverse order, at its smallest
+        for order, fire_at in [
+            (range(len(index.realized)), max),
+            (range(len(index.realized) - 1, -1, -1), min),
+        ]:
+            triggers = _triggers(order, index.constraints)
+            triggered = [con for group in triggers for con in group]
+            assert sorted(map(id, triggered)) == sorted(map(id, index.constraints))
+            for con in index.constraints:
+                assert con in triggers[order.index(fire_at(con.members))]
 
     def test_component_wise_problem_gets_one_constraint_per_instance(self):
         family = list(enumerate_instances(InstanceFamilySpec(n=3)))
@@ -405,3 +425,22 @@ class TestDerandomizeReport:
         assert first.to_jsonable(include_timing=False) == second.to_jsonable(
             include_timing=False
         )
+
+    def test_report_fields_in_order_with_lists_and_nested_timing(self):
+        config = SearchConfig(
+            problem=make_coloring(2), family=InstanceFamilySpec(n=2), radius=1
+        )
+        report, _ = derandomize(config)
+        payload = report.to_jsonable()
+        assert list(payload) == [
+            "n", "c", "input_alphabet", "max_degree", "problem", "output_alphabet",
+            "radius", "claimed_size", "family_bound", "bound_below_claimed",
+            "bound_below_claimed_over_n", "family_size", "pipeline", "found",
+            "table_size", "verified_count", "unsat_witness_index", "unsat_witness",
+            "exhausted_search", "placements", "t_rand_at_claimed_size", "timing",
+        ]
+        assert payload["input_alphabet"] == ["x"]
+        assert payload["output_alphabet"] == ["A", "B"]
+        assert payload["timing"] == {"wall_time_s": report.wall_time_s}
+        untimed = report.to_jsonable(include_timing=False)
+        assert untimed == {k: v for k, v in payload.items() if k != "timing"}

@@ -317,6 +317,15 @@ class TestBallViewValidation:
                         assert ball == rebuilt
                         assert canonicalize(ball) == canonicalize(rebuilt)
 
+    def test_ball_nodes_are_immutable_values(self):
+        node = BallNode(4, 2, "x", 1)
+        with pytest.raises(AttributeError):
+            node.dist = 0
+        same = BallNode(identifier=4, degree=2, input="x", dist=1)
+        assert node == same and hash(node) == hash(same)
+        assert len({node, same}) == 1
+        assert node != BallNode(4, 2, "y", 1)
+
     def test_requires_exactly_one_center(self):
         with pytest.raises(ValueError, match="center"):
             BallView(1, (BallNode(1, 0, "x", 1),))

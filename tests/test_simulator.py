@@ -15,6 +15,7 @@ from derandlab import (
     InputInstance,
     InstanceFamilySpec,
     LocalityViolation,
+    NodeContext,
     NormalFormTable,
     RandomAssignment,
     SimulationError,
@@ -22,6 +23,7 @@ from derandlab import (
     TableFormatError,
     UnassignedIdentifier,
     assignment_is_good,
+    assignment_space_size,
     compute_success_exact,
     disjoint_union,
     enumerate_instances,
@@ -116,6 +118,56 @@ class TestStreams:
             ((1,), (0,)),
             ((1,), (1,)),
         ]
+
+    @pytest.mark.parametrize("id_space", [(), (5,), (3, 1), (2, 3, 1, 3)])
+    @pytest.mark.parametrize("bits", [0, 1, 2])
+    def test_bounded_assignments_equal_their_from_vectors(self, id_space, bits):
+        # the i-th assignment gives the sorted identifiers the bits of the
+        # i-th flat vector in lexicographic order, as from_vectors would
+        ids = sorted(set(id_space))
+        flats = itertools.product((0, 1), repeat=bits * len(ids))
+        got = list(iter_bounded_assignments(id_space, bits))
+        assert len(got) == assignment_space_size(id_space, bits)
+        for assignment, flat in itertools.zip_longest(got, flats):
+            vectors = {ident: flat[i * bits : (i + 1) * bits] for i, ident in enumerate(ids)}
+            want = RandomAssignment.from_vectors(vectors)
+            assert assignment.vectors == want.vectors == vectors
+            assert assignment.description == want.description
+            assert assignment.domain == want.domain
+            for ident in ids:
+                pair = [a.stream_for(ident) for a in (assignment, want)]
+                assert pair[0].description == pair[1].description
+                read = [[s.bit(i) for i in range(bits)] for s in pair]
+                assert read[0] == read[1] == list(vectors[ident])
+                errors = []
+                for stream in pair:
+                    with pytest.raises(StreamExhausted) as exc:
+                        stream.bit(bits)
+                    errors.append(str(exc.value))
+                assert errors[0] == errors[1]
+            errors = []
+            for a in (assignment, want):
+                with pytest.raises(UnassignedIdentifier) as exc:
+                    a.stream_for(max(ids, default=0) + 1)
+                errors.append(str(exc.value))
+            assert errors[0] == errors[1]
+
+    def test_a_negative_bit_budget_is_rejected(self):
+        with pytest.raises(ValueError, match="^bit budget must be nonnegative$"):
+            assignment_space_size((1, 2), -1)
+        with pytest.raises(ValueError, match="^bit budget must be nonnegative$"):
+            next(iter_bounded_assignments((1, 2), -1))
+
+    def test_node_contexts_are_immutable_values(self):
+        ctx = NodeContext(0, 3, 7, 2, "x", None, (None, None))
+        assert ctx.bits is None
+        with pytest.raises(AttributeError):
+            ctx.state = 1
+        same = NodeContext(0, 3, 7, 2, "x", None, (None, None), None)
+        assert ctx == same and hash(ctx) == hash(same)
+        assert len({ctx, same}) == 1
+        assert ctx != ctx._replace(round=1)
+        assert ctx._replace(state=5).state == 5 and ctx.state is None
 
 
 class TestRunDeterministic:

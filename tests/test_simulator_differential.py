@@ -1,12 +1,12 @@
 """Differential gate: the round simulator against the one it replaced.
 
-``reference_run`` is the simulator's ``_run`` from before node contexts were
-built without the frozen dataclass ``__init__`` and the per-run constants were
-hoisted, kept verbatim.  ``ReferenceReader`` is the ``BitReader`` of that
-time, kept verbatim too: it reads each bit through ``BitStream.bit``.  On every
-instance of the n <= 3 families, ``run_deterministic`` and ``run_randomized``
-must give what the reference gives: the same outputs (in the same order),
-rounds and trace, or the same exception type and text.
+``reference_run`` is the simulator's ``_run`` from before its per-run
+constants were hoisted out of the round loop, kept verbatim.
+``ReferenceReader`` is the ``BitReader`` of that time, kept verbatim too: it
+reads each bit through ``BitStream.bit``.  On every instance of the n <= 3
+families, ``run_deterministic`` and ``run_randomized`` must give what the
+reference gives: the same outputs (in the same order), rounds and trace, or
+the same exception type and text.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from derandlab import (
     BitBudgetExceeded,
     BitReader,
     BitStream,
-    BoundedVectors,
     InputInstance,
     InstanceFamilySpec,
     NodeContext,
@@ -295,21 +294,17 @@ def test_deterministic_runs_match_the_reference(trace):
 
 @pytest.mark.parametrize("program", randomized_programs(), ids=lambda p: p.name)
 def test_recorded_stream_runs_match_the_reference(program):
-    """Every joint choice of 2-bit vectors, in the order the exact estimator
-    enumerates them; leading-ones runs past two bits on some of them."""
+    """Every joint choice of 2-bit vectors; leading-ones runs past two bits on
+    some of them."""
     bits = 2
-    space = BoundedVectors(bits)
     errors = 0
     for inst in FAMILY:
         n = inst.n
-        flats = itertools.product((0, 1), repeat=bits * n)
-        for flat, assignment in itertools.zip_longest(
-            flats, space.assignments(inst.ids)
-        ):
+        for flat in itertools.product((0, 1), repeat=bits * n):
             vectors = {
                 inst.ids[v]: flat[v * bits : (v + 1) * bits] for v in range(n)
             }
-            assert assignment.vectors == vectors
+            assignment = RandomAssignment.from_vectors(vectors)
             got = outcome(
                 lambda: run_randomized(program, inst, streams=assignment, trace=True)
             )

@@ -43,7 +43,7 @@ from .simulator import (
     run_normal_form,
     save_table,
 )
-from .streams import BitBudgetExceeded, StreamExhausted, assignment_space_size
+from .streams import BitBudgetExceeded, StreamExhausted
 
 EXIT_OK = 0
 EXIT_UNSAT = 1
@@ -51,6 +51,7 @@ EXIT_VERIFY_FAILED = 2
 EXIT_BAD_INPUT = 3
 
 OUT_DIR_ENV = "DERANDLAB_OUT_DIR"
+TABLE_HELP = f"table file; a relative path is read under ${OUT_DIR_ENV} when it is set"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -155,7 +156,8 @@ def cmd_derandomize(args: argparse.Namespace) -> int:
     stats = outcome.stats
     print(
         f"search: {stats.realized_views} views / {stats.constraints} constraints / "
-        f"{stats.placements} placements / {stats.checks} checks / "
+        f"{stats.placements} placements / {stats.conflicts} conflicts / "
+        f"{stats.checks} checks / "
         f"{stats.predicate_calls} predicate_calls",
         file=sys.stderr,
     )
@@ -188,6 +190,9 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
 
 def _certify(args: argparse.Namespace) -> int:
+    if args.bits < 0:
+        # every mode records --bits, and the exact pass and --find-f use it
+        raise ValueError("bit budget must be nonnegative")
     problem = problem_by_name(args.problem)
     spec = _family_spec(args)
     family = list(enumerate_instances(spec))
@@ -205,9 +210,6 @@ def _certify(args: argparse.Namespace) -> int:
         "mode": args.mode,
         "claimed_n": claimed_n,
     }
-    if args.find_f:
-        # a negative --bits fails here, before the probability pass
-        assignment_space_size(spec.id_space, args.bits)
     # with --find-f the assignment search and the exact pass share one compilation
     checks = list(compile_checks(problem, family)) if args.find_f else None
     if args.mode == "exact":
@@ -392,7 +394,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--problem", required=True, help="mis | coloring:k | problem file")
     _family_args(p)
     p.add_argument("--T", type=int, required=True, help="table radius")
-    p.add_argument("--budget", type=int, default=None, help="search placement budget")
+    p.add_argument(
+        "--budget",
+        type=int,
+        default=None,
+        help="cap on the search's placements: labels chosen by decision, not implied",
+    )
     p.add_argument("--out-table", default=None)
     p.add_argument("--out-report", default=None)
     p.set_defaults(func=cmd_derandomize)
@@ -411,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check a table against a family")
     p.add_argument("--problem", required=True)
-    p.add_argument("--table", required=True)
+    p.add_argument("--table", required=True, help=TABLE_HELP)
     _family_args(p, required=False)
     p.add_argument("--instances", default=None, help="JSONL instance file")
     p.add_argument("--out", default=None)
@@ -419,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run a table or builtin program on a family")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--table", default=None)
+    group.add_argument("--table", default=None, help=TABLE_HELP)
     group.add_argument("--program", default=None, choices=sorted(DETERMINISTIC_BUILTINS))
     _family_args(p, required=False)
     p.add_argument("--instances", default=None)
@@ -430,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("connected-run", help="two-phase runtime on connected instances")
     p.add_argument("--problem", required=True)
-    p.add_argument("--table", required=True)
+    p.add_argument("--table", required=True, help=TABLE_HELP)
     _family_args(p, required=False)
     p.add_argument("--instances", default=None)
     p.add_argument("--out", default=None)

@@ -31,6 +31,7 @@ from .problems import (
     ProblemSpec,
     SearchBudgetExceeded,
     _backtrack,
+    _cdcl,
     brute_force_solve,
     compile_checks,
     verify,
@@ -240,7 +241,7 @@ class SearchConfig:
     problem: ProblemSpec
     family: InstanceFamilySpec
     radius: int
-    node_budget: int | None = None  # cap on label placements tried
+    node_budget: int | None = None  # cap on placements: labels chosen by decision
 
     def __post_init__(self) -> None:
         if self.radius < 0:
@@ -254,8 +255,9 @@ class SearchStats:
     family_size: int = 0
     realized_views: int = 0
     constraints: int = 0  # distinct compiled verification checks
-    placements: int = 0
+    placements: int = 0  # labels chosen by decision; implied labels are free
     checks: int = 0  # constraint evaluations during the table search
+    conflicts: int = 0  # violated constraints and clauses, each one learned from
     predicate_calls: int = 0  # memo misses: interpreted predicate evaluations
 
 
@@ -285,7 +287,7 @@ class FamilyIndex:
         checks = [self.constraints[c] for c in self.instance_constraints[index]]
         order = sorted(set(self.node_pos[index]))
         labels: list[str | None] = [None] * len(self.realized)
-        return _backtrack(order, checks, self.problem.output_alphabet, labels)[0]
+        return _backtrack(order, checks, self.problem.output_alphabet, labels)
 
     @property
     def predicate_calls(self) -> int:
@@ -367,19 +369,21 @@ def find_normal_form(config: SearchConfig) -> TableSearchOutcome:
     The family is compiled once into a :class:`FamilyIndex`: the realized
     view keys in sorted order and the deduplicated verification constraints,
     each keyed by its canonical verification ball and the positions of the
-    ball's members, with a memo from label tuple to verdict.  The search
-    assigns output labels to the realized keys in key order, trying labels in
-    alphabet order, and backtracks on the first violated constraint; a
-    constraint fires once every position it reads is labeled, and evaluating
-    it is a tuple build plus a memo lookup.  Checks are monotone, so pruning
-    never skips a valid table and the first complete assignment is the
-    lexicographic minimum.
+    ball's members, with a memo from label tuple to verdict.  A
+    conflict-learning solver (:func:`problems._cdcl`) decides the realized
+    keys in key order, trying labels in alphabet order, and never restarts,
+    so its first model is the lexicographic minimum.  A constraint is
+    evaluated once every position it reads is labeled (a tuple build plus a
+    memo lookup); a violated one becomes a clause, and the solver learns from
+    it and jumps back.  ``stats.placements`` counts the labels it chose by
+    decision (implied labels are free) and is what ``node_budget`` caps.
 
-    When the space is exhausted, each instance is solved alone over its own
-    constraints in family order; the first unsolvable one is the witness,
-    confirmed by :func:`brute_force_solve`.  A found table is verified once
-    more on the whole family with :func:`verify` and :func:`run_normal_form`,
-    the spec-level oracle.
+    When the clauses refute every table, each instance is solved alone over
+    its own constraints in family order; the first unsolvable one is the
+    witness, confirmed by :func:`brute_force_solve`.  A found table is
+    verified once more on the whole family with :func:`verify`, the
+    spec-level oracle, each node's output looked up in the table under the
+    view key the compilation gave it.
     """
     phase_s: dict[str, float] = {}
     mark = time.perf_counter()
@@ -404,8 +408,8 @@ def find_normal_form(config: SearchConfig) -> TableSearchOutcome:
     )
 
     labels: list[str | None] = [None] * len(realized)
-    found, stats.placements, stats.checks = _backtrack(
-        range(len(realized)), index.constraints, alphabet, labels, config.node_budget
+    found, stats.placements, stats.checks, stats.conflicts = _cdcl(
+        index.constraints, alphabet, labels, config.node_budget
     )
     witness = None if found else next(
         (i for i in range(len(instances)) if not index.solvable(i)), None
@@ -432,8 +436,10 @@ def find_normal_form(config: SearchConfig) -> TableSearchOutcome:
         dict(zip(realized, labels)),
         provenance=f"table-search:{problem.name}",
     )
-    for inst in instances:
-        if not verify(problem, inst, run_normal_form(table, inst)).valid:
+    # each node's output is the table's entry for its view, keyed at compile time
+    for inst, positions in zip(instances, index.node_pos):
+        outputs = {v: table.lookup(realized[pos]) for v, pos in enumerate(positions)}
+        if not verify(problem, inst, outputs).valid:
             raise SimulationError("internal: searched table failed final verification")
     lap("verify")
     return TableSearchOutcome(

@@ -326,20 +326,17 @@ def _backtrack(
     checks: Iterable[Check],
     alphabet: Sequence[str],
     labels: list[str | None],
-    budget: int | None = None,
-) -> tuple[bool, int, int]:
+) -> bool:
     """Label the positions in ``order`` one by one, trying labels in alphabet
     order and backtracking on the first violated check.
 
     Each check fires once the last of its members in ``order`` is labeled,
-    in the order ``checks`` lists them (:func:`_triggers`).  Returns
-    ``(found, placements, checks)``: ``found`` is True with ``labels``
-    holding the first complete assignment that satisfies every check, and
-    False once the space is exhausted.  Raises
-    :class:`SearchBudgetExceeded` once placements exceed ``budget``.
+    in the order ``checks`` lists them (:func:`_triggers`).  Returns True
+    with ``labels`` holding the first complete assignment that satisfies
+    every check, and False once the space is exhausted.  It serves the
+    single-instance solves, where it is faster than :func:`_cdcl`.
     """
     triggers = _triggers(order, checks)
-    placements = evaluated = 0
     depth = 0
     next_try = [0] * len(order)
     width = len(alphabet)
@@ -353,19 +350,13 @@ def _backtrack(
                 next_try[depth] += 1
             continue
         labels[pos] = alphabet[next_try[depth]]
-        placements += 1
-        if budget is not None and placements > budget:
-            raise SearchBudgetExceeded(
-                f"table search exceeded its budget of {budget} placements"
-            )
         for con in triggers[depth]:
-            evaluated += 1
             if not con.holds(labels):
                 next_try[depth] += 1
                 break
         else:
             depth += 1
-    return depth == len(order), placements, evaluated
+    return depth == len(order)
 
 
 def _triggers(order: Sequence[int], checks: Iterable[Check]) -> list[list[Check]]:
@@ -377,6 +368,220 @@ def _triggers(order: Sequence[int], checks: Iterable[Check]) -> list[list[Check]
     for check in checks:
         triggers[max(map(depth_of.__getitem__, check.members))].append(check)
     return triggers
+
+
+def _cdcl(
+    checks: Sequence[Check],
+    alphabet: Sequence[str],
+    labels: list[str | None],
+    budget: int | None = None,
+) -> tuple[bool, int, int, int]:
+    """The lexicographically first labeling of the positions of ``labels``
+    that satisfies every check, by conflict-driven clause learning.
+
+    The encoding is one-hot: boolean ``pos * k + i`` says that position
+    ``pos`` has label ``alphabet[i]``, with at-least-one and at-most-one
+    clauses per position.  Checks are turned into clauses lazily: a check is
+    evaluated (:meth:`Check.holds`) once every member is labeled, and when it
+    fails, the clause "not all of these members have these labels" joins the
+    clause set as the conflict.  Conflicts are analysed to the first unique
+    implication point, the learned clause is kept, and the search jumps back
+    to the level where that clause asserts (Eén & Sörensson, "An Extensible
+    SAT-solver", SAT 2003).  Unit propagation uses two watched literals; a
+    check watches one member that is not yet labeled.
+
+    Decisions label the first unlabeled position with its least label not
+    yet ruled out, and the search never restarts.  Its first model
+    is then the lexicographically first valid labeling S*:
+
+    - every propagated or learned literal is implied by the checks and by
+      the decisions on earlier positions;
+    - let the model M first differ from S* at position p;
+    - if M's label at p was a decision, the labels below it were ruled out by
+      decisions on earlier positions, which S* shares, so S*'s label at p is
+      no smaller and M would precede S*: impossible;
+    - if M's label at p was propagated, it is implied by decisions on earlier
+      positions, which S* shares, so S* has the same label at p: impossible.
+
+    Returns ``(found, decisions, checks, conflicts)``: ``found`` is True with
+    ``labels`` holding that labeling, and False once the clauses refute every
+    labeling.  ``checks`` counts check evaluations.  Raises
+    :class:`SearchBudgetExceeded` once decisions exceed ``budget``.
+    """
+    k = len(alphabet)
+    nvars = len(labels) * k
+    # literal 2 * var says var is true, literal 2 * var + 1 says it is false
+    value = [False] * (2 * nvars)  # value[lit]: lit is assigned true
+    level = [0] * nvars
+    reason: list[list[int] | None] = [None] * nvars
+    seen = [False] * nvars
+    watches: list[list[list[int]]] = [[] for _ in range(2 * nvars)]
+    chosen = [0] * len(labels)  # the true var of each labeled position
+    trail: list[int] = []
+    trail_lim: list[int] = []  # trail index of each decision
+    qhead = 0
+    decisions = evaluated = conflicts = 0
+
+    members = [tuple(set(check.members)) for check in checks]
+    check_watch: list[list[int]] = [[] for _ in labels]
+    for ci, scope in enumerate(members):
+        check_watch[max(scope)].append(ci)
+
+    def assign(lit: int, why: list[int] | None) -> None:
+        value[lit] = True
+        var = lit >> 1
+        level[var] = len(trail_lim)
+        reason[var] = why
+        trail.append(lit)
+
+    def attach(clause: list[int]) -> None:
+        watches[clause[0]].append(clause)
+        watches[clause[1]].append(clause)
+
+    def propagate() -> list[int] | None:
+        """Unit propagation plus check evaluation; the conflict clause or None.
+
+        A position enters ``labels`` when its true literal is propagated, in
+        trail order.  So a check stays on a labeled member only if its other
+        members were labeled earlier, and a back-jump that undoes one of them
+        undoes the watched member too.
+        """
+        nonlocal qhead, evaluated
+        while qhead < len(trail):
+            lit = trail[qhead]
+            qhead += 1
+            false_lit = lit ^ 1
+            ws = watches[false_lit]
+            kept = 0
+            for i, clause in enumerate(ws):
+                if clause[0] == false_lit:
+                    clause[0], clause[1] = clause[1], false_lit
+                first = clause[0]
+                if not value[first]:
+                    for j in range(2, len(clause)):
+                        other = clause[j]
+                        if not value[other ^ 1]:
+                            clause[1], clause[j] = other, false_lit
+                            watches[other].append(clause)
+                            break
+                    else:
+                        ws[kept] = clause
+                        kept += 1
+                        if value[first ^ 1]:
+                            ws[kept:i + 1] = []
+                            return clause
+                        assign(first, clause)
+                    continue
+                ws[kept] = clause
+                kept += 1
+            del ws[kept:]
+            if lit & 1:
+                continue
+            var = lit >> 1
+            pos = var // k
+            chosen[pos] = var
+            labels[pos] = alphabet[var % k]
+            cw = check_watch[pos]
+            kept = 0
+            for i, ci in enumerate(cw):
+                for other in members[ci]:
+                    if labels[other] is None:
+                        check_watch[other].append(ci)
+                        break
+                else:
+                    cw[kept] = ci
+                    kept += 1
+                    evaluated += 1
+                    if not checks[ci].holds(labels):
+                        cw[kept:i + 1] = []
+                        clause = [2 * chosen[m] + 1 for m in members[ci]]
+                        # watch the two literals that were falsified last
+                        clause.sort(key=lambda q: level[q >> 1], reverse=True)
+                        if len(clause) > 1:
+                            attach(clause)
+                        return clause
+            del cw[kept:]
+        return None
+
+    def analyze(conflict: list[int]) -> tuple[list[int], int]:
+        """The first-UIP learned clause (asserting literal first, then a
+        literal of the back-jump level) and the back-jump level."""
+        top = len(trail_lim)
+        learned = [0]
+        pending = 0
+        index = len(trail) - 1
+        clause = conflict
+        lit = -1
+        while True:
+            for q in clause if lit < 0 else clause[1:]:
+                var = q >> 1
+                if not seen[var] and level[var] > 0:
+                    seen[var] = True
+                    if level[var] == top:
+                        pending += 1
+                    else:
+                        learned.append(q)
+            while not seen[trail[index] >> 1]:
+                index -= 1
+            lit = trail[index]
+            index -= 1
+            seen[lit >> 1] = False
+            pending -= 1
+            if pending == 0:
+                break
+            clause = reason[lit >> 1]
+        learned[0] = lit ^ 1
+        for q in learned[1:]:
+            seen[q >> 1] = False
+        if len(learned) == 1:
+            return learned, 0
+        best = max(range(1, len(learned)), key=lambda i: level[learned[i] >> 1])
+        learned[1], learned[best] = learned[best], learned[1]
+        return learned, level[learned[1] >> 1]
+
+    for pos in range(len(labels)):
+        one_hot = [2 * (pos * k + i) for i in range(k)]
+        if k == 1:
+            assign(one_hot[0], one_hot)
+            continue
+        attach(one_hot)
+        for a, b in itertools.combinations(one_hot, 2):
+            attach([a + 1, b + 1])
+
+    cursor = 0
+    while True:
+        conflict = propagate()
+        if conflict is not None:
+            conflicts += 1
+            if not trail_lim:
+                return False, decisions, evaluated, conflicts
+            learned, back = analyze(conflict)
+            lim = trail_lim[back]
+            # positions before the first undone decision all keep their labels
+            cursor = (trail[lim] >> 1) // k
+            for lit in trail[lim:]:
+                value[lit] = False
+                if not lit & 1:
+                    labels[(lit >> 1) // k] = None
+            del trail[lim:], trail_lim[back:]
+            qhead = lim
+            if len(learned) > 1:
+                attach(learned)
+            assign(learned[0], learned)
+            continue
+        while cursor < len(labels) and labels[cursor] is not None:
+            cursor += 1
+        if cursor == len(labels):
+            return True, decisions, evaluated, conflicts
+        decisions += 1
+        if budget is not None and decisions > budget:
+            raise SearchBudgetExceeded(
+                f"table search exceeded its budget of {budget} placements"
+            )
+        base = 2 * k * cursor
+        lit = next(q for q in range(base, base + 2 * k, 2) if not value[q + 1])
+        trail_lim.append(len(trail))
+        assign(lit, None)
 
 
 def solve_lex_first(
@@ -394,7 +599,7 @@ def solve_lex_first(
     order = sorted(range(instance.n), key=instance.identifier)
     checks = _instance_checks(problem, instance, None)
     labels: list[str | None] = [None] * instance.n
-    found, _, _ = _backtrack(order, checks, problem.output_alphabet, labels)
+    found = _backtrack(order, checks, problem.output_alphabet, labels)
     return {v: labels[v] for v in order} if found else None
 
 

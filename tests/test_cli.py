@@ -92,8 +92,8 @@ class TestDerandomize:
         assert run(["derandomize", "--problem", "mis", "--n", "3", "--T", "1"]) == 0
         err = capsys.readouterr().err
         assert (
-            "search: 21 views / 21 constraints / 44 placements / 50 checks / "
-            "34 predicate_calls"
+            "search: 21 views / 21 constraints / 67 placements / 10 conflicts / "
+            "62 checks / 31 predicate_calls"
         ) in err
 
     def test_stderr_times_each_phase(self, capsys):
@@ -283,16 +283,21 @@ class TestCertify:
                 "run_randomized",
                 lambda *a, real=real, **k: runs.append(1) or real(*a, **k),
             )
-        argv = [
+        base = [
             "certify", "--problem", "coloring:2", "--n", "2", "--program", "first-bit",
-            "--mode", "mc", "--seed", "1", "--trials", "10", "--find-f", "--bits",
         ]
-        capsys.readouterr()
-        assert run(argv + ["-1"]) == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: bit budget must be nonnegative\n"
-        assert runs == []
+        for mode in (
+            ["--mode", "mc", "--seed", "1", "--trials", "10", "--find-f"],
+            ["--mode", "mc", "--seed", "1", "--trials", "10"],
+            ["--mode", "exact"],
+        ):
+            argv = base + mode + ["--bits"]
+            capsys.readouterr()
+            assert run(argv + ["-1"]) == 3, mode
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: bit budget must be nonnegative\n"
+            assert runs == []
         # the same call with a valid budget does run the program
         assert run(argv + ["1"]) == 0
         assert runs

@@ -386,9 +386,10 @@ class TestFamilyIndex:
             SearchConfig(problem=make_coloring(2), family=InstanceFamilySpec(n=3), radius=2)
         )
         stats = outcome.stats
-        assert stats.placements == 56318
+        # the conflict-learning search's own counters
+        assert (stats.placements, stats.conflicts) == (87, 15)
         assert stats.constraints == 21
-        assert (stats.checks, stats.predicate_calls) == (74242, 72)
+        assert (stats.checks, stats.predicate_calls) == (93, 41)
 
 
 class TestDerandomizeReport:

@@ -1,13 +1,14 @@
-"""Differential gate: the compiled table search against the original one.
+"""Differential gate: the table search against the original one.
 
-``reference_find_normal_form`` is the backtracker the compiled search
-replaced, kept verbatim: one closure per node of every instance, each running
-the interpreted ball predicate on every trigger.  Both must return the same
-table, verdict, witness and number of placements.
+``reference_find_normal_form`` is the chronological backtracker the
+conflict-learning search replaced, kept verbatim: one closure per node of
+every instance, each running the interpreted ball predicate on every trigger.
+Both must return the same table, verdict and witness.
 """
 
 from __future__ import annotations
 
+import random
 from typing import Callable
 
 import pytest
@@ -30,7 +31,8 @@ from derandlab import (
     run_normal_form,
     verify,
 )
-from derandlab.derandomize import SearchStats
+from derandlab.derandomize import SearchStats, compile_family
+from derandlab.problems import ProblemSpec, _backtrack, _cdcl, problem_from_jsonable
 
 
 def reference_find_normal_form(config: SearchConfig) -> TableSearchOutcome:
@@ -145,7 +147,7 @@ CASES = [
         problem_by_name(name), InstanceFamilySpec(n=n), radius, id=f"{name}-n{n}-T{radius}"
     )
     for name in LOCAL
-    for n in (2, 3)
+    for n in (1, 2, 3)
     for radius in (0, 1, 2)
 ]
 CASES += [
@@ -163,6 +165,12 @@ CASES.append(
         id="copy-neighbor-parity-n2-c2",
     )
 )
+# n=4 cases the reference decides in a few hundred placements: exhausted,
+# witness and found
+CASES += [
+    pytest.param(problem_by_name(name), InstanceFamilySpec(n=4), 0, id=f"{name}-n4-T0")
+    for name in ("mis", "coloring:2", "coloring:4")
+]
 
 
 @pytest.mark.parametrize("problem,family,radius", CASES)
@@ -175,8 +183,15 @@ def test_compiled_search_matches_the_reference(problem, family, radius):
     assert got.witness_index == expected.witness_index
     assert got.witness == expected.witness
     assert got.exhausted == expected.exhausted
-    assert got.stats.placements == expected.stats.placements
     assert got.stats.realized_views == expected.stats.realized_views
+    # Without a violated check both searches label the views greedily, and the
+    # solver decides each view that has more than one label to choose from.
+    # The reference met a violated check iff it backtracked.
+    greedy = expected.found and expected.stats.placements == expected.stats.realized_views
+    assert (got.stats.conflicts == 0) == greedy
+    if greedy:
+        choices = expected.stats.placements if len(problem.output_alphabet) > 1 else 0
+        assert got.stats.placements == choices
 
 
 def test_the_cases_cover_every_verdict():
@@ -187,12 +202,54 @@ def test_the_cases_cover_every_verdict():
 
 
 def test_budget_is_charged_the_same_way():
+    # the search needs over 12,000 decisions here, the reference never ends
     config = SearchConfig(
-        problem=problem_by_name("coloring:2"),
-        family=InstanceFamilySpec(n=3),
+        problem=problem_by_name("coloring:4"),
+        family=InstanceFamilySpec(n=4),
         radius=1,
         node_budget=1000,
     )
     for search in (reference_find_normal_form, find_normal_form):
         with pytest.raises(SearchBudgetExceeded, match="1000"):
             search(config)
+
+
+def random_table_problem(rng: random.Random) -> ProblemSpec:
+    """A declarative radius-1 problem with random allowed entries."""
+    alphabet = [f"L{i}" for i in range(rng.choice((2, 3)))]
+    allowed = []
+    for _ in range(rng.randint(1, 2 * len(alphabet))):
+        condition = {}
+        if rng.random() < 0.6:
+            condition["forbid"] = rng.sample(alphabet, rng.randint(1, len(alphabet)))
+        if rng.random() < 0.4:
+            condition["require_any"] = rng.sample(alphabet, rng.randint(1, len(alphabet)))
+        allowed.append({"center": rng.choice(alphabet), "neighbors_condition": condition})
+    return problem_from_jsonable(
+        {"name": "random", "radius": 1, "output_alphabet": alphabet, "kind": "table",
+         "allowed": allowed}
+    )
+
+
+def test_the_solver_finds_the_backtrackers_table_on_random_problems():
+    rng = random.Random(20231018)
+    families = [
+        list(enumerate_instances(spec))
+        for spec in (
+            InstanceFamilySpec(n=2, input_alphabet=("a", "b")),
+            InstanceFamilySpec(n=3),
+        )
+    ]
+    outcomes = set()
+    for _ in range(150):
+        problem = random_table_problem(rng)
+        index = compile_family(problem, rng.choice(families), rng.choice((0, 1)))
+        expected: list[str | None] = [None] * len(index.realized)
+        got: list[str | None] = [None] * len(index.realized)
+        alphabet = problem.output_alphabet
+        found = _backtrack(range(len(expected)), index.constraints, alphabet, expected)
+        assert _cdcl(index.constraints, alphabet, got)[0] == found
+        if found:
+            assert got == expected
+        outcomes.add(found)
+    assert outcomes == {True, False}

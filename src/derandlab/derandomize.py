@@ -304,12 +304,27 @@ def compile_family(
     Constraints come from the instances' compiled checks
     (:func:`compile_checks`): a check's member node indices are mapped to
     realized-view positions, and checks with equal canonical keys and equal
-    positions become one constraint, with a verdict memo of its own.
+    positions become one constraint, with a verdict memo of its own.  When
+    the table radius is the problem's radius and the problem is locally
+    verifiable, each node's view key is the key of its own check (the one
+    whose ``members[0]`` is the node), so each ball is extracted and keyed
+    once.
     """
-    node_keys = [
-        tuple(canonicalize(extract_ball(inst, v, radius)) for v in range(inst.n))
-        for inst in instances
-    ]
+    compiled_family: Iterable[CompiledCheck] = compile_checks(problem, instances)
+    if radius == problem.radius and problem.locally_verifiable:
+        # the checks are then needed twice; otherwise they stay lazy
+        compiled_family = list(compiled_family)
+        node_keys = []
+        for compiled in compiled_family:
+            keys = [""] * compiled.instance.n
+            for check in compiled.checks:
+                keys[check.members[0]] = check.key
+            node_keys.append(tuple(keys))
+    else:
+        node_keys = [
+            tuple(canonicalize(extract_ball(inst, v, radius)) for v in range(inst.n))
+            for inst in instances
+        ]
     realized = sorted({key for keys in node_keys for key in keys})
     pos_of = {key: i for i, key in enumerate(realized)}
     node_pos = [tuple(pos_of[key] for key in keys) for keys in node_keys]
@@ -317,7 +332,7 @@ def compile_family(
     constraints: list[Check] = []
     seen: dict[object, int] = {}
     instance_constraints: list[tuple[int, ...]] = []
-    for compiled, positions in zip(compile_checks(problem, instances), node_pos):
+    for compiled, positions in zip(compiled_family, node_pos):
         own: dict[int, None] = {}
         # node order fixes the order in which checks fire, which decides the
         # search's check and predicate counts (not its tables or placements)

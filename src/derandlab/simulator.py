@@ -19,7 +19,6 @@ programs cannot observe anything beyond what their gathered views contain.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -27,13 +26,14 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .graphs import InputInstance, canonicalize, extract_ball
-from .problems import CompiledCheck, ProblemSpec, compile_checks
+from .problems import Check, CompiledCheck, ProblemSpec, _triggers, compile_checks
 from .streams import (
     DEFAULT_BIT_CAP,
     BitReader,
     BitStream,
     RandomAssignment,
     ReadPath,
+    _exhausted,
     join_key,
     keyed_bit,
 )
@@ -105,7 +105,11 @@ class NodeProgram:
 
     A step may read private bits from ``ctx.bits`` when the run supplies
     streams (:func:`run_randomized`), with no a-priori bound on how many; under
-    :func:`run_deterministic` ``ctx.bits`` is None.
+    :func:`run_deterministic` ``ctx.bits`` is None.  A step reads bits only
+    through ``next_bit`` and ``take``, never through ``position`` or the
+    reader's stream, and a step of a randomized program is a pure function
+    of its context and the bits it reads.  States, messages and outputs are
+    hashable: :func:`compute_success_exact` merges equal configurations.
     """
 
     name: str
@@ -121,6 +125,70 @@ class RunResult:
     trace: tuple[tuple[int, ...], ...] | None = None
 
 
+def _claimed(instance: InputInstance, claimed_n: int | None) -> int:
+    """The node count a run tells its nodes: ``claimed_n``, or the true count
+    when it is None; never below the true count."""
+    n = instance.n
+    if claimed_n is None:
+        return n
+    if claimed_n < n:
+        raise ValueError(f"claimed node count {claimed_n} below true count {n}")
+    return claimed_n
+
+
+def _inboxes(
+    rnd: int, outbox: Sequence[Sequence[Any] | None], layout: tuple
+) -> list[tuple[Any, ...]]:
+    """Each node's inbox in round ``rnd``: port p of node v holds what its
+    p-th neighbor put on its port toward v in ``outbox`` (a per-port row of
+    each node, or None when the node sent nothing)."""
+    ports, port_of, degrees = layout
+    if rnd == 0:
+        return list(map((None,).__mul__, degrees))  # (None,) * degree
+    return [
+        tuple(
+            outbox[u][p] if outbox[u] is not None else None
+            for u, p in zip(ports[v], port_of[v])
+        )
+        for v in range(len(degrees))
+    ]
+
+
+def _step(
+    step: Callable[[NodeContext], StepResult],
+    alphabet: tuple[str, ...] | None,
+    ctx: NodeContext,
+    v: int,
+) -> tuple[Any, tuple[Any, ...] | None, str | None]:
+    """Node ``v``'s step on ``ctx``: its new state, what it sends as a
+    per-port row (None when it sends nothing), and its output, checked
+    against ``alphabet``, the program's output alphabet or None."""
+    res = step(ctx)
+    send, send_ports = res.send, res.send_ports
+    if send_ports:
+        per_port = [send] * ctx.degree
+        for p, msg in send_ports.items():
+            per_port[p] = msg
+        row = tuple(per_port)
+    elif send is None:
+        row = None
+    else:
+        row = (send,) * ctx.degree
+    output = res.output
+    # a handful of labels: a tuple scan costs less than building a set
+    if output is not None and alphabet is not None and output not in alphabet:
+        raise SimulationError(
+            f"node {v} emitted label {output!r} outside the output alphabet"
+        )
+    return res.state, row, output
+
+
+def _round_budget_error(bound: int, stuck: list[int]) -> SimulationError:
+    return SimulationError(
+        f"round budget {bound} exceeded; nodes {stuck} never halted"
+    )
+
+
 def _run(
     program: NodeProgram,
     instance: InputInstance,
@@ -129,88 +197,58 @@ def _run(
     trace: bool,
 ) -> RunResult:
     n = instance.n
-    if claimed_n is None:
-        claimed_n = n
-    if claimed_n < n:
-        raise ValueError(f"claimed node count {claimed_n} below true count {n}")
+    claimed_n = _claimed(instance, claimed_n)
     bound = program.round_bound(claimed_n)
-    # a handful of labels: a tuple scan costs less than building a set per run
-    alphabet = program.output_alphabet or None
-    step = program.step
+    step, alphabet = program.step, program.output_alphabet or None
     ids, inputs = instance.ids, instance.inputs
     if readers is None:
         readers = [None] * n
-
     # Port p of node v is its p-th neighbor in increasing identifier order.
-    ports, port_of, degrees = instance.port_layout
+    layout = instance.port_layout
+    degrees = layout[2]
 
     state: list[Any] = [None] * n
     halted = [False] * n
     running = n
     outputs: dict[int, str] = {}
     last_output_round = 0
-    outbox: list[list[Any] | None] = [None] * n
+    outbox: list[tuple[Any, ...] | None] = [None] * n
     trace_rows: list[tuple[int, ...]] = []
 
     for rnd in range(bound + 1):
-        if rnd == 0:
-            inboxes = list(map((None,).__mul__, degrees))  # (None,) * degree
-        else:
-            inboxes = [
-                tuple(
-                    outbox[u][p] if outbox[u] is not None else None
-                    for u, p in zip(ports[v], port_of[v])
-                )
-                for v in range(n)
-            ]
-        new_outbox: list[list[Any] | None] = [None] * n
-        sent_counts = [0] * n if trace else None
+        inboxes = _inboxes(rnd, outbox, layout)
+        new_outbox: list[tuple[Any, ...] | None] = [None] * n
         for v in range(n):
             if halted[v]:
                 continue
-            res = step(
-                NodeContext(
-                    rnd,
-                    claimed_n,
-                    ids[v],
-                    degrees[v],
-                    inputs[v],
-                    state[v],
-                    inboxes[v],
-                    readers[v],
-                )
+            ctx = NodeContext(
+                rnd,
+                claimed_n,
+                ids[v],
+                degrees[v],
+                inputs[v],
+                state[v],
+                inboxes[v],
+                readers[v],
             )
-            state[v] = res.state
-            send, send_ports = res.send, res.send_ports
-            if send is not None or send_ports:
-                per_port = [send] * degrees[v]
-                if send_ports:
-                    for p, msg in send_ports.items():
-                        per_port[p] = msg
-                new_outbox[v] = per_port
-                if trace:
-                    sent_counts[v] = sum(m is not None for m in per_port)
-            output = res.output
+            state[v], new_outbox[v], output = _step(step, alphabet, ctx, v)
             if output is not None:
-                if alphabet is not None and output not in alphabet:
-                    raise SimulationError(
-                        f"node {v} emitted label {output!r} outside the "
-                        f"output alphabet"
-                    )
                 outputs[v] = output
                 halted[v] = True
                 running -= 1
                 last_output_round = rnd
         if trace:
-            trace_rows.append(tuple(sent_counts))
+            trace_rows.append(
+                tuple(
+                    0 if row is None else sum(m is not None for m in row)
+                    for row in new_outbox
+                )
+            )
         outbox = new_outbox
         if not running:
             break
     else:
-        stuck = [v for v in range(n) if not halted[v]]
-        raise SimulationError(
-            f"round budget {bound} exceeded; nodes {stuck} never halted"
-        )
+        raise _round_budget_error(bound, [v for v in range(n) if not halted[v]])
     return RunResult(outputs, last_output_round, tuple(trace_rows) if trace else None)
 
 
@@ -487,48 +525,260 @@ def compute_success_exact(
     most ``bits`` bits per node (reading further raises).
 
     The result is the exact fraction of the (2**bits)**n joint choices of
-    per-node bit vectors whose run fails verification.  A run is a pure
-    function of the bits its nodes read, in global read order, so each
-    instance walks the tree of those read paths depth first (Knuth & Yao,
-    1976), one run per leaf: a bit not yet on the current path reads as 0,
-    and after each run the deepest 0 of its path flips to 1 and the bits
-    after it are dropped.  A leaf at depth d weighs 2**-d.  The walk holds
-    only the current path (:class:`ReadPath`), and a program that reads
-    fewer bits than the budget needs fewer runs.  Runs are checked against
-    the instance's compiled checks (:func:`compile_checks`), which agree
-    with :func:`verify`; ``checks``, when given, are the family's compiled
-    checks in family order, so a caller can share them with another pass
-    over the same family.
+    per-node bit vectors whose run fails verification.  Each bit a node has
+    not read yet is a fresh uniform bit, and a node reads only its own
+    stream, so within one round the nodes' steps are independent, and what a
+    run does after a round depends only on its configuration: each node's
+    state, the row of messages it sent, its output and its read position
+    (of a node that has halted, only its output and its last row).
+
+    Each instance is evaluated round by round over configurations with
+    dyadic weights, starting from the one empty configuration.  In a round,
+    each running node walks the tree of the bits its step reads depth first
+    (Knuth & Yao, 1976; :class:`_ReadTree`), once per distinct (state,
+    inbox, read position); the walk gives that node's distribution over
+    outcomes.  The product of the nodes' distributions gives the next
+    configurations, and equal ones are merged, adding their weights, as
+    probabilistic model checkers do (Kwiatkowska, Norman & Parker, "PRISM
+    4.0", CAV 2011).  A configuration in which every node has halted is
+    checked against the instance's compiled checks (:func:`compile_checks`),
+    which agree with :func:`verify`, and its weight counts as failed if they
+    reject it.  When every outcome of every node of a configuration halts,
+    the product is walked depth first in node order instead, each check
+    firing at its last member, and a failing check adds the whole mass below
+    it as failed.  ``checks``, when given, are the family's compiled checks
+    in family order, so a caller can share them with another pass over the
+    same family.
+
+    The runs this covers raise what a run would raise: a read past ``bits``
+    raises :class:`StreamExhausted` and a read at the bit cap
+    :class:`BitBudgetExceeded`, a label outside the program's alphabet or a
+    run past the round bound raises :class:`SimulationError`, and so does a
+    step that reads different bits when replayed.  Where several runs would
+    raise, the one reported is the first the evaluation meets, which need
+    not be the first in global read order (a different node's foreign label,
+    say).  States, messages and outputs must be hashable; an unhashable one
+    raises :class:`SimulationError` naming the program.
     """
     if bits < 0:
         raise ValueError("bit budget must be nonnegative")
     if checks is None:
         checks = compile_checks(problem, family)
-    # a read at the run's bit cap raises before it asks the stream
-    zeros = BitStream.from_bits((0,) * min(bits, DEFAULT_BIT_CAP))
-    source = RandomAssignment(lambda _ident: zeros)
-    failures: list[Fraction] = []
-    for compiled in checks:
-        instance = compiled.instance
-        log = ReadPath(source, instance.ids)
-        path = log.bits
-        failed_at_depth: Counter[int] = Counter()
+    tree = _ReadTree(program, bits)
+    return [_exact_failure(tree, compiled, claimed_n) for compiled in checks]
+
+
+_UNHASHABLE = (
+    "program {} has an unhashable state, message or output; exact "
+    "probabilities merge equal configurations, which needs them hashable"
+)
+
+# One node's entry in a configuration: (state, row, output, read position).
+# A node that has halted never steps or reads again, so its entry keeps only
+# its output and the row it sent last: (None, row, output, 0).
+_Entry = tuple[Any, "tuple[Any, ...] | None", "str | None", int]
+
+
+class _Outcomes(NamedTuple):
+    """One node's outcomes in one round: its distinct entries, each with a
+    weight over 2**depth; and, when every entry halts, its labels with their
+    weights, else None."""
+
+    entries: list[tuple[_Entry, int]]
+    depth: int
+    labels: list[tuple[str, int]] | None
+
+
+class _ReadTree:
+    """The bits that one node's step reads in one round, walked depth first.
+
+    :attr:`reader` reads bit ``start + j`` as ``path[j]``.  A bit not yet on
+    the path reads as 0 and joins it; after each leaf the deepest 0 of the
+    path flips to 1 and the bits after it are dropped, so a leaf at depth d
+    weighs 2**-d.  A read at or past ``bits`` raises
+    :class:`StreamExhausted`, and the reader's cap raises
+    :class:`BitBudgetExceeded`, with the texts a run over the recorded
+    all-zeros vector of ``bits`` bits gives.
+    """
+
+    def __init__(self, program: NodeProgram, bits: int):
+        self.program = program
+        self.recorded = min(bits, DEFAULT_BIT_CAP)
+        self.path: list[int] = []
+        self.start = 0
+        stream = BitStream(self._bit, "recorded:" + "0" * self.recorded)
+        self.reader = BitReader(stream, DEFAULT_BIT_CAP)
+
+    def _bit(self, i: int) -> int:
+        path = self.path
+        j = i - self.start
+        if j == len(path):
+            if i >= self.recorded:
+                raise _exhausted(self.recorded)
+            path.append(0)
+        return path[j]
+
+    def walk(self, ctx: NodeContext, v: int, position: int) -> _Outcomes:
+        """Node ``v``'s outcomes of the step on ``ctx``, whose reads start at
+        ``position``."""
+        program, reader, path = self.program, self.reader, self.path
+        step, alphabet = program.step, program.output_alphabet or None
+        path.clear()
+        self.start = position
+        leaves: list[tuple[_Entry, int]] = []
         while True:
-            result = run_randomized(program, instance, claimed_n, streams=log.assignment)
-            if len(log.reads) != len(path):
+            reader.position = position
+            state, row, output = _step(step, alphabet, ctx, v)
+            if reader.position - position != len(path):
                 raise SimulationError(_IMPURE.format(program.name))
-            if not compiled.valid(result.outputs):
-                failed_at_depth[len(path)] += 1
+            if output is None:
+                leaves.append(((state, row, None, reader.position), len(path)))
+            else:
+                leaves.append(((None, row, output, 0), len(path)))
             while path and path[-1]:
                 path.pop()
             if not path:
                 break
             path[-1] = 1
-            log.replay()
-        failures.append(
-            sum((Fraction(c, 1 << d) for d, c in failed_at_depth.items()), Fraction(0))
-        )
-    return failures
+        depth = max(d for _, d in leaves)
+        entries: dict[_Entry, int] = {}
+        try:
+            for entry, d in leaves:
+                entries[entry] = entries.get(entry, 0) + (1 << (depth - d))
+        except TypeError:
+            raise SimulationError(_UNHASHABLE.format(program.name)) from None
+        labels = None
+        if all(entry[2] is not None for entry in entries):
+            weights: dict[str, int] = {}
+            for entry, w in entries.items():
+                weights[entry[2]] = weights.get(entry[2], 0) + w
+            labels = list(weights.items())
+        return _Outcomes(list(entries.items()), depth, labels)
+
+
+def _exact_failure(
+    tree: _ReadTree, compiled: CompiledCheck, claimed_n: int | None
+) -> Fraction:
+    """The failure probability of one instance; see
+    :func:`compute_success_exact`."""
+    program = tree.program
+    instance = compiled.instance
+    n = instance.n
+    claimed_n = _claimed(instance, claimed_n)
+    bound = program.round_bound(claimed_n)
+    ids, inputs = instance.ids, instance.inputs
+    layout = instance.port_layout
+    degrees = layout[2]
+    alphabet = frozenset(compiled.problem.output_alphabet)
+    triggers: list[list[Check]] | None = None
+    verdicts: dict[tuple[str, ...], bool] = {}
+    # weights, and the failed mass, are numerators over 2**scale
+    configs: dict[tuple[_Entry, ...], int] = {((None, None, None, 0),) * n: 1}
+    scale = failed = 0
+    for rnd in range(bound + 1):
+        walks: dict[tuple, _Outcomes] = {}
+        expanded = []
+        for config, weight in configs.items():
+            inboxes = _inboxes(rnd, [entry[1] for entry in config], layout)
+            nodes: list[_Outcomes] = []
+            for v, (state, _row, output, position) in enumerate(config):
+                if output is not None:
+                    # halted: its last messages were delivered this round
+                    entry = (None, None, output, 0)
+                    nodes.append(_Outcomes([(entry, 1)], 0, [(output, 1)]))
+                    continue
+                key = (v, state, inboxes[v], position)
+                try:
+                    walked = walks.get(key)
+                except TypeError:
+                    raise SimulationError(_UNHASHABLE.format(program.name)) from None
+                if walked is None:
+                    ctx = NodeContext(
+                        rnd,
+                        claimed_n,
+                        ids[v],
+                        degrees[v],
+                        inputs[v],
+                        state,
+                        inboxes[v],
+                        tree.reader,
+                    )
+                    walked = walks[key] = tree.walk(ctx, v, position)
+                nodes.append(walked)
+            expanded.append((weight, nodes, sum(node.depth for node in nodes)))
+        next_scale = scale + max(depth for _, _, depth in expanded)
+        failed <<= next_scale - scale
+        successors: dict[tuple[_Entry, ...], int] = {}
+        for weight, nodes, depth in expanded:
+            weight <<= next_scale - scale - depth
+            if all(
+                node.labels is not None
+                and all(label in alphabet for label, _ in node.labels)
+                for node in nodes
+            ):
+                # every outcome halts: no run continues past this round
+                if triggers is None:
+                    triggers = _triggers(range(n), compiled.checks)
+                failed += weight * _failed_share(nodes, triggers)
+                continue
+            combos = [((), weight)]
+            for node in nodes:
+                combos = [
+                    (entries + (entry,), w * m)
+                    for entries, w in combos
+                    for entry, m in node.entries
+                ]
+            for entries, w in combos:
+                if all(entry[2] is not None for entry in entries):
+                    outputs = tuple([entry[2] for entry in entries])
+                    valid = verdicts.get(outputs)
+                    if valid is None:
+                        valid = verdicts[outputs] = compiled.valid(
+                            dict(enumerate(outputs))
+                        )
+                    if not valid:
+                        failed += w
+                    continue
+                try:
+                    successors[entries] = successors.get(entries, 0) + w
+                except TypeError:
+                    raise SimulationError(_UNHASHABLE.format(program.name)) from None
+        if not successors:
+            return Fraction(failed, 1 << next_scale)
+        configs, scale = successors, next_scale
+    first = next(iter(configs))
+    raise _round_budget_error(
+        bound, [v for v, entry in enumerate(first) if entry[2] is None]
+    )
+
+
+def _failed_share(nodes: list[_Outcomes], triggers: list[list[Check]]) -> int:
+    """The failed mass of the product of the nodes' label distributions,
+    over 2**(the sum of their depths).
+
+    The product is walked depth first in node order, each check firing at
+    its last member (``triggers``, :func:`_triggers`); a failing check adds
+    the whole mass below it."""
+    n = len(nodes)
+    below = [0] * n  # below[v]: the depths of the nodes after v
+    for v in range(n - 2, -1, -1):
+        below[v] = below[v + 1] + nodes[v + 1].depth
+    current: list[str | None] = [None] * n
+
+    def walk(v: int, weight: int) -> int:
+        lost = 0
+        for label, count in nodes[v].labels:
+            current[v] = label
+            for check in triggers[v]:
+                if not check.holds(current):
+                    lost += (weight * count) << below[v]
+                    break
+            else:
+                if v + 1 < n:
+                    lost += walk(v + 1, weight * count)
+        return lost
+
+    return walk(0, 1) if n else 0
 
 
 @dataclass(frozen=True)

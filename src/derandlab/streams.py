@@ -92,14 +92,20 @@ def keyed_bit(key: str, i: int, blocks: dict[int, bytes]) -> int:
     return block[(i & 255) >> 3] >> (7 - (i & 7)) & 1
 
 
+def _exhausted(length: int) -> StreamExhausted:
+    """The error of a read past the end of a recorded stream of ``length``
+    bits."""
+    return StreamExhausted(
+        f"bit budget exceeded: recorded stream holds {length} bits"
+    )
+
+
 def _recorded(recorded: tuple[int, ...]) -> BitStream:
     """The stream of :meth:`BitStream.from_bits` over already validated bits."""
 
     def getter(i: int) -> int:
         if i >= len(recorded):
-            raise StreamExhausted(
-                f"bit budget exceeded: recorded stream holds {len(recorded)} bits"
-            )
+            raise _exhausted(len(recorded))
         return recorded[i]
 
     return BitStream(getter, f"recorded:{''.join(map(str, recorded))}")

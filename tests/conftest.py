@@ -9,17 +9,33 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
+from fractions import Fraction
 
 from derandlab import (
+    DEFAULT_BIT_CAP,
+    BitStream,
     Graph,
     InputInstance,
     NodeContext,
     NodeProgram,
     ProblemSpec,
+    RandomAssignment,
+    ReadPath,
+    SimulationError,
     StepResult,
     canonicalize,
+    compile_checks,
     extract_ball,
+    problem_by_name,
+    run_randomized,
     verify,
+)
+from derandlab.problems import problem_from_jsonable
+from derandlab.programs import (
+    first_bit_label_program,
+    id_parity_label_program,
+    two_bit_label_program,
 )
 
 
@@ -153,6 +169,18 @@ def copy_neighbor_parity_problem() -> ProblemSpec:
     )
 
 
+def leading_ones_count_problem(cap):
+    """Proper coloring by leading-one counts below ``cap``."""
+    return problem_from_jsonable(
+        {
+            "name": f"leading-ones-coloring-{cap}",
+            "radius": 1,
+            "output_alphabet": [str(count) for count in range(cap)],
+            "kind": "coloring-like",
+        }
+    )
+
+
 def claimed_size_program(alphabet) -> NodeProgram:
     """Colors by identifier parity when told at least 16 nodes (the claimed
     size of the n=2 family), and by a private bit otherwise."""
@@ -182,3 +210,126 @@ def adaptive_two_round_program(alphabet) -> NodeProgram:
         return StepResult(output=labels[ctx.state])
 
     return NodeProgram("adaptive-two-round", step, lambda _claimed: 1, labels)
+
+
+def trial_colouring_program(alphabet, phases) -> NodeProgram:
+    """Trial colouring with a palette of up to three colours, in ``phases``
+    phases of two rounds each, then one last round.
+
+    In the first round of a phase, an uncoloured node drops from its palette
+    the colours its neighbours announced, and proposes a colour from it: with
+    three colours it reads two bits and sits the phase out on ``11``, with
+    two it reads one bit, and with one it reads none.  In the second round
+    it keeps its proposal, announcing it and halting, if no neighbour
+    proposed the same colour.  In the last round a node still uncoloured
+    takes the least colour left in its palette, which may clash with a
+    neighbour.  States and messages are tuples, labels or None."""
+    labels = tuple(alphabet)
+
+    def step(ctx: NodeContext) -> StepResult:
+        rnd = ctx.round
+        if rnd % 2:
+            palette, proposal = ctx.state
+            if proposal is not None and proposal not in ctx.inbox:
+                return StepResult(send=proposal, output=proposal)
+            return StepResult(state=palette)
+        palette = labels if rnd == 0 else tuple(
+            colour for colour in ctx.state if colour not in ctx.inbox
+        )
+        if rnd == 2 * phases:
+            return StepResult(output=palette[0])
+        if len(palette) == 1:
+            pick = 0
+        elif len(palette) == 2:
+            pick = ctx.bits.next_bit()
+        else:
+            pick = 2 * ctx.bits.next_bit() + ctx.bits.next_bit()
+            if pick == 3:
+                return StepResult(state=(palette, None))
+        return StepResult(send=palette[pick], state=(palette, palette[pick]))
+
+    return NodeProgram(
+        f"trial-colouring[{phases}]", step, lambda _claimed: 2 * phases, labels
+    )
+
+
+# Randomized programs with a problem, an exact bit budget and a claimed node
+# count: (program factory, problem, bits, claimed_n).
+DIFFERENTIAL_CASES = {
+    "first-bit": (first_bit_label_program, "coloring:2", 2, None),
+    "two-bit": (two_bit_label_program, "coloring:3", 2, None),
+    "id-parity": (id_parity_label_program, "coloring:2", 1, None),
+    "claimed-size-told": (claimed_size_program, "coloring:2", 1, 16),
+    "claimed-size-untold": (claimed_size_program, "coloring:2", 1, None),
+    "adaptive-two-round": (adaptive_two_round_program, "coloring:2", 2, None),
+}
+
+
+def differential_case(name):
+    factory, problem_name, bits, claimed_n = DIFFERENTIAL_CASES[name]
+    problem = problem_by_name(problem_name)
+    return factory(problem.output_alphabet), problem, bits, claimed_n
+
+
+# ``compute_success_exact`` as it was before runs were merged into
+# configurations, kept verbatim as ``reference_tree_walk``: one run per leaf
+# of the joint read tree of all the nodes of an instance, in global read
+# order.
+
+_IMPURE = "program {} read different bits on one read path; its steps are not pure"
+
+
+def reference_tree_walk(
+    program,
+    problem,
+    family,
+    bits: int,
+    claimed_n: int | None = None,
+    checks=None,
+) -> list[Fraction]:
+    """Exact per-instance failure probabilities for a program that reads at
+    most ``bits`` bits per node (reading further raises).
+
+    The result is the exact fraction of the (2**bits)**n joint choices of
+    per-node bit vectors whose run fails verification.  A run is a pure
+    function of the bits its nodes read, in global read order, so each
+    instance walks the tree of those read paths depth first (Knuth & Yao,
+    1976), one run per leaf: a bit not yet on the current path reads as 0,
+    and after each run the deepest 0 of its path flips to 1 and the bits
+    after it are dropped.  A leaf at depth d weighs 2**-d.  The walk holds
+    only the current path (:class:`ReadPath`), and a program that reads
+    fewer bits than the budget needs fewer runs.  Runs are checked against
+    the instance's compiled checks (:func:`compile_checks`), which agree
+    with :func:`verify`; ``checks``, when given, are the family's compiled
+    checks in family order, so a caller can share them with another pass
+    over the same family.
+    """
+    if bits < 0:
+        raise ValueError("bit budget must be nonnegative")
+    if checks is None:
+        checks = compile_checks(problem, family)
+    # a read at the run's bit cap raises before it asks the stream
+    zeros = BitStream.from_bits((0,) * min(bits, DEFAULT_BIT_CAP))
+    source = RandomAssignment(lambda _ident: zeros)
+    failures: list[Fraction] = []
+    for compiled in checks:
+        instance = compiled.instance
+        log = ReadPath(source, instance.ids)
+        path = log.bits
+        failed_at_depth: Counter[int] = Counter()
+        while True:
+            result = run_randomized(program, instance, claimed_n, streams=log.assignment)
+            if len(log.reads) != len(path):
+                raise SimulationError(_IMPURE.format(program.name))
+            if not compiled.valid(result.outputs):
+                failed_at_depth[len(path)] += 1
+            while path and path[-1]:
+                path.pop()
+            if not path:
+                break
+            path[-1] = 1
+            log.replay()
+        failures.append(
+            sum((Fraction(c, 1 << d) for d, c in failed_at_depth.items()), Fraction(0))
+        )
+    return failures

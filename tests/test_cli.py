@@ -1,6 +1,6 @@
 """Command-line behavior: exit codes, file outputs, manifest reproducibility."""
 
-import importlib
+import dataclasses
 import json
 import re
 
@@ -274,15 +274,18 @@ class TestCertify:
     def test_a_negative_bit_budget_exits_bad_input_before_any_run(
         self, capsys, monkeypatch
     ):
+        # every run, and every step of the exact evaluator, steps the program
         runs = []
-        for name in ("derandlab.simulator", "derandlab.derandomize"):
-            module = importlib.import_module(name)
-            real = module.run_randomized
-            monkeypatch.setattr(
-                module,
-                "run_randomized",
-                lambda *a, real=real, **k: runs.append(1) or real(*a, **k),
+        real = RANDOMIZED_BUILTINS["first-bit"]
+
+        def counted(alphabet):
+            program = real(alphabet)
+            step = program.step
+            return dataclasses.replace(
+                program, step=lambda ctx: runs.append(1) or step(ctx)
             )
+
+        monkeypatch.setitem(RANDOMIZED_BUILTINS, "first-bit", counted)
         base = [
             "certify", "--problem", "coloring:2", "--n", "2", "--program", "first-bit",
         ]

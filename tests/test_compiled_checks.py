@@ -5,6 +5,7 @@ estimators that check runs against compiled checks must return exactly what
 the old loop, which called ``verify`` on every run, returns.
 """
 
+import dataclasses
 import hashlib
 import itertools
 import random
@@ -12,12 +13,17 @@ from fractions import Fraction
 
 import pytest
 
+import conftest
 from conftest import (
+    DIFFERENTIAL_CASES,
     adaptive_two_round_program,
     claimed_size_program,
     copy_neighbor_parity_problem,
+    differential_case,
+    leading_ones_count_problem,
     one_leader_problem,
     random_instance,
+    reference_tree_walk,
 )
 from derandlab import (
     DEFAULT_BIT_CAP,
@@ -45,7 +51,6 @@ from derandlab import (
     simulator,
     verify,
 )
-from derandlab.problems import problem_from_jsonable
 from derandlab.programs import (
     first_bit_label_program,
     id_parity_label_program,
@@ -306,7 +311,7 @@ N3_FAMILY = list(enumerate_instances(InstanceFamilySpec(n=3)))
 @pytest.fixture()
 def runs(monkeypatch):
     """Counts the simulator's runs: every simulation goes through
-    ``run_randomized``."""
+    ``run_randomized``, the reference tree walk's too."""
     count = [0]
     real = simulator.run_randomized
 
@@ -315,7 +320,29 @@ def runs(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(simulator, "run_randomized", counting)
+    monkeypatch.setattr(conftest, "run_randomized", counting)
     return count
+
+
+def counted_steps(program):
+    """The program with a step that counts its calls, and the count."""
+    count = [0]
+    step = program.step
+
+    def counting(ctx):
+        count[0] += 1
+        return step(ctx)
+
+    return dataclasses.replace(program, step=counting), count
+
+
+# steps of the evaluator, where the reference tree walk makes want_runs runs
+WANT_STEPS = {
+    # reads no bits: one step per node
+    id_parity_label_program: 144,
+    # reads one bit: two steps per node, one per value of its bit
+    first_bit_label_program: 288,
+}
 
 
 @pytest.mark.parametrize(
@@ -329,21 +356,29 @@ def runs(monkeypatch):
 )
 def test_exact_runs_one_run_per_read_path(runs, factory, bits, want_runs):
     problem = problem_by_name("coloring:2")
-    program = factory(problem.output_alphabet)
+    program, steps = counted_steps(factory(problem.output_alphabet))
     got = compute_success_exact(program, problem, N3_FAMILY, bits=bits)
-    assert runs[0] == want_runs
+    assert steps[0] == WANT_STEPS[factory]
+    assert runs[0] == 0
     assert got == reference_success_exact(program, problem, N3_FAMILY, bits=bits)
+    runs[0] = 0
+    assert reference_tree_walk(program, problem, N3_FAMILY, bits=bits) == got
+    assert runs[0] == want_runs
 
 
 def test_exact_cost_does_not_grow_with_an_unread_budget(runs):
     problem = problem_by_name("coloring:2")
-    program = first_bit_label_program(problem.output_alphabet)
+    program, steps = counted_steps(first_bit_label_program(problem.output_alphabet))
     one = compute_success_exact(program, problem, N2_FAMILY, bits=1)
-    assert runs[0] == 16
-    runs[0] = 0
+    assert steps[0] == 16
+    steps[0] = 0
     forty = compute_success_exact(program, problem, N2_FAMILY, bits=40)
-    assert runs[0] == 16
+    assert steps[0] == 16
     assert forty == one == [0, 0, Fraction(1, 2), Fraction(1, 2)]
+    for bits in (1, 40):
+        runs[0] = 0
+        assert reference_tree_walk(program, problem, N2_FAMILY, bits=bits) == one
+        assert runs[0] == 16
 
 
 def test_monte_carlo_simulates_each_read_path_once(runs):
@@ -353,35 +388,6 @@ def test_monte_carlo_simulates_each_read_path_once(runs):
     # two nodes reading one bit each: at most 4 paths in each of 4 instances
     assert runs[0] <= 16
     assert sum(e.failure for e in got) == Fraction(9887, 10000)
-
-
-def leading_ones_count_problem(cap):
-    """Proper coloring by leading-one counts below ``cap``."""
-    return problem_from_jsonable(
-        {
-            "name": f"leading-ones-coloring-{cap}",
-            "radius": 1,
-            "output_alphabet": [str(count) for count in range(cap)],
-            "kind": "coloring-like",
-        }
-    )
-
-
-# (program, problem, exact bit budget, claimed_n)
-DIFFERENTIAL_CASES = {
-    "first-bit": (first_bit_label_program, "coloring:2", 2, None),
-    "two-bit": (two_bit_label_program, "coloring:3", 2, None),
-    "id-parity": (id_parity_label_program, "coloring:2", 1, None),
-    "claimed-size-told": (claimed_size_program, "coloring:2", 1, 16),
-    "claimed-size-untold": (claimed_size_program, "coloring:2", 1, None),
-    "adaptive-two-round": (adaptive_two_round_program, "coloring:2", 2, None),
-}
-
-
-def differential_case(name):
-    factory, problem_name, bits, claimed_n = DIFFERENTIAL_CASES[name]
-    problem = problem_by_name(problem_name)
-    return factory(problem.output_alphabet), problem, bits, claimed_n
 
 
 @pytest.mark.parametrize("name", sorted(DIFFERENTIAL_CASES))

@@ -41,7 +41,7 @@ from derandlab import (
     verify,
 )
 from derandlab.graphs import canonicalize, extract_ball
-from derandlab.problems import _triggers
+from derandlab.problems import Check, _triggers, compile_checks
 from derandlab.programs import first_bit_label_program, id_sum_parity_program
 
 
@@ -334,6 +334,39 @@ class TestFindNormalForm:
             )
 
 
+def reference_compile_family(problem, instances, radius):
+    """``compile_family`` as it was before it took view keys from the
+    compiled checks, kept verbatim: it keys every node's radius-T view anew.
+    Returns the index's fields."""
+    node_keys = [
+        tuple(canonicalize(extract_ball(inst, v, radius)) for v in range(inst.n))
+        for inst in instances
+    ]
+    realized = sorted({key for keys in node_keys for key in keys})
+    pos_of = {key: i for i, key in enumerate(realized)}
+    node_pos = [tuple(pos_of[key] for key in keys) for keys in node_keys]
+
+    constraints: list[Check] = []
+    seen: dict[object, int] = {}
+    instance_constraints: list[tuple[int, ...]] = []
+    for compiled, positions in zip(compile_checks(problem, instances), node_pos):
+        own: dict[int, None] = {}
+        # node order fixes the order in which checks fire, which decides the
+        # search's check and predicate counts (not its tables or placements)
+        for check in sorted(compiled.checks, key=lambda c: c.members[0]):
+            scope = tuple(positions[m] for m in check.members)
+            # a component-wise check has no key and is never shared
+            key = check if check.key is None else (check.key, scope)
+            if key not in seen:
+                seen[key] = len(constraints)
+                constraints.append(
+                    Check(check.ball, check.key, scope, check.evaluate, {})
+                )
+            own[seen[key]] = None
+        instance_constraints.append(tuple(own))
+    return realized, node_pos, constraints, instance_constraints
+
+
 class TestFamilyIndex:
     @pytest.mark.parametrize("name", ["mis", "coloring:2", "coloring:3"])
     def test_solvable_agrees_with_brute_force_on_small_families(self, name):
@@ -374,6 +407,32 @@ class TestFamilyIndex:
             assert sorted(map(id, triggered)) == sorted(map(id, index.constraints))
             for con in index.constraints:
                 assert con in triggers[order.index(fire_at(con.members))]
+
+    @pytest.mark.parametrize(
+        "name, n, radius",
+        [
+            (name, n, radius)
+            for name in ("mis", "coloring:2", "coloring:3", "coloring:4")
+            for n in (1, 2, 3)
+            for radius in (0, 1, 2)
+        ]
+        + [("coloring:4", 4, 1)],
+    )
+    def test_view_keys_from_the_checks_leave_the_index_unchanged(self, name, n, radius):
+        """At the problem's radius, node view keys come from the compiled
+        checks; the index equals the one built by keying every view anew."""
+        problem = problem_by_name(name)
+        family = list(enumerate_instances(InstanceFamilySpec(n=n)))
+        index = compile_family(problem, family, radius)
+        realized, node_pos, constraints, instance_constraints = (
+            reference_compile_family(problem, family, radius)
+        )
+        assert index.realized == realized
+        assert index.node_pos == node_pos
+        assert [(c.key, c.members, c.ball) for c in index.constraints] == [
+            (c.key, c.members, c.ball) for c in constraints
+        ]
+        assert index.instance_constraints == instance_constraints
 
     def test_component_wise_problem_gets_one_constraint_per_instance(self):
         family = list(enumerate_instances(InstanceFamilySpec(n=3)))

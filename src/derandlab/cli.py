@@ -32,7 +32,7 @@ from .graphs import (
     enumerate_instances,
     load_instances,
 )
-from .problems import ProblemFormatError, compile_checks, problem_by_name, verify
+from .problems import compile_checks, problem_by_name, verify
 from .programs import DETERMINISTIC_BUILTINS, RANDOMIZED_BUILTINS
 from .simulator import (
     IncompleteTableError,
@@ -71,9 +71,18 @@ def _out_path(name: str | None) -> Path | None:
     return path
 
 
-def _write_json(path: Path, obj: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+def _emit(name: str | None, text: str) -> None:
+    """Write an output to the file ``name``, or to stdout when no name is given."""
+    out = _out_path(name or None)
+    if out is None:
+        sys.stdout.write(text)
+    else:
+        out.parent.mkdir(parents=True, exist_ok=True)
+        out.write_text(text)
+
+
+def _json(obj: dict) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def _manifest(args: argparse.Namespace) -> dict:
@@ -117,21 +126,17 @@ def _family_spec(args: argparse.Namespace) -> InstanceFamilySpec:
 
 
 def _instances(args: argparse.Namespace) -> list:
-    if getattr(args, "instances", None):
+    if args.instances:
         return load_instances(Path(args.instances).read_text())
+    if args.n is None:
+        raise ValueError("provide --n or --instances")
     return list(enumerate_instances(_family_spec(args)))
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     spec = _family_spec(args)
     instances = list(enumerate_instances(spec))
-    text = dump_instances(instances)
-    out = _out_path(args.out)
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(text)
+    _emit(args.out, dump_instances(instances))
     print(f"enumerated {len(instances)} instances", file=sys.stderr)
     return EXIT_OK
 
@@ -144,15 +149,11 @@ def cmd_derandomize(args: argparse.Namespace) -> int:
         radius=args.T,
         node_budget=args.budget,
     )
-    try:
-        report, outcome = derandomize(config)
-    except SearchBudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    report, outcome = derandomize(config)
     payload = report.to_jsonable()
     payload["manifest"] = _manifest(args)
     if args.out_report:
-        _write_json(_out_path(args.out_report), payload)
+        _emit(args.out_report, _json(payload))
     stats = outcome.stats
     print(
         f"search: {stats.realized_views} views / {stats.constraints} constraints / "
@@ -181,26 +182,13 @@ def cmd_derandomize(args: argparse.Namespace) -> int:
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
-    try:
-        return _certify(args)
-    except (StreamExhausted, BitBudgetExceeded, SearchBudgetExceeded) as exc:
-        # a read past --bits or the bit cap, or an assignment space over budget
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-
-
-def _certify(args: argparse.Namespace) -> int:
     if args.bits < 0:
         # every mode records --bits, and the exact pass and --find-f use it
         raise ValueError("bit budget must be nonnegative")
     problem = problem_by_name(args.problem)
     spec = _family_spec(args)
     family = list(enumerate_instances(spec))
-    factory = RANDOMIZED_BUILTINS.get(args.program)
-    if factory is None:
-        print(f"error: unknown randomized program {args.program!r}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    program = factory(problem.output_alphabet)
+    program = RANDOMIZED_BUILTINS[args.program](problem.output_alphabet)
     lift = lift_to_claimed_size(spec)
 
     # every run is told the claimed size, not the true node count
@@ -218,8 +206,7 @@ def _certify(args: argparse.Namespace) -> int:
         )
     else:
         if args.seed is None:
-            print("error: --seed is required in mc mode", file=sys.stderr)
-            return EXIT_BAD_INPUT
+            raise ValueError("--seed is required in mc mode")
         estimates = estimate_success_mc(
             program,
             problem,
@@ -248,12 +235,7 @@ def _certify(args: argparse.Namespace) -> int:
             if found is not None
             else None
         )
-    out = _out_path(args.out)
-    if out is not None:
-        _write_json(out, payload)
-    else:
-        json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-        print()
+    _emit(args.out, _json(payload))
     if certificate.estimated:
         summary = " is a Monte-Carlo estimate; no verdict"
     else:
@@ -294,7 +276,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "witness": witness,
     }
     if args.out:
-        _write_json(_out_path(args.out), payload)
+        _emit(args.out, _json(payload))
     if witness is not None:
         print(f"verification failed: {witness}", file=sys.stderr)
         return EXIT_VERIFY_FAILED
@@ -308,18 +290,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.table:
         table = load_table(_out_path(args.table))
         for idx, instance in enumerate(instances):
-            try:
-                outputs = run_normal_form(table, instance)
-            except IncompleteTableError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return EXIT_VERIFY_FAILED
+            outputs = run_normal_form(table, instance)
             lines.append({"index": idx, "outputs": {str(v): o for v, o in sorted(outputs.items())}})
     else:
-        factory = DETERMINISTIC_BUILTINS.get(args.program)
-        if factory is None:
-            print(f"error: unknown program {args.program!r}", file=sys.stderr)
-            return EXIT_BAD_INPUT
-        program = factory()
+        program = DETERMINISTIC_BUILTINS[args.program]()
         for idx, instance in enumerate(instances):
             result = run_deterministic(
                 program, instance, claimed_n=args.claimed_n, trace=args.trace
@@ -332,13 +306,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             if args.trace:
                 row["trace"] = [list(r) for r in result.trace]
             lines.append(row)
-    text = "".join(json.dumps(row, sort_keys=True) + "\n" for row in lines)
-    out = _out_path(args.out)
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(text)
+    _emit(args.out, "".join(json.dumps(row, sort_keys=True) + "\n" for row in lines))
     return EXIT_OK
 
 
@@ -352,14 +320,9 @@ def cmd_connected_run(args: argparse.Namespace) -> int:
     for idx, instance in enumerate(instances):
         if not instance.graph.is_connected:
             if args.instances:
-                print(f"error: instance {idx} is disconnected", file=sys.stderr)
-                return EXIT_BAD_INPUT
+                raise ValueError(f"instance {idx} is disconnected")
             continue
-        try:
-            result = run_connected_aware(config, instance)
-        except IncompleteTableError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_VERIFY_FAILED
+        result = run_connected_aware(config, instance)
         ok = verify(problem, instance, result.outputs).valid
         failures += not ok
         rows.append(
@@ -372,11 +335,7 @@ def cmd_connected_run(args: argparse.Namespace) -> int:
             }
         )
     payload = {"manifest": _manifest(args), "runs": rows, "failures": failures}
-    if args.out:
-        _write_json(_out_path(args.out), payload)
-    else:
-        json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-        print()
+    _emit(args.out, _json(payload))
     return EXIT_VERIFY_FAILED if failures else EXIT_OK
 
 
@@ -446,17 +405,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The one place where a failure becomes an exit code.  A table with no entry
+# for some view fails verification; every other documented error is bad
+# input: a malformed file or argument, a read past --bits or the bit cap, or
+# a search over its budget.
+_FAILURES = (
+    IncompleteTableError,
+    ValueError,  # ProblemFormatError, TableFormatError, InstanceFormatError, ...
+    OSError,
+    SearchBudgetExceeded,
+    StreamExhausted,
+    BitBudgetExceeded,
+)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "n", None) is None and not getattr(args, "instances", None):
-        if args.subcommand in ("verify", "simulate", "connected-run"):
-            print("error: provide --n or --instances", file=sys.stderr)
-            return EXIT_BAD_INPUT
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ProblemFormatError, ValueError, OSError) as exc:
+    except _FAILURES as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, IncompleteTableError):
+            return EXIT_VERIFY_FAILED
         return EXIT_BAD_INPUT
 
 

@@ -48,7 +48,6 @@ from .simulator import (
 from .streams import (
     DEFAULT_BIT_CAP,
     RandomAssignment,
-    assignment_space_size,
     iter_bounded_assignments,
 )
 
@@ -180,8 +179,12 @@ def search_good_f(
     means the entire bounded space fails, which says nothing about unbounded
     assignments.
     """
-    size = assignment_space_size(id_space, bits)
-    if budget is not None and size > budget:
+    if bits < 0:
+        raise ValueError("bit budget must be nonnegative")
+    # the space holds 2**exponent assignments; the count itself is never built
+    exponent = bits * len(set(id_space))
+    if budget is not None and exponent >= max(budget, 0).bit_length():
+        size = 2**exponent if exponent <= 64 else f"2^{exponent}"
         raise SearchBudgetExceeded(
             f"assignment space holds {size} candidates, over the budget {budget}"
         )

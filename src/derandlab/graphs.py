@@ -27,6 +27,17 @@ class InstanceFormatError(ValueError):
     valid instance."""
 
 
+_JSON_TYPES = {int: "an integer", str: "a string", list: "a list", dict: "an object"}
+
+
+def json_value(value, kind: type, what: str, error: type[ValueError]):
+    """``value`` itself if it has the JSON type ``kind`` (an integer is never
+    a boolean); anything else raises ``error``.  File loaders coerce nothing."""
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise error(f"{what} must be {_JSON_TYPES[kind]}, not {value!r}")
+    return value
+
+
 def _normalize_edge(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
@@ -506,14 +517,21 @@ def instance_to_jsonable(instance: InputInstance) -> dict:
 
 def instance_from_jsonable(obj: Mapping) -> InputInstance:
     """Parse the dump format, raising :class:`InstanceFormatError` on a
-    missing key, a wrong type or an invalid instance."""
+    missing key, a value of the wrong JSON type or an invalid instance."""
+
+    def typed(value, kind: type, what: str):
+        return json_value(value, kind, what, InstanceFormatError)
+
     try:
-        n = int(obj["n"])
-        edges = tuple((int(u), int(v)) for u, v in obj["edges"])
-        ids = tuple(int(obj["ids"][str(v)]) for v in range(n))
-        inputs = tuple(str(obj["inputs"][str(v)]) for v in range(n))
+        n = typed(obj["n"], int, "n")
+        edges = tuple(
+            (typed(u, int, "an endpoint"), typed(v, int, "an endpoint"))
+            for u, v in (typed(e, list, "an edge") for e in typed(obj["edges"], list, "edges"))
+        )
+        ids = tuple(typed(obj["ids"][str(v)], int, "an identifier") for v in range(n))
+        inputs = tuple(typed(obj["inputs"][str(v)], str, "an input") for v in range(n))
         c = obj.get("c")
-        return InputInstance(Graph(n, edges), ids, inputs, None if c is None else int(c))
+        return InputInstance(Graph(n, edges), ids, inputs, c if c is None else typed(c, int, "c"))
     except KeyError as exc:
         raise InstanceFormatError(f"missing the key {exc}") from exc
     except (AttributeError, OverflowError, TypeError, ValueError) as exc:

@@ -11,7 +11,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .graphs import BallView, Graph, InputInstance, canonicalize, extract_ball
+from .graphs import BallView, Graph, InputInstance, canonicalize, extract_ball, json_value
 
 # Ball predicates see the view plus candidate outputs keyed by identifier.
 BallPredicate = Callable[[BallView, Mapping[int, str]], bool]
@@ -673,19 +673,26 @@ def _color_labels(k: int) -> tuple[str, ...]:
     return tuple(letters[i] if i < 26 else f"C{i + 1}" for i in range(k))
 
 
+_typed = partial(json_value, error=ProblemFormatError)
+
+
+def _labels(value, what: str) -> tuple[str, ...]:
+    return tuple(_typed(label, str, f"a label of {what}") for label in _typed(value, list, what))
+
+
 def _allowed_entries_predicate(alphabet: tuple[str, ...], allowed: list) -> BallPredicate:
     by_center: dict[str, list[dict]] = {}
     for entry in allowed:
         if not isinstance(entry, dict) or "center" not in entry:
             raise ProblemFormatError(f"bad allowed entry: {entry!r}")
-        center = entry["center"]
+        center = _typed(entry["center"], str, "a center")
         if center not in alphabet:
             raise ProblemFormatError(f"center label {center!r} outside alphabet")
-        cond = entry.get("neighbors_condition") or {}
-        if not isinstance(cond, dict) or not set(cond) <= {"forbid", "require_any"}:
+        cond = _typed(entry.get("neighbors_condition", {}), dict, "a neighbors_condition")
+        if not set(cond) <= {"forbid", "require_any"}:
             raise ProblemFormatError(f"bad neighbors_condition: {cond!r}")
         for key in ("forbid", "require_any"):
-            for label in cond.get(key, []):
+            for label in _labels(cond.get(key, []), key):
                 if label not in alphabet:
                     raise ProblemFormatError(f"label {label!r} outside alphabet")
         by_center.setdefault(center, []).append(cond)
@@ -707,13 +714,14 @@ def _allowed_entries_predicate(alphabet: tuple[str, ...], allowed: list) -> Ball
 
 
 def problem_from_jsonable(obj: Mapping) -> ProblemSpec:
-    """Build a problem from the declarative radius-1 format."""
+    """Build a problem from the declarative radius-1 format.  Every field must
+    have its JSON type; nothing is coerced."""
     try:
-        name = str(obj["name"])
-        radius = int(obj["radius"])
-        alphabet = tuple(str(x) for x in obj["output_alphabet"])
-        kind = str(obj["kind"])
-    except (KeyError, TypeError, ValueError) as exc:
+        name = _typed(obj["name"], str, "name")
+        radius = _typed(obj["radius"], int, "radius")
+        alphabet = _labels(obj["output_alphabet"], "output_alphabet")
+        kind = _typed(obj["kind"], str, "kind")
+    except (KeyError, TypeError) as exc:
         raise ProblemFormatError(f"missing or bad field: {exc}") from exc
     if radius != 1:
         raise ProblemFormatError("declarative problems must use radius 1")
@@ -733,7 +741,7 @@ def problem_from_jsonable(obj: Mapping) -> ProblemSpec:
             {"center": outside, "neighbors_condition": {"require_any": [member]}},
         ]
     elif kind == "table":
-        allowed = list(obj.get("allowed", []))
+        allowed = list(_typed(obj.get("allowed", []), list, "allowed"))
         if not allowed:
             raise ProblemFormatError("table problems need a nonempty allowed list")
     else:

@@ -117,6 +117,26 @@ class TestDerandomize:
             run(["derandomize", "--problem", "mis", "--n", "3"])
         assert err.value.code == 3
 
+    def test_a_search_over_its_budget_exits_bad_input(self, tmp_path, capsys):
+        report = tmp_path / "report.json"
+        argv = ["derandomize", "--problem", "mis", "--n", "3", "--T", "2", "--budget", "1"]
+        capsys.readouterr()
+        assert run(argv + ["--out-report", str(report)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: table search exceeded its budget of 1 placements\n"
+        assert not report.exists()
+
+    def test_a_malformed_problem_file_exits_bad_input(self, tmp_path, capsys):
+        problem = tmp_path / "problem.json"
+        problem.write_text(json.dumps({
+            "name": "p", "radius": 1, "output_alphabet": ["A", "B"], "kind": "table",
+            "allowed": [{"center": "A", "neighbors_condition": {"forbid": 5}}],
+        }))
+        capsys.readouterr()
+        assert run(["derandomize", "--problem", str(problem), "--n", "2", "--T", "1"]) == 3
+        assert capsys.readouterr().err == "error: forbid must be a list, not 5\n"
+
     def test_rerunning_a_manifest_reproduces_all_non_timing_fields(self, tmp_path):
         report = tmp_path / "report.json"
         argv = [
@@ -269,6 +289,20 @@ class TestCertify:
         assert captured.err == (
             "error: assignment space holds 16777216 candidates, over the budget "
             "4194304\n"
+        )
+
+    def test_an_assignment_space_far_over_the_budget_is_never_counted(self, capsys):
+        # (2**8000)**2 candidates: the count is written as a power of two
+        argv = [
+            "certify", "--problem", "coloring:2", "--n", "2", "--program", "first-bit",
+            "--bits", "8000", "--find-f",
+        ]
+        capsys.readouterr()
+        assert run(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: assignment space holds 2^16000 candidates, over the budget 4194304\n"
         )
 
     def test_a_negative_bit_budget_exits_bad_input_before_any_run(
@@ -522,6 +556,15 @@ class TestTableFileErrors:
         argv = ["connected-run", "--problem", "coloring:3", "--table", str(table), "--n", "4"]
         assert run(argv) == 2
         assert "incomplete table" in capsys.readouterr().err
+
+    def test_simulate_incomplete_table_exits_2(self, mis_table, capsys):
+        # a table made for two nodes has no entry for the views of three
+        capsys.readouterr()
+        assert run(["simulate", "--table", str(mis_table), "--n", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: incomplete table: no entry for key ")
+        assert captured.err.count("\n") == 1
 
 
 class TestInstanceFileErrors:

@@ -416,6 +416,18 @@ class TestSerialization:
             '{"n": 2, "edges": [], "ids": {"0": 1, "1": 1}, "inputs": {"0": "x", "1": "x"}}',
             '{"n": Infinity, "edges": [], "ids": {}, "inputs": {}}',
             '{"n": 1, "edges": [], "ids": {"0": 1e999}, "inputs": {"0": "x"}}',
+            # a value of the wrong JSON type is rejected, never coerced
+            '{"n": 1, "edges": [], "ids": {"0": 2.5}, "inputs": {"0": "x"}}',
+            '{"n": 1, "edges": [], "ids": {"0": true}, "inputs": {"0": "x"}}',
+            '{"n": 1, "edges": [], "ids": {"0": 1}, "inputs": {"0": null}}',
+            '{"n": 1, "edges": [], "ids": {"0": 1}, "inputs": {"0": 7}}',
+            '{"n": 2, "edges": ["01"], "ids": {"0": 1, "1": 2}, "inputs": {"0": "x", "1": "x"}}',
+            '{"n": 2, "edges": [[0, true]], "ids": {"0": 1, "1": 2}, "inputs": {"0": "", "1": ""}}',
+            '{"n": 2, "edges": {"0": 1}, "ids": {"0": 1, "1": 2}, "inputs": {"0": "x", "1": "x"}}',
+            '{"n": 2.7, "edges": [], "ids": {"0": 1, "1": 2}, "inputs": {"0": "x", "1": "x"}}',
+            '{"n": true, "edges": [], "ids": {"0": 1}, "inputs": {"0": "x"}}',
+            '{"n": 1, "c": 1.5, "edges": [], "ids": {"0": 1}, "inputs": {"0": "x"}}',
+            '{"n": 1, "c": "1", "edges": [], "ids": {"0": 1}, "inputs": {"0": "x"}}',
         ],
     )
     def test_bad_instance_lines_name_their_line(self, line):

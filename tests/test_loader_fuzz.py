@@ -1,10 +1,11 @@
-"""Fuzzed table and instance files: every run of ``verify`` or ``simulate``
-ends with a documented exit code and never with a traceback.
+"""Fuzzed table, instance and problem files: every run of ``verify``,
+``simulate`` or ``derandomize`` ends with a documented exit code and never
+with a traceback.
 
-Exit codes (see :mod:`derandlab.cli`): 0 success, 2 verification failure
-(a failing instance or a view missing from the table), 3 bad input (one
-``error:`` line on stderr).  Code 1 means "no valid table exists", which only
-``derandomize`` reports.
+Exit codes (see :mod:`derandlab.cli`): 0 success, 1 no valid table exists
+(only ``derandomize`` reports it), 2 verification failure (a failing instance
+or a view missing from the table), 3 bad input (one ``error:`` line on
+stderr).
 """
 
 import contextlib
@@ -79,6 +80,53 @@ instance_texts = st.one_of(
     st.lists(
         shaped(["n", "c", "edges", "ids", "inputs"]) | instance_fields, min_size=1, max_size=3
     ).map(lambda objs: "\n".join(map(json.dumps, objs))),
+)
+
+VALID_PROBLEM = {
+    "name": "p",
+    "radius": 1,
+    "output_alphabet": ["A", "B"],
+    "kind": "table",
+    "allowed": [
+        {"center": "A", "neighbors_condition": {"forbid": ["A"], "require_any": ["B"]}},
+        {"center": "B"},
+    ],
+}
+PROBLEM_PATHS = [
+    ("name",),
+    ("radius",),
+    ("output_alphabet",),
+    ("output_alphabet", 0),
+    ("kind",),
+    ("allowed",),
+    ("allowed", 0),
+    ("allowed", 0, "center"),
+    ("allowed", 0, "neighbors_condition"),
+    ("allowed", 0, "neighbors_condition", "forbid"),
+    ("allowed", 0, "neighbors_condition", "forbid", 0),
+    ("allowed", 0, "neighbors_condition", "require_any"),
+    ("allowed", 1, "center"),
+]
+
+
+def mutated_problem(mutations) -> dict:
+    """The valid problem with the value at each path replaced.  The deepest
+    paths go first, so every path still leads through the valid problem."""
+    problem = json.loads(json.dumps(VALID_PROBLEM))
+    for path, value in sorted(mutations, key=lambda m: -len(m[0])):
+        parent = problem
+        for step in path[:-1]:
+            parent = parent[step]
+        parent[path[-1]] = value
+    return problem
+
+
+problem_texts = st.one_of(
+    json_values.map(json.dumps),
+    shaped(["name", "radius", "output_alphabet", "kind", "allowed"]).map(json.dumps),
+    st.lists(st.tuples(st.sampled_from(PROBLEM_PATHS), json_values), min_size=1, max_size=3)
+    .map(mutated_problem)
+    .map(json.dumps),
 )
 
 FUZZ = settings(
@@ -164,3 +212,32 @@ class TestFuzzedFiles:
     )
     def test_instance_json(self, workdir, command, text):
         run_on(workdir, text.encode(), fuzzed_instances(command, workdir))
+
+
+def derandomize_on(workdir, data: bytes) -> None:
+    """Run ``derandomize`` on the problem file ``data`` and check its exit
+    code against what it printed."""
+    path = workdir / "problem.json"
+    path.write_bytes(data)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["derandomize", "--problem", str(path), "--n", "2", "--T", "1"])
+    err = err.getvalue()
+    assert "Traceback" not in err
+    assert code in (0, 1, 3), (code, err)
+    if code == 3:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+class TestFuzzedProblemFiles:
+    @FUZZ
+    @given(data=st.binary(max_size=120))
+    def test_problem_bytes(self, workdir, data):
+        derandomize_on(workdir, data)
+
+    @FUZZ
+    @given(text=problem_texts)
+    @example(text=json.dumps(mutated_problem([(PROBLEM_PATHS[9], 5)])))  # "forbid": 5
+    @example(text=json.dumps(VALID_PROBLEM))
+    def test_problem_json(self, workdir, text):
+        derandomize_on(workdir, text.encode())

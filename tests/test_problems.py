@@ -265,6 +265,28 @@ class TestDeclarativeFormat:
             {"kind": "mis-like", "output_alphabet": ["A", "B", "C"]},
             {"kind": "table", "allowed": []},
             {"kind": "table", "allowed": [{"center": "Z"}]},
+            # a value of the wrong JSON type is rejected, never coerced
+            {"name": 7},
+            {"kind": ["coloring-like"]},
+            {"output_alphabet": "AB"},
+            {"output_alphabet": [1, 2]},
+            {"radius": 1.9},
+            {"radius": 1.0},
+            {"radius": True},
+            {"radius": "1"},
+            {"kind": "table", "allowed": {"center": "A"}},
+            {"kind": "table", "allowed": [{"center": 1}]},
+            {"kind": "table", "allowed": [{"center": "A", "neighbors_condition": None}]},
+            {"kind": "table", "allowed": [{"center": "A", "neighbors_condition": ["A"]}]},
+            *(
+                {"kind": "table", "allowed": [{"center": "A", "neighbors_condition": cond}]}
+                for cond in (
+                    {"forbid": 5},
+                    {"forbid": "AB"},
+                    {"require_any": "B"},
+                    {"forbid": [None]},
+                )
+            ),
         ],
     )
     def test_malformed_descriptions_rejected(self, mutation):

@@ -41,7 +41,6 @@ from .simulator import (
     load_table,
     run_deterministic,
     run_normal_form,
-    save_table,
 )
 from .streams import BitBudgetExceeded, StreamExhausted
 
@@ -169,7 +168,7 @@ def cmd_derandomize(args: argparse.Namespace) -> int:
     )
     if outcome.found:
         if args.out_table:
-            save_table(outcome.table, _out_path(args.out_table))
+            _emit(args.out_table, _json(outcome.table.to_jsonable()))
         print(
             f"table found: {outcome.table.size} entries, verified "
             f"{report.verified_count}/{report.family_size}",

@@ -212,26 +212,26 @@ def derandomize_via_f(
 
     Raises :class:`AssignmentNotGood` naming the first failing instance if the
     assignment is not good, and :class:`LocalityViolation` if the fixed
-    program provably uses more than ``radius`` rounds.  Each instance's run
-    is checked against its compiled checks before it is tabulated; the
-    finished table is verified once more with :func:`verify`.
+    program provably uses more than ``radius`` rounds.  The finished table is
+    verified with :func:`verify` on each instance in family order.  A
+    tabulation that completes records exactly each node's run output, so the
+    table fails on an instance exactly when that instance's run fails.  Two
+    cases come out as they would not if each run were checked before it is
+    tabulated: when one instance fails and a later instance's views
+    conflict, :class:`LocalityViolation` comes first; and a label outside the
+    problem's alphabet raises the table's ``ValueError``, not
+    :func:`verify`'s.
     """
-    checks = list(compile_checks(problem, family))
-
-    def accept(idx: int, instance: InputInstance, outputs: dict[int, str]) -> None:
-        if not checks[idx].valid(outputs):
-            raise AssignmentNotGood(idx, instance)
-
     fixed = fix_randomness(program, assignment, bit_cap)
     table = NormalFormTable.from_mapping(
         radius,
         problem.output_alphabet,
-        _tabulate(fixed, radius, family, claimed_n, accept),
+        _tabulate(fixed, radius, family, claimed_n),
         provenance=f"via-f:{program.name}",
     )
-    for instance in family:
+    for idx, instance in enumerate(family):
         if not verify(problem, instance, run_normal_form(table, instance)).valid:
-            raise SimulationError("internal: tabulated assignment failed re-verification")
+            raise AssignmentNotGood(idx, instance)
     return table
 
 

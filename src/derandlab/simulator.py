@@ -21,18 +21,17 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from .graphs import InputInstance, canonicalize, extract_ball
+from .graphs import InputInstance, canonicalize, extract_ball, json_value
 from .problems import Check, CompiledCheck, ProblemSpec, _triggers, compile_checks
 from .streams import (
     DEFAULT_BIT_CAP,
     BitReader,
     BitStream,
     RandomAssignment,
-    ReadPath,
     _exhausted,
     join_key,
     keyed_bit,
@@ -319,6 +318,9 @@ def fix_randomness(
 # nothing more.
 
 
+_typed = partial(json_value, error=TableFormatError)
+
+
 @dataclass(frozen=True)
 class NormalFormTable:
     radius: int
@@ -384,29 +386,23 @@ class NormalFormTable:
         problem the table will be checked against) is given, every label of
         the table's alphabet must belong to it."""
         try:
-            if not isinstance(obj, Mapping):
-                raise TypeError("a table must be a JSON object")
-            radius, alphabet, entries = obj["T"], obj["output_alphabet"], obj["entries"]
-            provenance = obj.get("provenance", "")
-            if type(radius) is not int:
-                raise TypeError(f"T must be an integer, not {radius!r}")
-            if not isinstance(alphabet, list) or not all(
-                isinstance(label, str) for label in alphabet
-            ):
-                raise TypeError("output_alphabet must be a list of strings")
-            if not isinstance(entries, list) or not all(
-                isinstance(e, Mapping) for e in entries
-            ):
-                raise TypeError("entries must be a list of objects")
-            pairs = tuple((e["key"], e["out"]) for e in entries)
-            if not all(isinstance(k, str) and isinstance(o, str) for k, o in pairs):
-                raise TypeError("entry keys and outputs must be strings")
-            if not isinstance(provenance, str):
-                raise TypeError("provenance must be a string")
-            table = cls(radius, tuple(alphabet), pairs, provenance)
+            obj = _typed(obj, dict, "a table")
+            radius = _typed(obj["T"], int, "T")
+            alphabet = _typed(obj["output_alphabet"], list, "output_alphabet")
+            entries = _typed(obj["entries"], list, "entries")
+            entries = [_typed(e, dict, "an entry") for e in entries]
+            table = cls(
+                radius,
+                tuple(_typed(label, str, "an output label") for label in alphabet),
+                tuple(
+                    (_typed(e["key"], str, "a key"), _typed(e["out"], str, "an output"))
+                    for e in entries
+                ),
+                _typed(obj.get("provenance", ""), str, "provenance"),
+            )
         except KeyError as exc:
             raise TableFormatError(f"table is missing the key {exc}") from exc
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise TableFormatError(f"malformed table: {exc}") from exc
         if output_alphabet is not None:
             foreign = [x for x in table.output_alphabet if x not in output_alphabet]
@@ -481,20 +477,13 @@ def _tabulate(
     radius: int,
     family: Sequence[InputInstance],
     claimed_n: int | None,
-    accept: Callable[[int, InputInstance, dict[int, str]], None] | None = None,
 ) -> dict[str, str]:
     """The loop of :func:`tabulate`: run the program on each instance in
-    family order and record each node's output under its radius-T view key.
-
-    ``accept(index, instance, outputs)``, when given, sees each run before it
-    is recorded and may raise to stop the loop.
-    """
+    family order and record each node's output under its radius-T view key."""
     entries: dict[str, str] = {}
     origin: dict[str, tuple[int, int, str]] = {}
     for idx, instance in enumerate(family):
         result = run_deterministic(program, instance, claimed_n)
-        if accept is not None:
-            accept(idx, instance, result.outputs)
         for v in range(instance.n):
             key = canonicalize(extract_ball(instance, v, radius))
             out = result.outputs[v]
@@ -803,11 +792,13 @@ def estimate_success_mc(
     A trial is a pure function of the bits it reads, so each instance keeps
     a trie of the read paths simulated so far, each ending in its verdict.
     A trial walks the trie with its own keyed bits and runs the program only
-    where the trie has no branch for them.  The trie holds at most one entry
-    per bit read by a simulated run of the instance, and is dropped after
-    the instance.  Runs are checked against the instance's compiled checks
-    (:func:`compile_checks`), which agree with :func:`verify`.  Every node is
-    told ``claimed_n`` as the number of nodes (default: the true count).
+    where the trie has no branch for them; that run reads the trial's own
+    streams, so a trial hashes each block of a stream once.  The trie holds
+    at most one entry per bit read by a simulated run of the instance, and
+    is dropped after the instance.  Runs are checked against the instance's
+    compiled checks (:func:`compile_checks`), which agree with
+    :func:`verify`.  Every node is told ``claimed_n`` as the number of nodes
+    (default: the true count).
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -831,12 +822,18 @@ def estimate_success_mc(
                     stream = streams[ident] = (join_key(instance_key, k, ident), {})
                 node = node[2 + keyed_bit(stream[0], node[1], stream[1])]
             if node is None:
-                log = ReadPath(RandomAssignment.from_seed(seed, idx, k), instance.ids)
+                reads: list[tuple[int, int, int]] = []
+                logged = {}
+                for ident in instance.ids:
+                    if ident not in streams:
+                        streams[ident] = (join_key(instance_key, k, ident), {})
+                    logged[ident] = _logged_stream(ident, *streams[ident], reads)
+                assignment = RandomAssignment(logged.__getitem__)
                 result = run_randomized(
-                    program, instance, claimed_n, streams=log.assignment, bit_cap=bit_cap
+                    program, instance, claimed_n, streams=assignment, bit_cap=bit_cap
                 )
                 node = compiled.valid(result.outputs)
-                _graft(trie, log, node, program.name)
+                _graft(trie, reads, node, program.name)
             if not node:
                 bad += 1
         p = Fraction(bad, trials)
@@ -845,11 +842,29 @@ def estimate_success_mc(
     return estimates
 
 
-def _graft(trie: list, log: ReadPath, verdict: bool, name: str) -> None:
-    """Add the read path of a simulated run, ending in its verdict, to the
-    trie of :func:`estimate_success_mc`."""
+def _logged_stream(
+    ident: int, key: str, blocks: dict[int, bytes], reads: list[tuple[int, int, int]]
+) -> BitStream:
+    """The keyed stream of the joined key ``key``, whose digests ``blocks``
+    caches, appending each bit it gives to ``reads`` as (``ident``, index,
+    bit)."""
+
+    def getter(i: int) -> int:
+        bit = keyed_bit(key, i, blocks)
+        reads.append((ident, i, bit))
+        return bit
+
+    return BitStream(getter, f"keyed:{key}")
+
+
+def _graft(
+    trie: list, reads: list[tuple[int, int, int]], verdict: bool, name: str
+) -> None:
+    """Add the read path of a simulated run, its (identifier, index, bit)
+    reads in read order, ending in its verdict, to the trie of
+    :func:`estimate_success_mc`."""
     holder, slot = trie, 0
-    for (ident, index), bit in zip(log.reads, log.bits):
+    for ident, index, bit in reads:
         node = holder[slot]
         if node is None:
             node = holder[slot] = [ident, index, None, None]

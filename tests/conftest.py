@@ -11,6 +11,7 @@ import itertools
 import random
 from collections import Counter
 from fractions import Fraction
+from typing import Sequence
 
 from derandlab import (
     DEFAULT_BIT_CAP,
@@ -21,7 +22,6 @@ from derandlab import (
     NodeProgram,
     ProblemSpec,
     RandomAssignment,
-    ReadPath,
     SimulationError,
     StepResult,
     canonicalize,
@@ -269,6 +269,56 @@ def differential_case(name):
     factory, problem_name, bits, claimed_n = DIFFERENTIAL_CASES[name]
     problem = problem_by_name(problem_name)
     return factory(problem.output_alphabet), problem, bits, claimed_n
+
+
+# ``ReadPath`` as it was in ``derandlab.streams``, kept verbatim: only the
+# reference tree walk below, and the tests of the walk's logging, read it.
+
+
+class ReadPath:
+    """The bits one run reads, logged in global read order, and a prefix of
+    them to replay.
+
+    :attr:`assignment` gives each of ``identifiers`` a stream that reads
+    through the log.  ``reads`` maps each distinct bit read, as (identifier,
+    index in its stream), to its place j in read order; a bit read again is
+    answered from the first read.  The bit at place j is ``bits[j]`` when
+    ``bits`` already holds it (a replayed prefix), and otherwise the bit of
+    the identifier's stream in ``source``, appended to ``bits``; a bit that
+    ``source`` refuses raises there.  A replayed bit is not asked of
+    ``source`` again: a pure run replays its reads.  The streams keep the
+    descriptions of ``source``'s streams.
+    """
+
+    def __init__(self, source: RandomAssignment, identifiers: Sequence[int]):
+        self.bits: list[int] = []
+        self.reads: dict[tuple[int, int], int] = {}
+        streams = {
+            ident: self._logged(ident, source.stream_for(ident)) for ident in identifiers
+        }
+        self.assignment = RandomAssignment(
+            streams.__getitem__, frozenset(streams), f"read-path:{source.description}"
+        )
+
+    def _logged(self, ident: int, stream: BitStream) -> BitStream:
+        fresh = stream._getter
+        bits, reads = self.bits, self.reads
+
+        def getter(i: int) -> int:
+            read = (ident, i)
+            j = reads.get(read)
+            if j is None:
+                j = reads[read] = len(reads)
+                if j == len(bits):
+                    bits.append(fresh(i))
+            return bits[j]
+
+        return BitStream(getter, stream.description)
+
+    def replay(self) -> None:
+        """Forget what the last run read, but keep ``bits``, as the caller
+        left them, as the prefix the next run replays."""
+        self.reads.clear()
 
 
 # ``compute_success_exact`` as it was before runs were merged into

@@ -7,6 +7,7 @@ import re
 import pytest
 
 from conftest import claimed_size_program
+from derandlab import load_table, save_table
 from derandlab.cli import main
 from derandlab.programs import RANDOMIZED_BUILTINS
 
@@ -67,6 +68,18 @@ class TestDerandomize:
         assert payload["family_size"] == 48
         assert payload["manifest"]["subcommand"] == "derandomize"
         assert table.exists()
+
+    def test_outputs_go_into_missing_directories(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("DERANDLAB_OUT_DIR", str(tmp_path))
+        argv = ["derandomize", "--problem", "mis", "--n", "2", "--T", "1"]
+        outputs = ["--out-report", "nested/r.json", "--out-table", "nested2/t.json"]
+        assert run(argv + outputs) == 0
+        assert json.loads((tmp_path / "nested" / "r.json").read_text())["found"] is True
+        text = (tmp_path / "nested2" / "t.json").read_text()
+        # the bytes of save_table
+        saved = tmp_path / "saved.json"
+        save_table(load_table(tmp_path / "nested2" / "t.json"), saved)
+        assert text == saved.read_text()
 
     def test_two_coloring_n3_unsat_with_witness(self, tmp_path):
         report = tmp_path / "report.json"

@@ -9,6 +9,7 @@ import dataclasses
 import hashlib
 import itertools
 import random
+import types
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ import pytest
 import conftest
 from conftest import (
     DIFFERENTIAL_CASES,
+    ReadPath,
     adaptive_two_round_program,
     claimed_size_program,
     copy_neighbor_parity_problem,
@@ -34,7 +36,6 @@ from derandlab import (
     McEstimate,
     NodeProgram,
     RandomAssignment,
-    ReadPath,
     SimulationError,
     StepResult,
     StreamExhausted,
@@ -49,6 +50,7 @@ from derandlab import (
     run_randomized,
     search_good_f,
     simulator,
+    streams,
     verify,
 )
 from derandlab.programs import (
@@ -388,6 +390,24 @@ def test_monte_carlo_simulates_each_read_path_once(runs):
     # two nodes reading one bit each: at most 4 paths in each of 4 instances
     assert runs[0] <= 16
     assert sum(e.failure for e in got) == Fraction(9887, 10000)
+
+
+def test_monte_carlo_hashes_each_stream_block_once_per_trial(monkeypatch):
+    """A trial that misses the trie runs on the streams its walk read, so
+    each of the 200 trials hashes one block per node of each instance: the
+    n=3 family has 48 instances of 3 nodes, and two-bit reads two bits."""
+    digests = [0]
+    sha256 = hashlib.sha256
+
+    def counting(data):
+        digests[0] += 1
+        return sha256(data)
+
+    monkeypatch.setattr(streams, "hashlib", types.SimpleNamespace(sha256=counting))
+    problem = problem_by_name("coloring:3")
+    program = two_bit_label_program(problem.output_alphabet)
+    estimate_success_mc(program, problem, N3_FAMILY, 200, seed=1, claimed_n=512)
+    assert digests[0] == 200 * sum(inst.n for inst in N3_FAMILY) == 28_800
 
 
 @pytest.mark.parametrize("name", sorted(DIFFERENTIAL_CASES))

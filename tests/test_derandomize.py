@@ -222,6 +222,24 @@ class TestDerandomizeViaAssignment:
             derandomize_via_f(self.program, bad, 0, self.family, self.problem)
         assert self.family[err.value.index].graph.edges == ((0, 1),)
 
+    def test_the_two_route_one_checks_agree(self):
+        """On every 1-bit assignment, a table comes back exactly when
+        ``assignment_is_good`` says good, and a rejection names the instance
+        it names."""
+        verdicts = []
+        for f in iter_bounded_assignments([1, 2], 1):
+            ok, index = assignment_is_good(self.program, f, self.family, self.problem)
+            verdicts.append(ok)
+            if ok:
+                table = derandomize_via_f(self.program, f, 0, self.family, self.problem)
+                assert table.provenance == f"via-f:{self.program.name}"
+                continue
+            with pytest.raises(AssignmentNotGood) as err:
+                derandomize_via_f(self.program, f, 0, self.family, self.problem)
+            assert err.value.index == index
+            assert err.value.instance is self.family[index]
+        assert verdicts == [False, True, True, False]
+
     def test_radius_too_small_raises_locality_violation(self):
         # a 1-round gather cannot be a function of radius-0 views
         program = id_sum_parity_program(1)

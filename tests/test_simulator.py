@@ -23,7 +23,6 @@ from derandlab import (
     TableFormatError,
     UnassignedIdentifier,
     assignment_is_good,
-    assignment_space_size,
     compute_success_exact,
     disjoint_union,
     enumerate_instances,
@@ -127,7 +126,7 @@ class TestStreams:
         ids = sorted(set(id_space))
         flats = itertools.product((0, 1), repeat=bits * len(ids))
         got = list(iter_bounded_assignments(id_space, bits))
-        assert len(got) == assignment_space_size(id_space, bits)
+        assert len(got) == 2 ** (bits * len(set(id_space)))
         for assignment, flat in itertools.zip_longest(got, flats):
             vectors = {ident: flat[i * bits : (i + 1) * bits] for i, ident in enumerate(ids)}
             want = RandomAssignment.from_vectors(vectors)
@@ -153,8 +152,6 @@ class TestStreams:
             assert errors[0] == errors[1]
 
     def test_a_negative_bit_budget_is_rejected(self):
-        with pytest.raises(ValueError, match="^bit budget must be nonnegative$"):
-            assignment_space_size((1, 2), -1)
         with pytest.raises(ValueError, match="^bit budget must be nonnegative$"):
             next(iter_bounded_assignments((1, 2), -1))
 

@@ -197,15 +197,16 @@ def cmd_certify(args: argparse.Namespace) -> int:
         "mode": args.mode,
         "claimed_n": claimed_n,
     }
-    # with --find-f the assignment search and the exact pass share one compilation
+    if args.mode == "mc" and args.seed is None:
+        raise ValueError("--seed is required in mc mode")
+    # with --find-f the assignment search and the probability pass share one
+    # compilation
     checks = list(compile_checks(problem, family)) if args.find_f else None
     if args.mode == "exact":
         probs = compute_success_exact(
             program, problem, family, args.bits, claimed_n, checks=checks
         )
     else:
-        if args.seed is None:
-            raise ValueError("--seed is required in mc mode")
         estimates = estimate_success_mc(
             program,
             problem,
@@ -213,6 +214,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
             trials=args.trials,
             seed=args.seed,
             claimed_n=claimed_n,
+            checks=checks,
         )
         probs = [e.failure for e in estimates]
         payload["stderr"] = [e.stderr for e in estimates]

@@ -524,9 +524,12 @@ def compute_success_exact(
     Each instance is evaluated round by round over configurations with
     dyadic weights, starting from the one empty configuration.  In a round,
     each running node walks the tree of the bits its step reads depth first
-    (Knuth & Yao, 1976; :class:`_ReadTree`), once per distinct (state,
-    inbox, read position); the walk gives that node's distribution over
-    outcomes.  The product of the nodes' distributions gives the next
+    (Knuth & Yao, 1976; :class:`_ReadTree`); the walk gives that node's
+    distribution over outcomes.  A walk depends only on the node's context
+    (round, claimed count, identifier, degree, input, state, inbox) and its
+    read position, since steps are pure, so it runs once per distinct
+    context and read position of the whole call, whatever node or instance
+    meets it.  The product of the nodes' distributions gives the next
     configurations, and equal ones are merged, adding their weights, as
     probabilistic model checkers do (Kwiatkowska, Norman & Parker, "PRISM
     4.0", CAV 2011).  A configuration in which every node has halted is
@@ -543,18 +546,21 @@ def compute_success_exact(
     raises :class:`StreamExhausted` and a read at the bit cap
     :class:`BitBudgetExceeded`, a label outside the program's alphabet or a
     run past the round bound raises :class:`SimulationError`, and so does a
-    step that reads different bits when replayed.  Where several runs would
-    raise, the one reported is the first the evaluation meets, which need
-    not be the first in global read order (a different node's foreign label,
-    say).  States, messages and outputs must be hashable; an unhashable one
-    raises :class:`SimulationError` naming the program.
+    step that reads different bits when replayed within one walk.  Where
+    several runs would raise, the one reported is the first the evaluation
+    meets, which need not be the first in global read order (a different
+    node's foreign label, say).  A walk that raises is never stored, so the
+    walk memo changes neither which error is met first nor its text.
+    States, messages and outputs must be hashable; an unhashable one raises
+    :class:`SimulationError` naming the program.
     """
     if bits < 0:
         raise ValueError("bit budget must be nonnegative")
     if checks is None:
         checks = compile_checks(problem, family)
     tree = _ReadTree(program, bits)
-    return [_exact_failure(tree, compiled, claimed_n) for compiled in checks]
+    walks: dict[tuple, _Outcomes] = {}  # shared by every instance of the call
+    return [_exact_failure(tree, compiled, claimed_n, walks) for compiled in checks]
 
 
 _UNHASHABLE = (
@@ -646,10 +652,14 @@ class _ReadTree:
 
 
 def _exact_failure(
-    tree: _ReadTree, compiled: CompiledCheck, claimed_n: int | None
+    tree: _ReadTree,
+    compiled: CompiledCheck,
+    claimed_n: int | None,
+    walks: dict[tuple, _Outcomes],
 ) -> Fraction:
     """The failure probability of one instance; see
-    :func:`compute_success_exact`."""
+    :func:`compute_success_exact`.  ``walks`` holds the outcomes of the walks
+    made so far, keyed by what the step sees and where its reads start."""
     program = tree.program
     instance = compiled.instance
     n = instance.n
@@ -665,7 +675,6 @@ def _exact_failure(
     configs: dict[tuple[_Entry, ...], int] = {((None, None, None, 0),) * n: 1}
     scale = failed = 0
     for rnd in range(bound + 1):
-        walks: dict[tuple, _Outcomes] = {}
         expanded = []
         for config, weight in configs.items():
             inboxes = _inboxes(rnd, [entry[1] for entry in config], layout)
@@ -676,22 +685,24 @@ def _exact_failure(
                     entry = (None, None, output, 0)
                     nodes.append(_Outcomes([(entry, 1)], 0, [(output, 1)]))
                     continue
-                key = (v, state, inboxes[v], position)
+                # the context less the reader, and the read position: no node
+                # index, so equal contexts of any node or instance share a walk
+                key = (
+                    rnd,
+                    claimed_n,
+                    ids[v],
+                    degrees[v],
+                    inputs[v],
+                    state,
+                    inboxes[v],
+                    position,
+                )
                 try:
                     walked = walks.get(key)
                 except TypeError:
                     raise SimulationError(_UNHASHABLE.format(program.name)) from None
                 if walked is None:
-                    ctx = NodeContext(
-                        rnd,
-                        claimed_n,
-                        ids[v],
-                        degrees[v],
-                        inputs[v],
-                        state,
-                        inboxes[v],
-                        tree.reader,
-                    )
+                    ctx = NodeContext(*key[:-1], tree.reader)
                     walked = walks[key] = tree.walk(ctx, v, position)
                 nodes.append(walked)
             expanded.append((weight, nodes, sum(node.depth for node in nodes)))
@@ -784,11 +795,13 @@ def estimate_success_mc(
     seed: object,
     bit_cap: int = DEFAULT_BIT_CAP,
     claimed_n: int | None = None,
+    checks: Iterable[CompiledCheck] | None = None,
 ) -> list[McEstimate]:
     """Per-instance Monte-Carlo failure estimates with standard errors.
 
     Trial k of instance i reads each node's stream from the key
-    (seed, i, k, identifier), so identical seeds replay identical estimates.
+    (seed, i, k, identifier), so identical seeds replay identical estimates;
+    a trial joins (seed, i, k) once and appends each identifier to it.
     A trial is a pure function of the bits it reads, so each instance keeps
     a trie of the read paths simulated so far, each ending in its verdict.
     A trial walks the trie with its own keyed bits and runs the program only
@@ -797,13 +810,16 @@ def estimate_success_mc(
     at most one entry per bit read by a simulated run of the instance, and
     is dropped after the instance.  Runs are checked against the instance's
     compiled checks (:func:`compile_checks`), which agree with
-    :func:`verify`.  Every node is told ``claimed_n`` as the number of nodes
-    (default: the true count).
+    :func:`verify`; ``checks``, when given, are the family's compiled checks
+    in family order.  Every node is told ``claimed_n`` as the number of
+    nodes (default: the true count).
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    if checks is None:
+        checks = compile_checks(problem, family)
     estimates: list[McEstimate] = []
-    for idx, compiled in enumerate(compile_checks(problem, family)):
+    for idx, compiled in enumerate(checks):
         instance = compiled.instance
         # trie[0] is the root.  An inner node is [identifier, index, child on
         # 0, child on 1] for the next bit read; a leaf is a run's verdict.
@@ -812,21 +828,22 @@ def estimate_success_mc(
         instance_key = join_key(seed, idx)
         for k in range(trials):
             # the keys and digests of this trial's streams, by identifier;
-            # joining the joined instance key gives join_key(seed, idx, k, ident)
+            # f"{trial_key}|{ident}" is join_key(seed, idx, k, ident)
+            trial_key = join_key(instance_key, k)
             streams: dict[int, tuple[str, dict[int, bytes]]] = {}
             node = trie[0]
             while node.__class__ is list:
                 ident = node[0]
                 stream = streams.get(ident)
                 if stream is None:
-                    stream = streams[ident] = (join_key(instance_key, k, ident), {})
+                    stream = streams[ident] = (f"{trial_key}|{ident}", {})
                 node = node[2 + keyed_bit(stream[0], node[1], stream[1])]
             if node is None:
                 reads: list[tuple[int, int, int]] = []
                 logged = {}
                 for ident in instance.ids:
                     if ident not in streams:
-                        streams[ident] = (join_key(instance_key, k, ident), {})
+                        streams[ident] = (f"{trial_key}|{ident}", {})
                     logged[ident] = _logged_stream(ident, *streams[ident], reads)
                 assignment = RandomAssignment(logged.__getitem__)
                 result = run_randomized(

@@ -7,7 +7,7 @@ import re
 import pytest
 
 from conftest import claimed_size_program
-from derandlab import load_table, save_table
+from derandlab import load_table, problems, save_table
 from derandlab.cli import main
 from derandlab.programs import RANDOMIZED_BUILTINS
 
@@ -368,6 +368,38 @@ class TestCertify:
             ["certify", "--problem", "coloring:2", "--n", "2", "--mode", "mc"]
         )
         assert code == 3
+
+    @pytest.fixture()
+    def compiled(self, monkeypatch):
+        """The instances whose checks are compiled, in order."""
+        seen = []
+        real = problems._instance_checks
+
+        def counting(problem, instance, shared):
+            seen.append(instance)
+            return real(problem, instance, shared)
+
+        monkeypatch.setattr(problems, "_instance_checks", counting)
+        return seen
+
+    def test_mc_mode_checks_the_seed_before_compiling(self, compiled, capsys):
+        argv = [
+            "certify", "--problem", "coloring:2", "--n", "3", "--mode", "mc",
+            "--find-f",
+        ]
+        assert run(argv) == 3
+        assert capsys.readouterr().err == "error: --seed is required in mc mode\n"
+        assert compiled == []
+
+    @pytest.mark.parametrize("mode", ["exact", "mc"])
+    def test_find_f_compiles_the_family_once(self, tmp_path, compiled, mode):
+        argv = [
+            "certify", "--problem", "coloring:2", "--n", "3", "--program",
+            "first-bit", "--mode", mode, "--bits", "1", "--trials", "20",
+            "--seed", "1", "--find-f", "--out", str(tmp_path / "cert.json"),
+        ]
+        assert run(argv) == 0
+        assert len(compiled) == 48
 
     def test_mc_mode_replays(self, tmp_path):
         outs = [tmp_path / "c1.json", tmp_path / "c2.json"]

@@ -338,12 +338,14 @@ def counted_steps(program):
     return dataclasses.replace(program, step=counting), count
 
 
-# steps of the evaluator, where the reference tree walk makes want_runs runs
+# steps of the evaluator, where the reference tree walk makes want_runs runs.
+# The evaluator steps once per distinct node context and read position of
+# the call; the n=3 family has 9 contexts, (identifier, degree) pairs.
 WANT_STEPS = {
-    # reads no bits: one step per node
-    id_parity_label_program: 144,
-    # reads one bit: two steps per node, one per value of its bit
-    first_bit_label_program: 288,
+    # reads no bits: one step per context
+    id_parity_label_program: 9,
+    # reads one bit: two steps per context, one per value of its bit
+    first_bit_label_program: 18,
 }
 
 
@@ -372,15 +374,76 @@ def test_exact_cost_does_not_grow_with_an_unread_budget(runs):
     problem = problem_by_name("coloring:2")
     program, steps = counted_steps(first_bit_label_program(problem.output_alphabet))
     one = compute_success_exact(program, problem, N2_FAMILY, bits=1)
-    assert steps[0] == 16
+    assert steps[0] == 8
     steps[0] = 0
     forty = compute_success_exact(program, problem, N2_FAMILY, bits=40)
-    assert steps[0] == 16
+    assert steps[0] == 8
     assert forty == one == [0, 0, Fraction(1, 2), Fraction(1, 2)]
     for bits in (1, 40):
         runs[0] = 0
         assert reference_tree_walk(program, problem, N2_FAMILY, bits=bits) == one
         assert runs[0] == 16
+
+
+def test_exact_steps_each_context_of_the_n4_family_once():
+    """The 1,536 instances of the n=4 family show 16 contexts, (identifier,
+    degree) pairs, and first-bit steps twice in each: 32 steps, where
+    stepping each instance's nodes on their own took 12,288."""
+    problem = problem_by_name("coloring:2")
+    program, steps = counted_steps(first_bit_label_program(problem.output_alphabet))
+    family = list(enumerate_instances(InstanceFamilySpec(n=4)))
+    compute_success_exact(program, problem, family, bits=1, claimed_n=1 << 16)
+    assert steps[0] == 32
+
+
+def test_the_walk_memo_lives_for_one_call():
+    problem = problem_by_name("coloring:2")
+    program, steps = counted_steps(first_bit_label_program(problem.output_alphabet))
+    counts = []
+    for _ in range(2):
+        steps[0] = 0
+        compute_success_exact(program, problem, N3_FAMILY, bits=2)
+        counts.append(steps[0])
+    assert counts == [18, 18]
+
+
+def outcome(fn, *args):
+    """What ``fn(*args)`` returns, or the type and text of what it raises."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # compared with the reference, not handled
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize(
+    "factory, problem_name, family, calls",
+    [
+        # two-bit reads two bits: a budget of 1 raises, 2 and 3 do not
+        (
+            two_bit_label_program,
+            "coloring:3",
+            N3_FAMILY,
+            [(2, None), (1, None), (3, 512), (2, 512), (1, 512)],
+        ),
+        # told 16 nodes it reads no bits; told 2 it reads one
+        (
+            claimed_size_program,
+            "coloring:2",
+            N2_FAMILY,
+            [(1, 16), (1, None), (0, 16), (0, None), (1, 16)],
+        ),
+    ],
+    ids=["bits", "claimed-n"],
+)
+def test_back_to_back_calls_match_the_tree_walk(factory, problem_name, family, calls):
+    """One program object through calls with other budgets and claimed
+    counts: no call sees the walks of another."""
+    problem = problem_by_name(problem_name)
+    program = factory(problem.output_alphabet)
+    for bits, claimed_n in calls:
+        got = outcome(compute_success_exact, program, problem, family, bits, claimed_n)
+        want = outcome(reference_tree_walk, program, problem, family, bits, claimed_n)
+        assert got == want, (bits, claimed_n)
 
 
 def test_monte_carlo_simulates_each_read_path_once(runs):

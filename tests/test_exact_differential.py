@@ -9,6 +9,8 @@ of the built-ins, or raise the same exception type and text.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from conftest import (
@@ -98,11 +100,16 @@ def test_trial_colouring_matches_the_tree_walk(phases, total):
 
 def test_trial_colouring_over_three_phases():
     """Three phases read up to six bits per node over seven rounds, too many
-    read paths for the tree walk in a test; the total is pinned instead."""
+    read paths for the tree walk in a test; the total is pinned instead, and
+    so is the step count (20,826 when each instance kept its own walks)."""
     problem = problem_by_name("coloring:3")
     program = trial_colouring_program(problem.output_alphabet, 3)
+    steps = []
+    step = program.step
+    program = dataclasses.replace(program, step=lambda ctx: steps.append(1) or step(ctx))
     got = compute_success_exact(program, problem, FAMILIES[3], 6, 512)
     assert str(sum(got)) == "14907/8192"
+    assert len(steps) == 1575
 
 
 # -- errors --------------------------------------------------------------------
@@ -175,6 +182,24 @@ def test_errors_match_the_tree_walk(make, problem, family, bits, error):
     got = raised(compute_success_exact, make(), problem, family, bits)
     assert got == want
     assert want[0] is error
+
+
+def test_a_foreign_label_in_a_late_context_raises_like_the_tree_walk():
+    """Identifier 3 first has degree 2 at node 0 of instance 22 of the n=3
+    family, after its walks at node 2 of the earlier instances were stored;
+    the error names that instance's node."""
+
+    def step(ctx):
+        if (ctx.identifier, ctx.degree) == (3, 2):
+            return StepResult(output="Z")
+        return StepResult(output="AB"[ctx.bits.next_bit()])
+
+    program = NodeProgram("late-foreign", step, lambda _claimed: 0, ("A", "B"))
+    problem = problem_by_name("coloring:2")
+    want = raised(reference_tree_walk, program, problem, FAMILIES[3], 1)
+    got = raised(compute_success_exact, program, problem, FAMILIES[3], 1)
+    assert got == want
+    assert want == (SimulationError, "node 0 emitted label 'Z' outside the output alphabet")
 
 
 def test_an_unhashable_state_raises_naming_the_program():

@@ -197,24 +197,21 @@ def cmd_certify(args: argparse.Namespace) -> int:
         "mode": args.mode,
         "claimed_n": claimed_n,
     }
-    if args.mode == "mc" and args.seed is None:
-        raise ValueError("--seed is required in mc mode")
-    # with --find-f the assignment search and the probability pass share one
-    # compilation
-    checks = list(compile_checks(problem, family)) if args.find_f else None
+    if args.mode == "mc":
+        if args.seed is None:
+            raise ValueError("--seed is required in mc mode")
+        if args.trials < 1:
+            raise ValueError("need at least one trial")
+    # one pass over the family holds one instance's checks at a time; with
+    # --find-f the assignment search and the probability pass share one list
+    checks = compile_checks(problem, family)
+    if args.find_f:
+        checks = list(checks)
     if args.mode == "exact":
-        probs = compute_success_exact(
-            program, problem, family, args.bits, claimed_n, checks=checks
-        )
+        probs = compute_success_exact(program, checks, args.bits, claimed_n)
     else:
         estimates = estimate_success_mc(
-            program,
-            problem,
-            family,
-            trials=args.trials,
-            seed=args.seed,
-            claimed_n=claimed_n,
-            checks=checks,
+            program, checks, trials=args.trials, seed=args.seed, claimed_n=claimed_n
         )
         probs = [e.failure for e in estimates]
         payload["stderr"] = [e.stderr for e in estimates]
@@ -224,12 +221,10 @@ def cmd_certify(args: argparse.Namespace) -> int:
     if args.find_f:
         found = search_good_f(
             program,
-            problem,
-            family,
+            checks,
             bits=args.bits,
             id_space=list(spec.id_space),
             claimed_n=claimed_n,
-            checks=checks,
         )
         payload["good_f"] = (
             {str(k): list(v) for k, v in sorted(found.vectors.items())}

@@ -136,11 +136,9 @@ def certify_good_f(
 def assignment_is_good(
     program: NodeProgram,
     assignment: RandomAssignment,
-    family: Sequence[InputInstance],
-    problem: ProblemSpec,
+    checks: Iterable[CompiledCheck],
     claimed_n: int | None = None,
     bit_cap: int = DEFAULT_BIT_CAP,
-    checks: Iterable[CompiledCheck] | None = None,
 ) -> tuple[bool, int | None]:
     """Whether the program, run with the streams of ``assignment``, verifies
     on every instance; on failure also the first failing instance index.
@@ -148,8 +146,6 @@ def assignment_is_good(
     ``checks`` are the family's compiled checks (:func:`compile_checks`, in
     family order); a caller that tries many assignments compiles them once.
     """
-    if checks is None:
-        checks = compile_checks(problem, family)
     for idx, compiled in enumerate(checks):
         result = run_randomized(
             program, compiled.instance, claimed_n, streams=assignment, bit_cap=bit_cap
@@ -161,23 +157,21 @@ def assignment_is_good(
 
 def search_good_f(
     program: NodeProgram,
-    problem: ProblemSpec,
-    family: Sequence[InputInstance],
+    checks: Iterable[CompiledCheck],
     bits: int,
     id_space: Sequence[int],
     claimed_n: int | None = None,
     budget: int | None = 1 << 22,
     bit_cap: int = DEFAULT_BIT_CAP,
-    checks: Sequence[CompiledCheck] | None = None,
 ) -> RandomAssignment | None:
     """Lexicographically first good bounded assignment, or None.
 
     Enumerates every assignment of ``bits``-bit vectors to the identifier
     space and returns the first one whose fixed program verifies on the whole
-    family.  The family's checks are compiled once for the whole search,
-    unless the caller passes them as ``checks`` (in family order).  None
-    means the entire bounded space fails, which says nothing about unbounded
-    assignments.
+    family, whose compiled checks (:func:`compile_checks`, in family order)
+    are ``checks``.  They are read once, before the first candidate, since
+    every candidate passes over the whole family.  None means the entire
+    bounded space fails, which says nothing about unbounded assignments.
     """
     if bits < 0:
         raise ValueError("bit budget must be nonnegative")
@@ -188,13 +182,9 @@ def search_good_f(
         raise SearchBudgetExceeded(
             f"assignment space holds {size} candidates, over the budget {budget}"
         )
-    if checks is None:
-        checks = list(compile_checks(problem, family))
+    checks = list(checks)
     for assignment in iter_bounded_assignments(id_space, bits):
-        ok, _ = assignment_is_good(
-            program, assignment, family, problem, claimed_n, bit_cap, checks
-        )
-        if ok:
+        if assignment_is_good(program, assignment, checks, claimed_n, bit_cap)[0]:
             return assignment
     return None
 

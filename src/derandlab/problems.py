@@ -41,7 +41,6 @@ class ProblemSpec:
     locally_verifiable: bool = True
     ball_predicate: BallPredicate | None = field(default=None, repr=False)
     component_predicate: ComponentPredicate | None = field(default=None, repr=False)
-    input_alphabet: tuple[str, ...] | None = None
     declarative: tuple[tuple[str, object], ...] | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:

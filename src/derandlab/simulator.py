@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .graphs import InputInstance, canonicalize, extract_ball, json_value
-from .problems import Check, CompiledCheck, ProblemSpec, _triggers, compile_checks
+from .problems import Check, CompiledCheck, _triggers
 from .streams import (
     DEFAULT_BIT_CAP,
     BitReader,
@@ -504,14 +504,13 @@ _IMPURE = "program {} read different bits on one read path; its steps are not pu
 
 def compute_success_exact(
     program: NodeProgram,
-    problem: ProblemSpec,
-    family: Sequence[InputInstance],
+    checks: Iterable[CompiledCheck],
     bits: int,
     claimed_n: int | None = None,
-    checks: Iterable[CompiledCheck] | None = None,
 ) -> list[Fraction]:
-    """Exact per-instance failure probabilities for a program that reads at
-    most ``bits`` bits per node (reading further raises).
+    """Exact failure probabilities, one per compiled check of ``checks`` (the
+    family's :func:`compile_checks`, in family order), for a program that
+    reads at most ``bits`` bits per node (reading further raises).
 
     The result is the exact fraction of the (2**bits)**n joint choices of
     per-node bit vectors whose run fails verification.  Each bit a node has
@@ -538,9 +537,7 @@ def compute_success_exact(
     reject it.  When every outcome of every node of a configuration halts,
     the product is walked depth first in node order instead, each check
     firing at its last member, and a failing check adds the whole mass below
-    it as failed.  ``checks``, when given, are the family's compiled checks
-    in family order, so a caller can share them with another pass over the
-    same family.
+    it as failed.
 
     The runs this covers raise what a run would raise: a read past ``bits``
     raises :class:`StreamExhausted` and a read at the bit cap
@@ -556,8 +553,6 @@ def compute_success_exact(
     """
     if bits < 0:
         raise ValueError("bit budget must be nonnegative")
-    if checks is None:
-        checks = compile_checks(problem, family)
     tree = _ReadTree(program, bits)
     walks: dict[tuple, _Outcomes] = {}  # shared by every instance of the call
     return [_exact_failure(tree, compiled, claimed_n, walks) for compiled in checks]
@@ -789,15 +784,15 @@ class McEstimate:
 
 def estimate_success_mc(
     program: NodeProgram,
-    problem: ProblemSpec,
-    family: Sequence[InputInstance],
+    checks: Iterable[CompiledCheck],
     trials: int,
     seed: object,
     bit_cap: int = DEFAULT_BIT_CAP,
     claimed_n: int | None = None,
-    checks: Iterable[CompiledCheck] | None = None,
 ) -> list[McEstimate]:
-    """Per-instance Monte-Carlo failure estimates with standard errors.
+    """Monte-Carlo failure estimates with standard errors, one per compiled
+    check of ``checks`` (the family's :func:`compile_checks`, in family
+    order).
 
     Trial k of instance i reads each node's stream from the key
     (seed, i, k, identifier), so identical seeds replay identical estimates;
@@ -810,14 +805,11 @@ def estimate_success_mc(
     at most one entry per bit read by a simulated run of the instance, and
     is dropped after the instance.  Runs are checked against the instance's
     compiled checks (:func:`compile_checks`), which agree with
-    :func:`verify`; ``checks``, when given, are the family's compiled checks
-    in family order.  Every node is told ``claimed_n`` as the number of
+    :func:`verify`.  Every node is told ``claimed_n`` as the number of
     nodes (default: the true count).
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    if checks is None:
-        checks = compile_checks(problem, family)
     estimates: list[McEstimate] = []
     for idx, compiled in enumerate(checks):
         instance = compiled.instance

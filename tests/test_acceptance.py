@@ -26,6 +26,7 @@ from derandlab import (
     brute_force_solve,
     certify_good_f,
     check_indistinguishability,
+    compile_checks,
     compute_success_exact,
     count_bound,
     derandomize_via_f,
@@ -187,7 +188,7 @@ def test_first_bit_coloring_union_bound_certificate():
     # the strict verdict is false, so this check fails by design.  See the
     # module docstring.
     problem, family, program = _first_bit_setup()
-    probs = compute_success_exact(program, problem, family, bits=1)
+    probs = compute_success_exact(program, compile_checks(problem, family), bits=1)
     lift = lift_to_claimed_size(InstanceFamilySpec(n=2))
     certificate = certify_good_f(probs, lift.claimed_size)
     ok = certificate.total < 1 and certificate.verdict
@@ -201,10 +202,12 @@ def test_first_bit_coloring_union_bound_certificate():
 def test_first_bit_coloring_pipeline_agreement():
     problem, family, program = _first_bit_setup()
 
-    good = search_good_f(program, problem, family, bits=1, id_space=[1, 2])
+    good = search_good_f(
+        program, compile_checks(problem, family), bits=1, id_space=[1, 2]
+    )
     good_found = good is not None and good.vectors == {1: (0,), 2: (1,)}
     good_count = sum(
-        assignment_is_good(program, f, family, problem)[0]
+        assignment_is_good(program, f, compile_checks(problem, family))[0]
         for f in iter_bounded_assignments([1, 2], 1)
     )
 
@@ -260,9 +263,13 @@ def test_tabulated_program_round_trip():
 
 def test_monte_carlo_tracks_exact_failure():
     problem, family, program = _first_bit_setup()
-    exact = compute_success_exact(program, problem, family, bits=1)
-    first = estimate_success_mc(program, problem, family, trials=10_000, seed=7)
-    second = estimate_success_mc(program, problem, family, trials=10_000, seed=7)
+    exact = compute_success_exact(program, compile_checks(problem, family), bits=1)
+    first = estimate_success_mc(
+        program, compile_checks(problem, family), trials=10_000, seed=7
+    )
+    second = estimate_success_mc(
+        program, compile_checks(problem, family), trials=10_000, seed=7
+    )
     within = all(
         abs(float(est.failure) - float(x)) <= 3 * est.stderr
         for est, x in zip(first, exact)

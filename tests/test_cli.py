@@ -391,12 +391,22 @@ class TestCertify:
         assert capsys.readouterr().err == "error: --seed is required in mc mode\n"
         assert compiled == []
 
+    def test_mc_mode_checks_the_trials_before_compiling(self, compiled, capsys):
+        argv = [
+            "certify", "--problem", "coloring:2", "--n", "3", "--mode", "mc",
+            "--seed", "1", "--trials", "0", "--find-f",
+        ]
+        assert run(argv) == 3
+        assert capsys.readouterr().err == "error: need at least one trial\n"
+        assert compiled == []
+
+    @pytest.mark.parametrize("find_f", [["--find-f"], []], ids=["find-f", "lazy"])
     @pytest.mark.parametrize("mode", ["exact", "mc"])
-    def test_find_f_compiles_the_family_once(self, tmp_path, compiled, mode):
+    def test_certify_compiles_the_family_once(self, tmp_path, compiled, mode, find_f):
         argv = [
             "certify", "--problem", "coloring:2", "--n", "3", "--program",
             "first-bit", "--mode", mode, "--bits", "1", "--trials", "20",
-            "--seed", "1", "--find-f", "--out", str(tmp_path / "cert.json"),
+            "--seed", "1", *find_f, "--out", str(tmp_path / "cert.json"),
         ]
         assert run(argv) == 0
         assert len(compiled) == 48

@@ -204,7 +204,7 @@ def test_exact_probabilities_match_the_verify_loop():
     problem = problem_by_name("coloring:3")
     program = two_bit_label_program(problem.output_alphabet)
     family = list(enumerate_instances(InstanceFamilySpec(n=3)))
-    got = compute_success_exact(program, problem, family, bits=2)
+    got = compute_success_exact(program, compile_checks(problem, family), bits=2)
     assert got == reference_success_exact(program, problem, family, bits=2)
     assert len(set(got)) > 1
 
@@ -213,7 +213,9 @@ def test_monte_carlo_estimates_match_the_verify_loop():
     problem = problem_by_name("coloring:2")
     program = first_bit_label_program(problem.output_alphabet)
     family = list(enumerate_instances(InstanceFamilySpec(n=2)))
-    got = estimate_success_mc(program, problem, family, trials=500, seed=7)
+    got = estimate_success_mc(
+        program, compile_checks(problem, family), trials=500, seed=7
+    )
     assert got == reference_success_mc(program, problem, family, trials=500, seed=7)
     assert any(e.failure for e in got)
 
@@ -233,7 +235,7 @@ def test_exact_probabilities_match_the_verify_loop_below_the_budget(factory, bit
     problem = problem_by_name("coloring:2")
     program = factory(problem.output_alphabet)
     family = list(enumerate_instances(InstanceFamilySpec(n=3)))
-    got = compute_success_exact(program, problem, family, bits=bits)
+    got = compute_success_exact(program, compile_checks(problem, family), bits=bits)
     assert got == reference_success_exact(program, problem, family, bits=bits)
 
 
@@ -244,7 +246,7 @@ def test_exact_probabilities_past_the_budget_raise_like_the_verify_loop():
     with pytest.raises(StreamExhausted) as expected:
         reference_success_exact(program, problem, family, bits=1)
     with pytest.raises(StreamExhausted) as got:
-        compute_success_exact(program, problem, family, bits=1)
+        compute_success_exact(program, compile_checks(problem, family), bits=1)
     assert str(got.value) == str(expected.value)
 
 
@@ -286,20 +288,27 @@ def test_estimators_and_the_search_pass_the_claimed_count_on():
     family = list(enumerate_instances(spec))
     ids = list(spec.id_space)
 
-    told = compute_success_exact(program, problem, family, 1, claimed)
+    told = compute_success_exact(program, compile_checks(problem, family), 1, claimed)
     assert told == reference_success_exact(program, problem, family, 1, claimed)
     assert told == [0] * len(family)
-    untold = compute_success_exact(program, problem, family, 1)
+    untold = compute_success_exact(program, compile_checks(problem, family), 1)
     assert untold == reference_success_exact(program, problem, family, 1)
     assert any(untold)
 
-    mc = estimate_success_mc(program, problem, family, 50, seed=3, claimed_n=claimed)
+    mc = estimate_success_mc(
+        program, compile_checks(problem, family), 50, seed=3, claimed_n=claimed
+    )
     assert [e.failure for e in mc] == [0] * len(family)
-    assert any(e.failure for e in estimate_success_mc(program, problem, family, 50, 3))
+    assert any(
+        e.failure
+        for e in estimate_success_mc(program, compile_checks(problem, family), 50, 3)
+    )
 
-    found = search_good_f(program, problem, family, 1, ids, claimed_n=claimed)
+    found = search_good_f(
+        program, compile_checks(problem, family), 1, ids, claimed_n=claimed
+    )
     assert found.vectors == {1: (0,), 2: (0,)}
-    found = search_good_f(program, problem, family, 1, ids)
+    found = search_good_f(program, compile_checks(problem, family), 1, ids)
     assert found.vectors == {1: (0,), 2: (1,)}
 
 
@@ -361,7 +370,7 @@ WANT_STEPS = {
 def test_exact_runs_one_run_per_read_path(runs, factory, bits, want_runs):
     problem = problem_by_name("coloring:2")
     program, steps = counted_steps(factory(problem.output_alphabet))
-    got = compute_success_exact(program, problem, N3_FAMILY, bits=bits)
+    got = compute_success_exact(program, compile_checks(problem, N3_FAMILY), bits=bits)
     assert steps[0] == WANT_STEPS[factory]
     assert runs[0] == 0
     assert got == reference_success_exact(program, problem, N3_FAMILY, bits=bits)
@@ -373,10 +382,10 @@ def test_exact_runs_one_run_per_read_path(runs, factory, bits, want_runs):
 def test_exact_cost_does_not_grow_with_an_unread_budget(runs):
     problem = problem_by_name("coloring:2")
     program, steps = counted_steps(first_bit_label_program(problem.output_alphabet))
-    one = compute_success_exact(program, problem, N2_FAMILY, bits=1)
+    one = compute_success_exact(program, compile_checks(problem, N2_FAMILY), bits=1)
     assert steps[0] == 8
     steps[0] = 0
-    forty = compute_success_exact(program, problem, N2_FAMILY, bits=40)
+    forty = compute_success_exact(program, compile_checks(problem, N2_FAMILY), bits=40)
     assert steps[0] == 8
     assert forty == one == [0, 0, Fraction(1, 2), Fraction(1, 2)]
     for bits in (1, 40):
@@ -392,7 +401,9 @@ def test_exact_steps_each_context_of_the_n4_family_once():
     problem = problem_by_name("coloring:2")
     program, steps = counted_steps(first_bit_label_program(problem.output_alphabet))
     family = list(enumerate_instances(InstanceFamilySpec(n=4)))
-    compute_success_exact(program, problem, family, bits=1, claimed_n=1 << 16)
+    compute_success_exact(
+        program, compile_checks(problem, family), bits=1, claimed_n=1 << 16
+    )
     assert steps[0] == 32
 
 
@@ -402,7 +413,7 @@ def test_the_walk_memo_lives_for_one_call():
     counts = []
     for _ in range(2):
         steps[0] = 0
-        compute_success_exact(program, problem, N3_FAMILY, bits=2)
+        compute_success_exact(program, compile_checks(problem, N3_FAMILY), bits=2)
         counts.append(steps[0])
     assert counts == [18, 18]
 
@@ -441,7 +452,13 @@ def test_back_to_back_calls_match_the_tree_walk(factory, problem_name, family, c
     problem = problem_by_name(problem_name)
     program = factory(problem.output_alphabet)
     for bits, claimed_n in calls:
-        got = outcome(compute_success_exact, program, problem, family, bits, claimed_n)
+        got = outcome(
+            compute_success_exact,
+            program,
+            compile_checks(problem, family),
+            bits,
+            claimed_n,
+        )
         want = outcome(reference_tree_walk, program, problem, family, bits, claimed_n)
         assert got == want, (bits, claimed_n)
 
@@ -449,7 +466,9 @@ def test_back_to_back_calls_match_the_tree_walk(factory, problem_name, family, c
 def test_monte_carlo_simulates_each_read_path_once(runs):
     problem = problem_by_name("coloring:2")
     program = first_bit_label_program(problem.output_alphabet)
-    got = estimate_success_mc(program, problem, N2_FAMILY, trials=10_000, seed=7)
+    got = estimate_success_mc(
+        program, compile_checks(problem, N2_FAMILY), trials=10_000, seed=7
+    )
     # two nodes reading one bit each: at most 4 paths in each of 4 instances
     assert runs[0] <= 16
     assert sum(e.failure for e in got) == Fraction(9887, 10000)
@@ -469,7 +488,9 @@ def test_monte_carlo_hashes_each_stream_block_once_per_trial(monkeypatch):
     monkeypatch.setattr(streams, "hashlib", types.SimpleNamespace(sha256=counting))
     problem = problem_by_name("coloring:3")
     program = two_bit_label_program(problem.output_alphabet)
-    estimate_success_mc(program, problem, N3_FAMILY, 200, seed=1, claimed_n=512)
+    estimate_success_mc(
+        program, compile_checks(problem, N3_FAMILY), 200, seed=1, claimed_n=512
+    )
     assert digests[0] == 200 * sum(inst.n for inst in N3_FAMILY) == 28_800
 
 
@@ -477,7 +498,9 @@ def test_monte_carlo_hashes_each_stream_block_once_per_trial(monkeypatch):
 def test_exact_walk_matches_the_reference_loop(name):
     program, problem, bits, claimed_n = differential_case(name)
     family = SMALL_FAMILIES
-    got = compute_success_exact(program, problem, family, bits, claimed_n)
+    got = compute_success_exact(
+        program, compile_checks(problem, family), bits, claimed_n
+    )
     assert got == reference_success_exact(program, problem, family, bits, claimed_n)
     assert all(type(p) is Fraction for p in got)
 
@@ -487,7 +510,9 @@ def test_exact_walk_matches_the_reference_loop(name):
 def test_monte_carlo_trie_matches_the_reference_loop(name, seed):
     program, problem, _, claimed_n = differential_case(name)
     family = N2_FAMILY + N3_FAMILY[::6]
-    got = estimate_success_mc(program, problem, family, 40, seed, claimed_n=claimed_n)
+    got = estimate_success_mc(
+        program, compile_checks(problem, family), 40, seed, claimed_n=claimed_n
+    )
     want = reference_success_mc(program, problem, family, 40, seed, claimed_n)
     assert got == want
     assert all(type(e) is McEstimate for e in got)
@@ -538,7 +563,9 @@ def test_monte_carlo_past_the_cap_raises_like_the_reference_loop(seed):
     with pytest.raises(BitBudgetExceeded) as expected:
         reference_success_mc(program, problem, N2_FAMILY, 200, seed, bit_cap=cap)
     with pytest.raises(BitBudgetExceeded) as got:
-        estimate_success_mc(program, problem, N2_FAMILY, 200, seed, bit_cap=cap)
+        estimate_success_mc(
+            program, compile_checks(problem, N2_FAMILY), 200, seed, bit_cap=cap
+        )
     assert str(got.value) == str(expected.value)
     assert "keyed:" in str(got.value)
 
@@ -549,7 +576,7 @@ def test_exact_walk_past_the_budget_raises_like_the_reference_loop():
     with pytest.raises(StreamExhausted) as expected:
         reference_success_exact(program, problem, N2_FAMILY, bits=2)
     with pytest.raises(StreamExhausted) as got:
-        compute_success_exact(program, problem, N2_FAMILY, bits=2)
+        compute_success_exact(program, compile_checks(problem, N2_FAMILY), bits=2)
     assert str(got.value) == str(expected.value)
 
 
@@ -570,6 +597,10 @@ def test_the_estimators_reject_a_program_whose_reads_change_on_replay():
     single = SMALL_FAMILIES[0]
     assert single.n == 1
     with pytest.raises(SimulationError, match="impure"):
-        compute_success_exact(impure_program(), problem, [single], bits=1)
+        compute_success_exact(
+            impure_program(), compile_checks(problem, [single]), bits=1
+        )
     with pytest.raises(SimulationError, match="impure"):
-        estimate_success_mc(impure_program(), problem, [single], trials=50, seed=1)
+        estimate_success_mc(
+            impure_program(), compile_checks(problem, [single]), trials=50, seed=1
+        )

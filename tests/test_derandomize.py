@@ -28,6 +28,7 @@ from derandlab import (
     derandomize,
     derandomize_via_f,
     enumerate_instances,
+    estimate_success_mc,
     find_normal_form,
     fix_randomness,
     iter_bounded_assignments,
@@ -121,24 +122,30 @@ class TestSearchGoodAssignment:
             ball_predicate=lambda ball, outputs: True,
         )
         family = list(enumerate_instances(InstanceFamilySpec(n=1)))
-        found = search_good_f(program, problem, family, bits=1, id_space=[1])
+        found = search_good_f(
+            program, compile_checks(problem, family), bits=1, id_space=[1]
+        )
         assert found is not None
         assert found.vectors == {1: (0,)}
 
     def test_single_node_must_output_one(self):
         program = first_bit_label_program(("0", "1"))
         family = list(enumerate_instances(InstanceFamilySpec(n=1)))
-        found = search_good_f(program, output_one_problem(), family, bits=1, id_space=[1])
+        found = search_good_f(
+            program, compile_checks(output_one_problem(), family), bits=1, id_space=[1]
+        )
         assert found.vectors == {1: (1,)}
 
     def test_n2_coloring_exactly_two_good_candidates(self):
         program = first_bit_label_program(("A", "B"))
         problem = make_coloring(2)
         family = list(enumerate_instances(InstanceFamilySpec(n=2)))
-        found = search_good_f(program, problem, family, bits=1, id_space=[1, 2])
+        found = search_good_f(
+            program, compile_checks(problem, family), bits=1, id_space=[1, 2]
+        )
         assert found.vectors == {1: (0,), 2: (1,)}
         verdicts = [
-            assignment_is_good(program, f, family, problem)
+            assignment_is_good(program, f, compile_checks(problem, family))
             for f in iter_bounded_assignments([1, 2], 1)
         ]
         assert [ok for ok, _ in verdicts] == [False, True, True, False]
@@ -162,14 +169,20 @@ class TestSearchGoodAssignment:
             ball_predicate=lambda ball, outputs: False,
         )
         family = list(enumerate_instances(InstanceFamilySpec(n=1)))
-        assert search_good_f(program, problem, family, bits=1, id_space=[1]) is None
+        assert search_good_f(
+            program, compile_checks(problem, family), bits=1, id_space=[1]
+        ) is None
 
     def test_budget_guard(self):
         program = first_bit_label_program(("0", "1"))
         family = list(enumerate_instances(InstanceFamilySpec(n=1)))
         with pytest.raises(SearchBudgetExceeded):
             search_good_f(
-                program, output_one_problem(), family, bits=8, id_space=[1], budget=100
+                program,
+                compile_checks(output_one_problem(), family),
+                bits=8,
+                id_space=[1],
+                budget=100,
             )
 
     def test_a_negative_bit_budget_is_rejected_before_any_work(self, monkeypatch):
@@ -180,7 +193,12 @@ class TestSearchGoodAssignment:
         program = first_bit_label_program(("0", "1"))
         family = list(enumerate_instances(InstanceFamilySpec(n=1)))
         with pytest.raises(ValueError, match="^bit budget must be nonnegative$"):
-            search_good_f(program, output_one_problem(), family, bits=-1, id_space=[1])
+            search_good_f(
+                program,
+                compile_checks(output_one_problem(), family),
+                bits=-1,
+                id_space=[1],
+            )
         assert work == []
 
     def test_union_bound_verdict_implies_search_succeeds(self):
@@ -188,13 +206,60 @@ class TestSearchGoodAssignment:
         program = first_bit_label_program(("0", "1"))
         problem = output_one_problem()
         family = list(enumerate_instances(InstanceFamilySpec(n=1)))
-        probs = compute_success_exact(program, problem, family, bits=1)
+        probs = compute_success_exact(program, compile_checks(problem, family), bits=1)
         cert = certify_good_f(
             probs, lift_to_claimed_size(InstanceFamilySpec(n=1)).claimed_size
         )
         assert cert.total == Fraction(1, 2)
         assert cert.verdict
-        assert search_good_f(program, problem, family, bits=1, id_space=[1]) is not None
+        assert search_good_f(
+            program, compile_checks(problem, family), bits=1, id_space=[1]
+        ) is not None
+
+
+class TestOnePassChecks:
+    """Route one's passes take the family's compiled checks alone, and
+    :func:`compile_checks` yields them lazily: a generator must give what a
+    list gives."""
+
+    problem = make_mis()
+    program = first_bit_label_program(problem.output_alphabet)
+    family = list(enumerate_instances(InstanceFamilySpec(n=2)))
+
+    def checks(self):
+        return compile_checks(self.problem, self.family)
+
+    def test_the_search_reads_a_generator_once(self):
+        # every candidate fails on some instance; a search that passed over
+        # the generator once per candidate would check the second candidate
+        # on the instances the first one left, and return it
+        listed = search_good_f(self.program, list(self.checks()), 1, [1, 2])
+        assert listed is None
+        assert search_good_f(self.program, self.checks(), 1, [1, 2]) == listed
+
+    def test_the_other_passes_give_what_a_list_gives(self):
+        exact = compute_success_exact(self.program, self.checks(), 1)
+        assert exact == compute_success_exact(self.program, list(self.checks()), 1)
+        mc = estimate_success_mc(self.program, self.checks(), 100, seed=3)
+        assert mc == estimate_success_mc(self.program, list(self.checks()), 100, seed=3)
+        for f in iter_bounded_assignments([1, 2], 1):
+            got = assignment_is_good(self.program, f, self.checks())
+            assert got == assignment_is_good(self.program, f, list(self.checks()))
+
+    @pytest.mark.parametrize(
+        "bits, budget, error", [(-1, None, ValueError), (8, 100, SearchBudgetExceeded)]
+    )
+    def test_the_search_draws_no_check_before_its_guards(self, bits, budget, error):
+        drawn = []
+
+        def checks():
+            for compiled in self.checks():
+                drawn.append(compiled)
+                yield compiled
+
+        with pytest.raises(error):
+            search_good_f(self.program, checks(), bits, [1, 2], budget=budget)
+        assert drawn == []
 
 
 class TestDerandomizeViaAssignment:
@@ -228,7 +293,9 @@ class TestDerandomizeViaAssignment:
         it names."""
         verdicts = []
         for f in iter_bounded_assignments([1, 2], 1):
-            ok, index = assignment_is_good(self.program, f, self.family, self.problem)
+            ok, index = assignment_is_good(
+                self.program, f, compile_checks(self.problem, self.family)
+            )
             verdicts.append(ok)
             if ok:
                 table = derandomize_via_f(self.program, f, 0, self.family, self.problem)

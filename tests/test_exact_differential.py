@@ -28,6 +28,7 @@ from derandlab import (
     SimulationError,
     StepResult,
     StreamExhausted,
+    compile_checks,
     compute_success_exact,
     enumerate_instances,
     problem_by_name,
@@ -60,7 +61,9 @@ def test_every_builtin_has_a_case():
 @pytest.mark.parametrize("name", sorted(DIFFERENTIAL_CASES))
 def test_the_test_programs_match_the_tree_walk(name):
     program, problem, bits, claimed_n = differential_case(name)
-    got = compute_success_exact(program, problem, SMALL_FAMILIES, bits, claimed_n)
+    got = compute_success_exact(
+        program, compile_checks(problem, SMALL_FAMILIES), bits, claimed_n
+    )
     want = reference_tree_walk(program, problem, SMALL_FAMILIES, bits, claimed_n)
     assert got == want
     assert all(type(p) is type(q) for p, q in zip(got, want))
@@ -71,7 +74,9 @@ def test_the_test_programs_match_the_tree_walk(name):
 def test_the_builtins_match_the_tree_walk(name, claimed_n):
     program, problem, bits = builtin_case(name)
     for budget in (bits, bits + 1):
-        got = compute_success_exact(program, problem, SMALL_FAMILIES, budget, claimed_n)
+        got = compute_success_exact(
+            program, compile_checks(problem, SMALL_FAMILIES), budget, claimed_n
+        )
         want = reference_tree_walk(program, problem, SMALL_FAMILIES, budget, claimed_n)
         assert got == want
 
@@ -80,7 +85,7 @@ def test_the_builtins_match_the_tree_walk(name, claimed_n):
 def test_the_builtins_match_the_tree_walk_on_the_n4_family(name):
     program, problem, bits = builtin_case(name)
     family = FAMILIES[4]
-    got = compute_success_exact(program, problem, family, bits, 1 << 16)
+    got = compute_success_exact(program, compile_checks(problem, family), bits, 1 << 16)
     assert got == reference_tree_walk(program, problem, family, bits, 1 << 16)
     assert len(set(got)) > 1
 
@@ -93,7 +98,9 @@ def test_trial_colouring_matches_the_tree_walk(phases, total):
     problem = problem_by_name("coloring:3")
     program = trial_colouring_program(problem.output_alphabet, phases)
     family = FAMILIES[3]
-    got = compute_success_exact(program, problem, family, 2 * phases, 512)
+    got = compute_success_exact(
+        program, compile_checks(problem, family), 2 * phases, 512
+    )
     assert got == reference_tree_walk(program, problem, family, 2 * phases, 512)
     assert str(sum(got)) == total
 
@@ -107,7 +114,7 @@ def test_trial_colouring_over_three_phases():
     steps = []
     step = program.step
     program = dataclasses.replace(program, step=lambda ctx: steps.append(1) or step(ctx))
-    got = compute_success_exact(program, problem, FAMILIES[3], 6, 512)
+    got = compute_success_exact(program, compile_checks(problem, FAMILIES[3]), 6, 512)
     assert str(sum(got)) == "14907/8192"
     assert len(steps) == 1575
 
@@ -179,7 +186,7 @@ def test_errors_match_the_tree_walk(make, problem, family, bits, error):
         problem = problem_by_name(problem)
     # a fresh program for each, so that impure steps count from zero
     want = raised(reference_tree_walk, make(), problem, family, bits)
-    got = raised(compute_success_exact, make(), problem, family, bits)
+    got = raised(compute_success_exact, make(), compile_checks(problem, family), bits)
     assert got == want
     assert want[0] is error
 
@@ -197,7 +204,9 @@ def test_a_foreign_label_in_a_late_context_raises_like_the_tree_walk():
     program = NodeProgram("late-foreign", step, lambda _claimed: 0, ("A", "B"))
     problem = problem_by_name("coloring:2")
     want = raised(reference_tree_walk, program, problem, FAMILIES[3], 1)
-    got = raised(compute_success_exact, program, problem, FAMILIES[3], 1)
+    got = raised(
+        compute_success_exact, program, compile_checks(problem, FAMILIES[3]), 1
+    )
     assert got == want
     assert want == (SimulationError, "node 0 emitted label 'Z' outside the output alphabet")
 
@@ -211,6 +220,6 @@ def test_an_unhashable_state_raises_naming_the_program():
     program = NodeProgram("list-state", step, lambda _claimed: 1, ("A", "B"))
     problem = problem_by_name("coloring:2")
     with pytest.raises(SimulationError, match=r"program list-state .*hashable"):
-        compute_success_exact(program, problem, FAMILIES[2], 1)
+        compute_success_exact(program, compile_checks(problem, FAMILIES[2]), 1)
     # the tree walk, which merges nothing, runs it
     assert len(reference_tree_walk(program, problem, FAMILIES[2], 1)) == 4

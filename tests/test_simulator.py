@@ -23,6 +23,7 @@ from derandlab import (
     TableFormatError,
     UnassignedIdentifier,
     assignment_is_good,
+    compile_checks,
     compute_success_exact,
     disjoint_union,
     enumerate_instances,
@@ -319,7 +320,7 @@ class TestFixRandomness:
         program = first_bit_label_program(("A", "B"))
         problem = make_coloring(2)
         family = list(enumerate_instances(InstanceFamilySpec(n=2)))
-        exact = compute_success_exact(program, problem, family, bits=1)
+        exact = compute_success_exact(program, compile_checks(problem, family), bits=1)
         assignments = list(iter_bounded_assignments((1, 2), 1))
         for idx, inst in enumerate(family):
             failures = sum(
@@ -490,14 +491,16 @@ class TestSuccessProbabilities:
     def test_bit_free_correct_program_never_fails(self):
         family = list(enumerate_instances(InstanceFamilySpec(n=1)))
         probs = compute_success_exact(
-            constant_program("IN"), make_mis(), family, bits=0
+            constant_program("IN"), compile_checks(make_mis(), family), bits=0
         )
         assert probs == [Fraction(0)]
 
     def test_first_bit_coloring_on_the_edge_instance(self):
         edge = InputInstance(Graph(2, ((0, 1),)), (1, 2), ("x", "x"), 1)
         probs = compute_success_exact(
-            first_bit_label_program(("A", "B")), make_coloring(2), [edge], bits=1
+            first_bit_label_program(("A", "B")),
+            compile_checks(make_coloring(2), [edge]),
+            bits=1,
         )
         assert probs == [Fraction(1, 2)]
 
@@ -515,7 +518,9 @@ class TestSuccessProbabilities:
 
         edge = InputInstance(Graph(2, ((0, 1),)), (1, 2), ("x", "x"), 1)
         probs = compute_success_exact(
-            two_bit_label_program(("A", "B", "C")), make_coloring(3), [edge], bits=2
+            two_bit_label_program(("A", "B", "C")),
+            compile_checks(make_coloring(3), [edge]),
+            bits=2,
         )
         assert probs == [expected]
 
@@ -523,13 +528,18 @@ class TestSuccessProbabilities:
         edge = InputInstance(Graph(2, ((0, 1),)), (1, 2), ("x", "x"), 1)
         with pytest.raises(StreamExhausted):
             compute_success_exact(
-                two_bit_label_program(("A", "B", "C")), make_coloring(3), [edge], bits=1
+                two_bit_label_program(("A", "B", "C")),
+                compile_checks(make_coloring(3), [edge]),
+                bits=1,
             )
 
     def test_mc_bit_free_program_estimates_zero_exactly(self):
         family = list(enumerate_instances(InstanceFamilySpec(n=1)))
         estimates = estimate_success_mc(
-            constant_program("IN"), make_mis(), family, trials=50, seed=3
+            constant_program("IN"),
+            compile_checks(make_mis(), family),
+            trials=50,
+            seed=3,
         )
         assert estimates[0].failure == 0
         assert estimates[0].stderr == 0.0
@@ -537,15 +547,19 @@ class TestSuccessProbabilities:
     def test_mc_replays_with_the_same_seed(self):
         edge = InputInstance(Graph(2, ((0, 1),)), (1, 2), ("x", "x"), 1)
         program = first_bit_label_program(("A", "B"))
-        a = estimate_success_mc(program, make_coloring(2), [edge], trials=200, seed=11)
-        b = estimate_success_mc(program, make_coloring(2), [edge], trials=200, seed=11)
+        a = estimate_success_mc(
+            program, compile_checks(make_coloring(2), [edge]), trials=200, seed=11
+        )
+        b = estimate_success_mc(
+            program, compile_checks(make_coloring(2), [edge]), trials=200, seed=11
+        )
         assert [e.failure for e in a] == [e.failure for e in b]
 
     def test_mc_close_to_exact(self):
         edge = InputInstance(Graph(2, ((0, 1),)), (1, 2), ("x", "x"), 1)
         program = first_bit_label_program(("A", "B"))
         (estimate,) = estimate_success_mc(
-            program, make_coloring(2), [edge], trials=2000, seed=5
+            program, compile_checks(make_coloring(2), [edge]), trials=2000, seed=5
         )
         assert abs(float(estimate.failure) - 0.5) <= 3 * estimate.stderr
 
@@ -557,7 +571,9 @@ class TestAssignmentGoodness:
         family = list(enumerate_instances(InstanceFamilySpec(n=2)))
         good = RandomAssignment.from_vectors({1: (0,), 2: (1,)})
         bad = RandomAssignment.from_vectors({1: (0,), 2: (0,)})
-        assert assignment_is_good(program, good, family, problem) == (True, None)
-        ok, witness = assignment_is_good(program, bad, family, problem)
+        assert assignment_is_good(
+            program, good, compile_checks(problem, family)
+        ) == (True, None)
+        ok, witness = assignment_is_good(program, bad, compile_checks(problem, family))
         assert not ok
         assert family[witness].graph.edges  # failure happens on an edge instance

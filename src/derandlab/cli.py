@@ -28,6 +28,7 @@ from .derandomize import (
 )
 from .graphs import (
     InstanceFamilySpec,
+    distinct_inputs,
     dump_instances,
     enumerate_instances,
     load_instances,
@@ -202,20 +203,35 @@ def cmd_certify(args: argparse.Namespace) -> int:
             raise ValueError("--seed is required in mc mode")
         if args.trials < 1:
             raise ValueError("need at least one trial")
+    # a copy of an input under a renaming of its nodes fails exactly when its
+    # first copy does, so the exact pass and --find-f compile and run each
+    # distinct input once; Monte-Carlo trials are keyed by instance index
+    representatives, class_of = distinct_inputs(family)
+    exact = args.mode == "exact"
     # one pass over the family holds one instance's checks at a time; with
     # --find-f the assignment search and the probability pass share one list
-    checks = compile_checks(problem, family)
+    checks = compile_checks(
+        problem, [family[i] for i in representatives] if exact else family
+    )
     if args.find_f:
         checks = list(checks)
-    if args.mode == "exact":
-        probs = compute_success_exact(program, checks, args.bits, claimed_n)
+    if exact:
+        distinct_probs = compute_success_exact(program, checks, args.bits, claimed_n)
+        certificate = certify_good_f(
+            [distinct_probs[k] for k in class_of],
+            lift.claimed_size,
+            distinct_probs=distinct_probs,
+        )
     else:
         estimates = estimate_success_mc(
             program, checks, trials=args.trials, seed=args.seed, claimed_n=claimed_n
         )
-        probs = [e.failure for e in estimates]
         payload["stderr"] = [e.stderr for e in estimates]
-    certificate = certify_good_f(probs, lift.claimed_size, estimated=args.mode == "mc")
+        certificate = certify_good_f(
+            [e.failure for e in estimates], lift.claimed_size, estimated=True
+        )
+        if args.find_f:
+            checks = [checks[i] for i in representatives]
     payload["certificate"] = certificate.to_jsonable()
 
     if args.find_f:
@@ -248,9 +264,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     problem = problem_by_name(args.problem)
     table = load_table(_out_path(args.table), problem.output_alphabet)
     instances = _instances(args)
-    passed = 0
     witness = None
-    for idx, instance in enumerate(instances):
+    # a table passes on a copy of an input exactly when it passes on the
+    # input's first copy, which comes first in the list
+    for idx in distinct_inputs(instances)[0]:
+        instance = instances[idx]
         try:
             outputs = run_normal_form(table, instance)
         except IncompleteTableError as exc:
@@ -264,7 +282,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 "witness_component": result.witness_component,
             }
             break
-        passed += 1
+    # every instance before the first failing one passed
+    passed = len(instances) if witness is None else witness["instance"]
     payload = {
         "manifest": _manifest(args),
         "passed": passed,

@@ -21,6 +21,7 @@ from .graphs import (
     InstanceFamilySpec,
     canonicalize,
     count_bound,
+    distinct_inputs,
     enumerate_instances,
     extract_ball,
     instance_to_jsonable,
@@ -95,6 +96,13 @@ class GoodnessCertificate:
     ``estimated`` marks Monte-Carlo estimates in place of exact
     probabilities.  An estimated total below one proves nothing, so such a
     certificate has no verdict.
+
+    ``distinct_probs``, when given, holds the failure probability of each
+    distinct input of the family (:func:`distinct_inputs`) once.  The family
+    lists an input once per renaming of its nodes, and the union bound needs
+    each input only once, so ``distinct_total`` below one also certifies
+    that a good assignment exists.  ``total`` and ``verdict`` stay those of
+    the whole family.
     """
 
     failure_probs: tuple[Fraction, ...]
@@ -102,34 +110,54 @@ class GoodnessCertificate:
     family_size: int
     claimed_size: int
     estimated: bool = False
+    distinct_probs: tuple[Fraction, ...] | None = None
 
     @property
     def verdict(self) -> bool | None:
         return None if self.estimated else self.total < 1
 
+    @property
+    def distinct_total(self) -> Fraction | None:
+        if self.distinct_probs is None:
+            return None
+        return sum(self.distinct_probs, Fraction(0))
+
     def to_jsonable(self) -> dict:
-        return {
+        out = {
             "failure_probs": [str(p) for p in self.failure_probs],
             "total": str(self.total),
             "family_size": self.family_size,
             "claimed_size": self.claimed_size,
             "verdict": self.verdict,
         }
+        if self.distinct_probs is not None:
+            out["distinct_inputs"] = len(self.distinct_probs)
+            out["distinct_total"] = str(self.distinct_total)
+        return out
 
 
-def certify_good_f(
-    failure_probs: Sequence[Fraction], claimed_size: int, estimated: bool = False
-) -> GoodnessCertificate:
+def _probabilities(failure_probs: Sequence[Fraction]) -> tuple[Fraction, ...]:
     probs = tuple(Fraction(p) for p in failure_probs)
     for p in probs:
         if not 0 <= p <= 1:
             raise ValueError(f"failure probability {p} outside [0, 1]")
+    return probs
+
+
+def certify_good_f(
+    failure_probs: Sequence[Fraction],
+    claimed_size: int,
+    estimated: bool = False,
+    distinct_probs: Sequence[Fraction] | None = None,
+) -> GoodnessCertificate:
+    probs = _probabilities(failure_probs)
     return GoodnessCertificate(
         failure_probs=probs,
         total=sum(probs, Fraction(0)),
         family_size=len(probs),
         claimed_size=claimed_size,
         estimated=estimated,
+        distinct_probs=None if distinct_probs is None else _probabilities(distinct_probs),
     )
 
 
@@ -202,8 +230,9 @@ def derandomize_via_f(
 
     Raises :class:`AssignmentNotGood` naming the first failing instance if the
     assignment is not good, and :class:`LocalityViolation` if the fixed
-    program provably uses more than ``radius`` rounds.  The finished table is
-    verified with :func:`verify` on each instance in family order.  A
+    program provably uses more than ``radius`` rounds.  The table is
+    tabulated from, and then verified with :func:`verify` on, the first copy
+    of each distinct input, in family order (:func:`distinct_inputs`).  A
     tabulation that completes records exactly each node's run output, so the
     table fails on an instance exactly when that instance's run fails.  Two
     cases come out as they would not if each run were checked before it is
@@ -213,13 +242,15 @@ def derandomize_via_f(
     :func:`verify`'s.
     """
     fixed = fix_randomness(program, assignment, bit_cap)
+    representatives, _ = distinct_inputs(family)
     table = NormalFormTable.from_mapping(
         radius,
         problem.output_alphabet,
-        _tabulate(fixed, radius, family, claimed_n),
+        _tabulate(fixed, radius, family, representatives, claimed_n),
         provenance=f"via-f:{program.name}",
     )
-    for idx, instance in enumerate(family):
+    for idx in representatives:
+        instance = family[idx]
         if not verify(problem, instance, run_normal_form(table, instance)).valid:
             raise AssignmentNotGood(idx, instance)
     return table
@@ -392,6 +423,14 @@ def find_normal_form(config: SearchConfig) -> TableSearchOutcome:
     verified once more on the whole family with :func:`verify`, the
     spec-level oracle, each node's output looked up in the table under the
     view key the compilation gave it.
+
+    The family lists each input once per renaming of its nodes, and all
+    three passes run over the first copy of each input alone
+    (:func:`distinct_inputs`).  The copies add no view key and no
+    constraint, and each behaves exactly like its first copy, so the
+    search, its counters, the witness and the final verdict are those of
+    the whole family; ``family_size`` and ``verified_count`` count every
+    instance.
     """
     phase_s: dict[str, float] = {}
     mark = time.perf_counter()
@@ -405,8 +444,10 @@ def find_normal_form(config: SearchConfig) -> TableSearchOutcome:
     problem = config.problem
     alphabet = problem.output_alphabet
     instances = list(enumerate_instances(config.family))
+    representatives, _ = distinct_inputs(instances)
+    distinct = [instances[i] for i in representatives]
     lap("enumerate")
-    index = compile_family(problem, instances, config.radius)
+    index = compile_family(problem, distinct, config.radius)
     lap("compile")
     realized = index.realized
     stats = SearchStats(
@@ -420,7 +461,7 @@ def find_normal_form(config: SearchConfig) -> TableSearchOutcome:
         index.constraints, alphabet, labels, config.node_budget
     )
     witness = None if found else next(
-        (i for i in range(len(instances)) if not index.solvable(i)), None
+        (i for k, i in enumerate(representatives) if not index.solvable(k)), None
     )
     stats.predicate_calls = index.predicate_calls
     lap("search")
@@ -445,7 +486,7 @@ def find_normal_form(config: SearchConfig) -> TableSearchOutcome:
         provenance=f"table-search:{problem.name}",
     )
     # each node's output is the table's entry for its view, keyed at compile time
-    for inst, positions in zip(instances, index.node_pos):
+    for inst, positions in zip(distinct, index.node_pos):
         outputs = {v: table.lookup(realized[pos]) for v, pos in enumerate(positions)}
         if not verify(problem, inst, outputs).valid:
             raise SimulationError("internal: searched table failed final verification")

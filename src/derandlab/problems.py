@@ -13,11 +13,14 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .graphs import BallView, Graph, InputInstance, canonicalize, extract_ball, json_value
 
+# The two predicate types are strings, read only in annotations: a typing
+# construct built at import time stays in typing's cache, and with it every
+# earlier import of this package.
 # Ball predicates see the view plus candidate outputs keyed by identifier.
-BallPredicate = Callable[[BallView, Mapping[int, str]], bool]
+BallPredicate = "Callable[[BallView, Mapping[int, str]], bool]"
 # Component predicates see the host instance, the component's node indices,
 # and candidate outputs keyed by node index (restricted to the component).
-ComponentPredicate = Callable[[InputInstance, tuple[int, ...], Mapping[int, str]], bool]
+ComponentPredicate = "Callable[[InputInstance, tuple[int, ...], Mapping[int, str]], bool]"
 
 
 class ProblemFormatError(ValueError):
@@ -33,6 +36,13 @@ class ProblemSpec:
     as the conjunction of the ball predicates over the component, keeping the
     two verifiers consistent by construction.  Component-wise-only problems
     carry an explicit ``component_predicate`` and use ``radius=0``.
+
+    A ``component_predicate`` may read the instance's identifiers, inputs
+    and edges, but its verdict must not depend on node indices: renaming the
+    nodes of an instance, with the labeling renamed alike, keeps the
+    verdict.  The family is searched, certified, tabulated and verified on
+    one copy of each input (:func:`distinct_inputs`), which relies on it; a
+    ball predicate sees identifiers only and meets it by construction.
     """
 
     name: str

@@ -204,6 +204,33 @@ class TestCertify:
         assert payload["certificate"]["total"] == "1"
         assert payload["good_f"] == {"1": [0], "2": [1]}
 
+    def test_exact_certificate_sums_each_distinct_input_once(self, tmp_path):
+        out = tmp_path / "cert.json"
+        argv = [
+            "certify", "--problem", "coloring:2", "--n", "2", "--program",
+            "first-bit", "--bits", "1", "--out", str(out),
+        ]
+        assert run(argv) == 0
+        certificate = json.loads(out.read_text())["certificate"]
+        # the four instances are two inputs, each listed once per renaming;
+        # total and verdict stay those of the whole family
+        assert certificate["failure_probs"] == ["0", "0", "1/2", "1/2"]
+        assert (certificate["total"], certificate["verdict"]) == ("1", False)
+        assert certificate["family_size"] == 4
+        assert certificate["distinct_inputs"] == 2
+        assert certificate["distinct_total"] == "1/2"
+
+    def test_distinct_fields_are_exact_mode_only(self, tmp_path):
+        out = tmp_path / "cert.json"
+        argv = [
+            "certify", "--problem", "coloring:2", "--n", "2", "--mode", "mc",
+            "--trials", "10", "--seed", "1", "--out", str(out),
+        ]
+        assert run(argv) == 0
+        certificate = json.loads(out.read_text())["certificate"]
+        assert "distinct_inputs" not in certificate
+        assert "distinct_total" not in certificate
+
     @pytest.mark.parametrize("mode", ["exact", "mc"])
     def test_runs_are_told_the_claimed_size(self, tmp_path, mode):
         out = tmp_path / "cert.json"
@@ -409,7 +436,9 @@ class TestCertify:
             "--seed", "1", *find_f, "--out", str(tmp_path / "cert.json"),
         ]
         assert run(argv) == 0
-        assert len(compiled) == 48
+        # the exact pass compiles each of the 8 distinct inputs once;
+        # Monte-Carlo trials are keyed by instance, so mc compiles all 48
+        assert len(compiled) == (8 if mode == "exact" else 48)
 
     def test_mc_mode_replays(self, tmp_path):
         outs = [tmp_path / "c1.json", tmp_path / "c2.json"]

@@ -3,7 +3,9 @@ extension."""
 
 import itertools
 import json
+import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ from derandlab import (
     canonicalize,
     count_bound,
     disjoint_union,
+    distinct_inputs,
     dump_instances,
     enumerate_instances,
     extend_instance,
@@ -156,6 +159,91 @@ class TestEnumeration:
             InstanceFamilySpec(n=2, input_alphabet=())
         with pytest.raises(ValueError):
             InstanceFamilySpec(n=2, max_degree=2)
+
+
+def relabeled_by_identifier(instance: InputInstance) -> tuple:
+    """The instance with its nodes renamed in increasing identifier order:
+    equal for two instances iff renaming the nodes of one gives the other."""
+    order = sorted(range(instance.n), key=instance.ids.__getitem__)
+    new = {v: i for i, v in enumerate(order)}
+    edges = sorted(tuple(sorted((new[u], new[v]))) for u, v in instance.graph.edges)
+    return (
+        tuple(instance.ids[v] for v in order),
+        tuple(instance.inputs[v] for v in order),
+        tuple(edges),
+    )
+
+
+class TestDistinctInputs:
+    @pytest.mark.parametrize(
+        "spec, classes",
+        [
+            (InstanceFamilySpec(n=1), 1),
+            (InstanceFamilySpec(n=2), 2),
+            (InstanceFamilySpec(n=3), 8),
+            (InstanceFamilySpec(n=4), 64),
+            (InstanceFamilySpec(n=3, c=2), 672),
+        ],
+    )
+    def test_class_counts(self, spec, classes):
+        family = list(enumerate_instances(spec))
+        representatives, class_of = distinct_inputs(family)
+        assert len(representatives) == classes
+        assert len(class_of) == len(family)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            InstanceFamilySpec(n=3),
+            InstanceFamilySpec(n=4),
+            InstanceFamilySpec(n=3, input_alphabet=("a", "b")),
+            InstanceFamilySpec(n=4, max_degree=2),
+        ],
+    )
+    def test_at_c1_every_input_appears_once_per_renaming(self, spec):
+        family = list(enumerate_instances(spec))
+        _, class_of = distinct_inputs(family)
+        assert set(Counter(class_of).values()) == {math.factorial(spec.n)}
+
+    def test_classes_are_the_renamings_and_start_at_their_first_copy(self):
+        family = list(enumerate_instances(InstanceFamilySpec(n=3, c=2)))
+        representatives, class_of = distinct_inputs(family)
+        first: dict[tuple, int] = {}
+        for i, inst in enumerate(family):
+            first.setdefault(relabeled_by_identifier(inst), i)
+        # numbered in order of first appearance, each represented by its first copy
+        assert representatives == sorted(first.values())
+        for i, inst in enumerate(family):
+            assert representatives[class_of[i]] == first[relabeled_by_identifier(inst)]
+
+    def test_a_shuffled_list_with_duplicates_and_missing_copies(self):
+        family = list(enumerate_instances(InstanceFamilySpec(n=3, input_alphabet=("a", "b"))))
+        rng = random.Random(7)
+        # what an instance file could hold: some copies missing, some repeated
+        # (as equal objects read back from a dump), in any order
+        chosen = rng.sample(family, 150) + load_instances(dump_instances(family[:40]))
+        rng.shuffle(chosen)
+        representatives, class_of = distinct_inputs(chosen)
+        seen: dict[tuple, int] = {}
+        for i, inst in enumerate(chosen):
+            k = seen.setdefault(relabeled_by_identifier(inst), len(seen))
+            assert class_of[i] == k
+            assert representatives[k] <= i
+        assert len(representatives) == len(seen)
+        assert all(class_of[i] == k for k, i in enumerate(representatives))
+
+    def test_inputs_and_identifiers_separate_classes(self):
+        path = InputInstance(Graph(3, ((0, 1), (1, 2))), (1, 2, 3), ("x", "y", "x"), 1)
+        renamed = InputInstance(Graph(3, ((0, 2), (1, 2))), (1, 3, 2), ("x", "x", "y"), 1)
+        other_label = InputInstance(Graph(3, ((0, 1), (1, 2))), (1, 2, 3), ("y", "x", "x"), 1)
+        other_center = InputInstance(Graph(3, ((0, 1), (1, 2))), (2, 1, 3), ("x", "y", "x"), 1)
+        assert distinct_inputs([path, renamed, other_label, other_center, path]) == (
+            [0, 2, 3],
+            [0, 0, 1, 2, 0],
+        )
+
+    def test_an_empty_list(self):
+        assert distinct_inputs([]) == ([], [])
 
 
 class TestExtractBall:

@@ -2,7 +2,10 @@
 brute-force oracle."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -337,3 +340,45 @@ class TestSolveBallComponent:
         ball = extract_ball(c4, 0, 1)
         with pytest.raises(ValueError, match="whole component"):
             solve_ball_component(make_mis(), ball)
+
+
+# Run in a fresh interpreter, so the test session's own imports stay as they
+# are: import and use the package, purge it from ``sys.modules``, import it
+# again, and report what of the first import's ``graphs`` module survives.
+_REIMPORT = """
+import contextlib, gc, inspect, io, sys, weakref
+
+def use():
+    from derandlab.cli import main
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        main(["derandomize", "--problem", "mis", "--n", "3", "--T", "1"])
+        main(["certify", "--problem", "coloring:2", "--n", "2"])
+
+use()
+graphs = sys.modules["derandlab.graphs"]
+refs = [weakref.ref(graphs)] + [
+    weakref.ref(value)
+    for value in vars(graphs).values()
+    if (inspect.isclass(value) or inspect.isfunction(value))
+    and value.__module__ == graphs.__name__
+]
+del graphs
+for name in [m for m in sys.modules if m == "derandlab" or m.startswith("derandlab.")]:
+    del sys.modules[name]
+use()
+gc.collect()
+print(len(refs), [repr(ref()) for ref in refs if ref() is not None])
+"""
+
+
+def test_reimporting_the_package_frees_the_previous_import():
+    import derandlab
+
+    source = os.path.dirname(os.path.dirname(os.path.abspath(derandlab.__file__)))
+    env = dict(os.environ, PYTHONPATH=source)
+    done = subprocess.run(
+        [sys.executable, "-c", _REIMPORT], env=env, capture_output=True, text=True, check=True
+    )
+    count, alive = done.stdout.split(" ", 1)
+    assert int(count) > 10  # the module, its classes and its functions
+    assert alive.strip() == "[]"

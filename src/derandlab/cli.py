@@ -10,14 +10,15 @@ failure, 3 bad input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 from . import __version__
-from .connected import ConnectedRunConfig, run_connected_aware
+from .connected import ConnectedRunConfig, UnsolvableInstance, run_connected_aware
 from .derandomize import (
     SearchBudgetExceeded,
     SearchConfig,
@@ -86,7 +87,7 @@ def _json(obj: dict) -> str:
 
 
 def _manifest(args: argparse.Namespace) -> dict:
-    params = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
+    params = dict(sorted(vars(args).items()))
     return {
         "tool": "derandlab",
         "version": __version__,
@@ -299,27 +300,56 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _per_input(instances: list, run: Callable) -> Iterator[tuple[int, object, list[int]]]:
+    """``(idx, result, perm)`` for each instance in list order, where
+    ``result`` is ``run(idx, first)`` on the instance's first copy ``first``
+    and ``perm[v]`` is the node of ``first`` with identifier
+    ``instances[idx].ids[v]``.
+
+    ``run`` is called once per distinct input, lazily, on the class's first
+    copy, which comes before every other copy; so a pass meets the first
+    error of a pass over every instance, in the same instance.  Whatever
+    ``run`` computes must see identifiers only, never node indices: a copy's
+    node ``v`` then gets what node ``perm[v]`` got on the first copy.
+    """
+    results: dict[int, tuple[object, dict[int, int]]] = {}
+    for idx, (instance, k) in enumerate(zip(instances, distinct_inputs(instances)[1])):
+        if k not in results:
+            node_of = {ident: v for v, ident in enumerate(instance.ids)}
+            results[k] = (run(idx, instance), node_of)
+        result, node_of = results[k]
+        yield idx, result, [node_of[ident] for ident in instance.ids]
+
+
+def _outputs(outputs: dict[int, str], perm: list[int]) -> dict[str, str]:
+    return {str(v): outputs[u] for v, u in enumerate(perm)}
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     instances = _instances(args)
     lines = []
     if args.table:
         table = load_table(_out_path(args.table))
-        for idx, instance in enumerate(instances):
-            outputs = run_normal_form(table, instance)
-            lines.append({"index": idx, "outputs": {str(v): o for v, o in sorted(outputs.items())}})
+        runs = _per_input(instances, lambda _idx, instance: run_normal_form(table, instance))
+        for idx, outputs, perm in runs:
+            lines.append({"index": idx, "outputs": _outputs(outputs, perm)})
     else:
         program = DETERMINISTIC_BUILTINS[args.program]()
-        for idx, instance in enumerate(instances):
-            result = run_deterministic(
+        runs = _per_input(
+            instances,
+            lambda _idx, instance: run_deterministic(
                 program, instance, claimed_n=args.claimed_n, trace=args.trace
-            )
+            ),
+        )
+        for idx, result, perm in runs:
             row = {
                 "index": idx,
-                "outputs": {str(v): o for v, o in sorted(result.outputs.items())},
+                "outputs": _outputs(result.outputs, perm),
                 "rounds": result.rounds,
             }
             if args.trace:
-                row["trace"] = [list(r) for r in result.trace]
+                # a trace row counts each node's messages, so it is renamed too
+                row["trace"] = [[r[u] for u in perm] for r in result.trace]
             lines.append(row)
     _emit(args.out, "".join(json.dumps(row, sort_keys=True) + "\n" for row in lines))
     return EXIT_OK
@@ -329,16 +359,24 @@ def cmd_connected_run(args: argparse.Namespace) -> int:
     problem = problem_by_name(args.problem)
     table = load_table(_out_path(args.table), problem.output_alphabet)
     config = ConnectedRunConfig(problem, table)
-    instances = _instances(args)
-    rows = []
-    failures = 0
-    for idx, instance in enumerate(instances):
+
+    def run(idx: int, instance):
         if not instance.graph.is_connected:
             if args.instances:
                 raise ValueError(f"instance {idx} is disconnected")
+            return None
+        try:
+            result = run_connected_aware(config, instance)
+        except UnsolvableInstance as exc:
+            raise UnsolvableInstance(f"instance {idx}: {exc}") from None
+        return result, verify(problem, instance, result.outputs).valid
+
+    rows = []
+    failures = 0
+    for idx, outcome, perm in _per_input(_instances(args), run):
+        if outcome is None:
             continue
-        result = run_connected_aware(config, instance)
-        ok = verify(problem, instance, result.outputs).valid
+        result, ok = outcome
         failures += not ok
         rows.append(
             {
@@ -346,7 +384,7 @@ def cmd_connected_run(args: argparse.Namespace) -> int:
                 "path": result.path,
                 "rounds_charged": result.rounds_charged,
                 "valid": ok,
-                "outputs": {str(v): o for v, o in sorted(result.outputs.items())},
+                "outputs": _outputs(result.outputs, perm),
             }
         )
     payload = {"manifest": _manifest(args), "runs": rows, "failures": failures}
@@ -362,7 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="write a family as JSON lines")
     _family_args(p)
     p.add_argument("--out", default=None, help="output file (default: stdout)")
-    p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("derandomize", help="search for a valid lookup table")
     p.add_argument("--problem", required=True, help="mis | coloring:k | problem file")
@@ -376,7 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--out-table", default=None)
     p.add_argument("--out-report", default=None)
-    p.set_defaults(func=cmd_derandomize)
 
     p = sub.add_parser("certify", help="failure probabilities and union-bound certificate")
     p.add_argument("--problem", required=True)
@@ -388,7 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", default=None, help="mc seed (required in mc mode)")
     p.add_argument("--find-f", action="store_true", help="also search for a good assignment")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("verify", help="check a table against a family")
     p.add_argument("--problem", required=True)
@@ -396,7 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
     _family_args(p, required=False)
     p.add_argument("--instances", default=None, help="JSONL instance file")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("simulate", help="run a table or builtin program on a family")
     group = p.add_mutually_exclusive_group(required=True)
@@ -407,7 +441,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--claimed-n", type=int, default=None)
     p.add_argument("--trace", action="store_true", help="record per-round message counts")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("connected-run", help="two-phase runtime on connected instances")
     p.add_argument("--problem", required=True)
@@ -415,17 +448,37 @@ def build_parser() -> argparse.ArgumentParser:
     _family_args(p, required=False)
     p.add_argument("--instances", default=None)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_connected_run)
 
     return parser
 
 
+# Commands are looked up by name at each call, not stored in the cached
+# parser, so a command function replaced in this module is the one called.
+_COMMANDS = {
+    "enumerate": cmd_enumerate,
+    "derandomize": cmd_derandomize,
+    "certify": cmd_certify,
+    "verify": cmd_verify,
+    "simulate": cmd_simulate,
+    "connected-run": cmd_connected_run,
+}
+
+
+@functools.lru_cache(maxsize=4)
+def _parser(_names: tuple[tuple[str, ...], tuple[str, ...]]) -> argparse.ArgumentParser:
+    # --program choices are the built-in names when the parser is built, so
+    # one parser serves every call that sees the same names
+    return build_parser()
+
+
 # The one place where a failure becomes an exit code.  A table with no entry
-# for some view fails verification; every other documented error is bad
-# input: a malformed file or argument, a read past --bits or the bit cap, or
-# a search over its budget.
+# for some view fails verification, and an instance with no valid labeling
+# has no valid table; every other documented error is bad input: a malformed
+# file or argument, a read past --bits or the bit cap, or a search over its
+# budget.
 _FAILURES = (
     IncompleteTableError,
+    UnsolvableInstance,
     ValueError,  # ProblemFormatError, TableFormatError, InstanceFormatError, ...
     OSError,
     SearchBudgetExceeded,
@@ -435,13 +488,16 @@ _FAILURES = (
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    names = (tuple(sorted(RANDOMIZED_BUILTINS)), tuple(sorted(DETERMINISTIC_BUILTINS)))
+    args = _parser(names).parse_args(argv)
     try:
-        return args.func(args)
+        return _COMMANDS[args.subcommand](args)
     except _FAILURES as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, IncompleteTableError):
             return EXIT_VERIFY_FAILED
+        if isinstance(exc, UnsolvableInstance):
+            return EXIT_UNSAT
         return EXIT_BAD_INPUT
 
 

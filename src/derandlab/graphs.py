@@ -273,7 +273,11 @@ def distinct_inputs(instances: Sequence[InputInstance]) -> tuple[list[int], list
     Nothing a step, a view key or a verdict sees depends on node indices, so
     every copy of an input behaves exactly like its first copy, and a pass
     over the representatives in order meets the first failure of a pass over
-    all the instances, in the same instance.
+    all the instances, in the same instance.  Per-node results carry over
+    too: node ``v`` of a copy gets what the first-copy node with identifier
+    ``ids[v]`` got, since a renaming maps each node to the node with its
+    identifier.  This is how ``simulate`` and ``connected-run`` write a row
+    for every instance from one run per input.
     """
     first: dict[tuple, int] = {}
     representatives: list[int] = []

@@ -7,9 +7,9 @@ import re
 import pytest
 
 from conftest import claimed_size_program
-from derandlab import load_table, problems, save_table
+from derandlab import cli, load_table, problems, save_table
 from derandlab.cli import main
-from derandlab.programs import RANDOMIZED_BUILTINS
+from derandlab.programs import DETERMINISTIC_BUILTINS, RANDOMIZED_BUILTINS, parity_program
 
 
 def run(argv):
@@ -580,6 +580,23 @@ class TestConnectedRun:
         assert {row["path"] for row in payload["runs"]} == {"brute-force"}
         assert {row["rounds_charged"] for row in payload["runs"]} == {4}
 
+    def test_an_unsolvable_covered_instance_exits_unsat(self, tmp_path, capsys):
+        # the triangle is seen whole at exploration radius 2 and has no
+        # 2-coloring, so no table can be valid on it
+        table = tmp_path / "t.json"
+        argv = ["derandomize", "--problem", "coloring:2", "--n", "2", "--T", "1"]
+        assert run(argv + ["--out-table", str(table)]) == 0
+        out = tmp_path / "runs.json"
+        capsys.readouterr()
+        argv = ["connected-run", "--problem", "coloring:2", "--table", str(table), "--n", "3"]
+        assert run(argv + ["--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: instance 42: coloring-2 has no valid labeling on this instance\n"
+        )
+        assert not out.exists()
+
     def test_unknown_problem_file_exits_3(self, tmp_path):
         assert (
             run(
@@ -670,3 +687,48 @@ class TestInstanceFileErrors:
         argv = ["derandomize", "--problem", "mis", "--n", "2", "--T", "1"]
         assert run(argv + ["--out-table", str(table)]) == 0
         self.bad_line(["verify", "--problem", "mis", "--table", str(table)], tmp_path, capsys)
+
+
+class TestParser:
+    """One parser serves every call that sees the same built-in names."""
+
+    def test_the_parser_is_built_once(self, tmp_path, monkeypatch):
+        builds = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+        cli._parser.cache_clear()
+        for _ in range(3):
+            assert run(["enumerate", "--n", "1", "--out", str(tmp_path / "one.jsonl")]) == 0
+        assert builds == [1]
+
+    def test_a_builtin_added_between_calls_is_parsed(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "runs.jsonl"
+        argv = ["simulate", "--program", "renamed-parity", "--n", "2", "--out", str(out)]
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 3
+        assert "invalid choice: 'renamed-parity'" in capsys.readouterr().err
+        monkeypatch.setitem(DETERMINISTIC_BUILTINS, "renamed-parity", parity_program)
+        assert run(argv) == 0
+        assert len(out.read_text().splitlines()) == 4
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--help"],
+            ["simulate", "--help"],
+            ["certify", "--help"],
+            ["simulate", "--table", "t.json", "--program", "parity"],
+            ["verify", "--problem", "mis"],
+            ["no-such-subcommand"],
+        ],
+    )
+    def test_a_cached_parser_prints_what_a_fresh_one_does(self, argv, capsys):
+        outcomes = []
+        for parse in (cli.build_parser().parse_args, run, run):
+            with pytest.raises(SystemExit) as exc:
+                parse(argv)
+            captured = capsys.readouterr()
+            outcomes.append((exc.value.code, captured.out, captured.err))
+        assert outcomes[0] == outcomes[1] == outcomes[2]
+        assert outcomes[0][0] in (0, 3)

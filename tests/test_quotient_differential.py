@@ -1,14 +1,16 @@
 """Differential gate: work over distinct inputs against work over every instance.
 
-The table search, ``certify``, ``tabulate`` and ``verify`` run each distinct
-input once, on its first copy (``distinct_inputs``).  Each reference here is
-the same pass run over every instance of the family, as it ran before the
-quotient; both must give the same tables, Fractions, assignments, witnesses,
-error types and error texts.
+The table search, ``certify``, ``tabulate``, ``verify``, ``simulate`` and
+``connected-run`` run each distinct input once, on its first copy
+(``distinct_inputs``).  Each reference here is the same pass run over every
+instance of the family, as it ran before the quotient; both must give the
+same tables, Fractions, assignments, witnesses, output files, error types and
+error texts.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import random
@@ -23,11 +25,13 @@ from conftest import (
 )
 from derandlab import (
     AssignmentNotGood,
+    ConnectedRunConfig,
     IncompleteTableError,
     InstanceFamilySpec,
     LocalityViolation,
     RandomAssignment,
     SearchConfig,
+    UnsolvableInstance,
     canonicalize,
     compile_checks,
     compile_family,
@@ -42,6 +46,7 @@ from derandlab import (
     lift_to_claimed_size,
     load_table,
     problem_by_name,
+    run_connected_aware,
     run_deterministic,
     run_normal_form,
     search_good_f,
@@ -461,3 +466,298 @@ def test_verify_over_distinct_inputs_matches_every_instance(
         if kind != "whole":
             assert 0 < passed < len(instances)  # the table fails part-way
 
+
+
+# -- simulate and connected-run -----------------------------------------------
+
+
+def per_instance_simulate(instances, table=None, program=None, claimed_n=None, trace=False) -> str:
+    """The ``simulate`` output of a loop over every instance."""
+    lines = []
+    for idx, instance in enumerate(instances):
+        if table is not None:
+            outputs = run_normal_form(table, instance)
+            row = {"index": idx, "outputs": {str(v): o for v, o in sorted(outputs.items())}}
+        else:
+            result = run_deterministic(program, instance, claimed_n=claimed_n, trace=trace)
+            row = {
+                "index": idx,
+                "outputs": {str(v): o for v, o in sorted(result.outputs.items())},
+                "rounds": result.rounds,
+            }
+            if trace:
+                row["trace"] = [list(r) for r in result.trace]
+        lines.append(json.dumps(row, sort_keys=True) + "\n")
+    return "".join(lines)
+
+
+def per_instance_connected_run(problem, table, instances, from_file: bool) -> tuple[list, int]:
+    """``(runs, failures)`` of the ``connected-run`` loop over every instance."""
+    config = ConnectedRunConfig(problem, table)
+    rows, failures = [], 0
+    for idx, instance in enumerate(instances):
+        if not instance.graph.is_connected:
+            if from_file:
+                raise ValueError(f"instance {idx} is disconnected")
+            continue
+        try:
+            result = run_connected_aware(config, instance)
+        except UnsolvableInstance as exc:
+            raise UnsolvableInstance(f"instance {idx}: {exc}") from None
+        ok = verify(problem, instance, result.outputs).valid
+        failures += not ok
+        rows.append(
+            {
+                "index": idx,
+                "path": result.path,
+                "rounds_charged": result.rounds_charged,
+                "valid": ok,
+                "outputs": {str(v): o for v, o in sorted(result.outputs.items())},
+            }
+        )
+    return rows, failures
+
+
+EXIT_FOR = {
+    IncompleteTableError: cli.EXIT_VERIFY_FAILED,
+    UnsolvableInstance: cli.EXIT_UNSAT,
+    ValueError: cli.EXIT_BAD_INPUT,
+}
+
+
+def assert_same_run(argv, out, expected, capsys) -> None:
+    """``expected`` is ``("ok", (file text, exit code))`` or ``raised``'s
+    triple; the CLI must write the same bytes, or print the same one line."""
+    capsys.readouterr()
+    code = cli.main(argv)
+    err = capsys.readouterr().err
+    if expected[0] == "ok":
+        text, expected_code = expected[1]
+        assert (code, err) == (expected_code, "")
+        assert out.read_bytes() == text.encode()
+    else:
+        _, kind, message = expected
+        assert (code, err) == (EXIT_FOR[kind], f"error: {message}\n")
+        assert not out.exists()
+
+
+def expected_connected_run(argv, problem, table, instances, from_file):
+    def run():
+        rows, failures = per_instance_connected_run(problem, table, instances, from_file)
+        manifest = cli._manifest(cli.build_parser().parse_args(argv))
+        text = cli._json({"manifest": manifest, "runs": rows, "failures": failures})
+        return text, cli.EXIT_VERIFY_FAILED if failures else cli.EXIT_OK
+
+    return raised(run)
+
+
+def lookup_instances(tmp_path, n: int, source: str) -> tuple[list, list[str]]:
+    """The n-node family, or a shuffled file with repeats and missing copies
+    (``shuffled-connected``: its connected instances only)."""
+    family = list(enumerate_instances(InstanceFamilySpec(n=n)))
+    if source == "family":
+        return family, ["--n", str(n)]
+    instances = family[::3] + family[::7]
+    random.Random(n).shuffle(instances)
+    if source == "shuffled-connected":
+        instances = [instance for instance in instances if instance.graph.is_connected]
+    path = tmp_path / f"{source}.jsonl"
+    path.write_text(dump_instances(instances))
+    return instances, ["--instances", str(path)]
+
+
+LOOKUP_TABLES = {
+    "mis-n4-T2": ("mis", 4, 2),
+    "coloring2-n2-T1": ("coloring:2", 2, 1),
+    "coloring3-n3-T1": ("coloring:3", 3, 1),
+    "coloring4-n4-T0": ("coloring:4", 4, 0),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def lookup_table_text(name: str) -> str:
+    problem, n, radius = LOOKUP_TABLES[name]
+    config = SearchConfig(problem_by_name(problem), InstanceFamilySpec(n=n), radius)
+    return json.dumps(find_normal_form(config).table.to_jsonable())
+
+
+def write_lookup_table(tmp_path, name: str, kind: str):
+    """The table, a copy with three entries relabelled, or a copy missing one
+    entry."""
+    obj = json.loads(lookup_table_text(name))
+    entries, labels = obj["entries"], obj["output_alphabet"]
+    if kind == "flipped":
+        for entry in entries[-5:-2]:
+            entry["out"] = labels[(labels.index(entry["out"]) + 1) % len(labels)]
+    elif kind == "missing":
+        del entries[len(entries) // 2]
+    path = tmp_path / f"{name}-{kind}.json"
+    path.write_text(json.dumps(obj))
+    return path
+
+
+def assert_same_lookups(tmp_path, capsys, problem_name, path, n, source) -> tuple:
+    """Run ``simulate --table`` and ``connected-run`` against their
+    references; return both expected outcomes."""
+    problem = problem_by_name(problem_name)
+    table = load_table(path)
+    instances, instance_args = lookup_instances(tmp_path, n, source)
+
+    out = tmp_path / "sim.jsonl"
+    argv = ["simulate", "--table", str(path), *instance_args, "--out", str(out)]
+    simulated = raised(lambda: (per_instance_simulate(instances, table=table), cli.EXIT_OK))
+    assert_same_run(argv, out, simulated, capsys)
+
+    out = tmp_path / "conn.json"
+    argv = [
+        "connected-run", "--problem", problem_name, "--table", str(path),
+        *instance_args, "--out", str(out),
+    ]
+    connected = expected_connected_run(argv, problem, table, instances, source != "family")
+    assert_same_run(argv, out, connected, capsys)
+    return simulated, connected
+
+
+@pytest.mark.parametrize("source", ["family", "shuffled", "shuffled-connected"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("kind", ["whole", "flipped", "missing"])
+@pytest.mark.parametrize("name", sorted(LOOKUP_TABLES))
+def test_table_runs_over_distinct_inputs_match_every_instance(
+    tmp_path, capsys, name, kind, n, source
+):
+    problem_name, table_n, _radius = LOOKUP_TABLES[name]
+    path = write_lookup_table(tmp_path, name, kind)
+    simulated, connected = assert_same_lookups(tmp_path, capsys, problem_name, path, n, source)
+    if source == "shuffled":
+        # the file holds an instance with no edges, so connected-run stops
+        assert connected[:2] in {("raised", ValueError), ("raised", UnsolvableInstance)}
+    if table_n == n and source == "family":
+        # a table from this family: whole it passes, one key short it fails
+        if kind == "missing":
+            assert simulated[:2] == ("raised", IncompleteTableError)
+        else:
+            assert simulated[0] == "ok"
+        if kind == "whole":
+            assert connected[0] == "ok" and connected[1][1] == cli.EXIT_OK
+
+
+def test_a_flipped_table_fails_connected_runs_part_way(tmp_path, capsys):
+    # paths on four nodes are not seen whole at radius 1, so they use the table
+    path = write_lookup_table(tmp_path, "coloring4-n4-T0", "flipped")
+    _, connected = assert_same_lookups(tmp_path, capsys, "coloring:4", path, 4, "family")
+    assert connected[0] == "ok" and connected[1][1] == cli.EXIT_VERIFY_FAILED
+    payload = json.loads(connected[1][0])
+    assert 0 < payload["failures"] < len(payload["runs"])
+
+
+@pytest.mark.parametrize("source", ["family", "shuffled-connected"])
+def test_a_missing_key_stops_both_at_the_same_instance(tmp_path, capsys, source):
+    # drop the key of a path's end node, which connected-run looks up too
+    family = list(enumerate_instances(InstanceFamilySpec(n=4)))
+    path_graph = next(
+        instance
+        for instance in family
+        if instance.graph.is_connected and len(instance.graph.edges) == 3
+        and max(sum(v in edge for edge in instance.graph.edges) for v in range(4)) == 2
+    )
+    end = next(v for v in range(4) if sum(v in edge for edge in path_graph.graph.edges) == 1)
+    key = canonicalize(extract_ball(path_graph, end, 0))
+    obj = json.loads(lookup_table_text("coloring4-n4-T0"))
+    obj["entries"] = [entry for entry in obj["entries"] if entry["key"] != key]
+    path = tmp_path / "missing.json"
+    path.write_text(json.dumps(obj))
+    simulated, connected = assert_same_lookups(tmp_path, capsys, "coloring:4", path, 4, source)
+    assert simulated[:2] == connected[:2] == ("raised", IncompleteTableError)
+
+
+@pytest.mark.parametrize("source", ["family", "shuffled-connected"])
+def test_an_unsolvable_instance_is_named_as_in_every_instance(tmp_path, capsys, source):
+    # a 2-coloring table is asked for triangles, which connected-run covers
+    path = write_lookup_table(tmp_path, "coloring2-n2-T1", "whole")
+    _, connected = assert_same_lookups(tmp_path, capsys, "coloring:2", path, 3, source)
+    assert connected[:2] == ("raised", UnsolvableInstance)
+    if source == "family":
+        assert connected[2] == "instance 42: coloring-2 has no valid labeling on this instance"
+
+
+def test_a_disconnected_instance_in_a_file_is_named_as_in_every_instance(tmp_path, capsys):
+    family = list(enumerate_instances(InstanceFamilySpec(n=3)))
+    connected = [instance for instance in family if instance.graph.is_connected]
+    disconnected = [instance for instance in family if not instance.graph.is_connected]
+    instances = connected[:7] + disconnected[:1] + connected[:3] + disconnected[1:3]
+    path = tmp_path / "mixed.jsonl"
+    path.write_text(dump_instances(instances))
+    table_path = write_lookup_table(tmp_path, "mis-n4-T2", "whole")
+    out = tmp_path / "conn.json"
+    argv = [
+        "connected-run", "--problem", "mis", "--table", str(table_path),
+        "--instances", str(path), "--out", str(out),
+    ]
+    expected = expected_connected_run(
+        argv, problem_by_name("mis"), load_table(table_path), instances, True
+    )
+    assert expected == ("raised", ValueError, "instance 7 is disconnected")
+    assert_same_run(argv, out, expected, capsys)
+
+
+@pytest.mark.parametrize("source", ["family", "shuffled"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize(
+    "options",
+    [[], ["--trace"], ["--claimed-n", "9"], ["--trace", "--claimed-n", "9"], ["--claimed-n", "2"]],
+    ids=["plain", "trace", "claimed", "trace-claimed", "claimed-too-small"],
+)
+@pytest.mark.parametrize("name", ["parity", "degree", "id-sum-parity"])
+def test_program_runs_over_distinct_inputs_match_every_instance(
+    tmp_path, monkeypatch, capsys, name, options, n, source
+):
+    # a one-round gather sends one message per port, so its trace rows differ
+    # from node to node and must be renamed with the outputs
+    monkeypatch.setitem(DETERMINISTIC_BUILTINS, "id-sum-parity", lambda: id_sum_parity_program(1))
+    instances, instance_args = lookup_instances(tmp_path, n, source)
+    claimed_n = int(options[options.index("--claimed-n") + 1]) if "--claimed-n" in options else None
+    trace = "--trace" in options
+    program = DETERMINISTIC_BUILTINS[name]()
+    out = tmp_path / "sim.jsonl"
+    argv = ["simulate", "--program", name, *instance_args, *options, "--out", str(out)]
+    expected = raised(
+        lambda: (per_instance_simulate(instances, program=program, claimed_n=claimed_n, trace=trace), 0)
+    )
+    assert_same_run(argv, out, expected, capsys)
+    assert (expected[0] == "ok") == (claimed_n is None or claimed_n >= n)
+    if expected[0] == "ok" and trace and name == "id-sum-parity" and n > 2:
+        rows = [json.loads(line) for line in expected[1][0].splitlines()]
+        assert any(len(set(row["trace"][0])) > 1 for row in rows)
+
+
+# -- call counts: one run per distinct input ----------------------------------
+
+
+def counting(monkeypatch, name: str) -> list:
+    calls: list = []
+    real = getattr(cli, name)
+    monkeypatch.setattr(cli, name, lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+    return calls
+
+
+def test_simulate_runs_each_distinct_input_of_the_family_once(tmp_path, monkeypatch):
+    path = write_lookup_table(tmp_path, "coloring4-n4-T0", "whole")
+    calls = counting(monkeypatch, "run_normal_form")
+    out = tmp_path / "sim.jsonl"
+    assert cli.main(["simulate", "--table", str(path), "--n", "4", "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 1536
+    assert len(calls) == 64
+
+    calls = counting(monkeypatch, "run_deterministic")
+    assert cli.main(["simulate", "--program", "degree", "--n", "4", "--out", str(out)]) == 0
+    assert len(calls) == 64
+
+
+def test_connected_run_runs_each_distinct_connected_input_once(tmp_path, monkeypatch):
+    path = write_lookup_table(tmp_path, "coloring4-n4-T0", "whole")
+    calls = counting(monkeypatch, "run_connected_aware")
+    out = tmp_path / "conn.json"
+    argv = ["connected-run", "--problem", "coloring:4", "--table", str(path), "--n", "4"]
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    assert len(json.loads(out.read_text())["runs"]) == 912
+    assert len(calls) == 912 // 24

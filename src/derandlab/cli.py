@@ -206,7 +206,8 @@ def cmd_certify(args: argparse.Namespace) -> int:
             raise ValueError("need at least one trial")
     # a copy of an input under a renaming of its nodes fails exactly when its
     # first copy does, so the exact pass and --find-f compile and run each
-    # distinct input once; Monte-Carlo trials are keyed by instance index
+    # distinct input once; Monte-Carlo trials stay per instance, keyed by
+    # instance index, and share their simulations per input
     representatives, class_of = distinct_inputs(family)
     exact = args.mode == "exact"
     # one pass over the family holds one instance's checks at a time; with

@@ -258,17 +258,27 @@ def enumerate_instances(spec: InstanceFamilySpec) -> Iterator[InputInstance]:
                 yield instance(graph, ids, labels, spec.c)
 
 
+def input_key(instance: InputInstance) -> tuple:
+    """The key of the input that ``instance`` is a copy of: its sorted
+    (identifier, input) pairs and its sorted edges between identifiers.  Two
+    instances have equal keys exactly when renaming the node indices of one
+    gives the other."""
+    ids = instance.ids
+    edges = [_normalize_edge(ids[u], ids[v]) for u, v in instance.graph.edges]
+    return tuple(sorted(zip(ids, instance.inputs))), tuple(sorted(edges))
+
+
 def distinct_inputs(instances: Sequence[InputInstance]) -> tuple[list[int], list[int]]:
     """The instances grouped into distinct inputs: ``(representatives,
     class_of)``.
 
     Two instances are one input when renaming the node indices of one gives
     the other, that is, when they have the same (identifier, input) pairs and
-    the same edges between identifiers.  Classes are numbered in order of
-    first appearance; ``representatives[k]`` is the index of class ``k``'s
-    first copy in ``instances`` and ``class_of[i]`` is the class of instance
-    ``i``.  Any list works, duplicates and all; :func:`enumerate_instances`
-    lists each input once per renaming, n! times.
+    the same edges between identifiers (:func:`input_key`).  Classes are
+    numbered in order of first appearance; ``representatives[k]`` is the
+    index of class ``k``'s first copy in ``instances`` and ``class_of[i]`` is
+    the class of instance ``i``.  Any list works, duplicates and all;
+    :func:`enumerate_instances` lists each input once per renaming, n! times.
 
     Nothing a step, a view key or a verdict sees depends on node indices, so
     every copy of an input behaves exactly like its first copy, and a pass
@@ -283,10 +293,7 @@ def distinct_inputs(instances: Sequence[InputInstance]) -> tuple[list[int], list
     representatives: list[int] = []
     class_of: list[int] = []
     for i, instance in enumerate(instances):
-        ids = instance.ids
-        edges = [_normalize_edge(ids[u], ids[v]) for u, v in instance.graph.edges]
-        key = (tuple(sorted(zip(ids, instance.inputs))), tuple(sorted(edges)))
-        k = first.setdefault(key, len(representatives))
+        k = first.setdefault(input_key(instance), len(representatives))
         if k == len(representatives):
             representatives.append(i)
         class_of.append(k)

@@ -25,7 +25,14 @@ from functools import cached_property, partial
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from .graphs import InputInstance, canonicalize, distinct_inputs, extract_ball, json_value
+from .graphs import (
+    InputInstance,
+    canonicalize,
+    distinct_inputs,
+    extract_ball,
+    input_key,
+    json_value,
+)
 from .problems import Check, CompiledCheck, _triggers
 from .streams import (
     DEFAULT_BIT_CAP,
@@ -33,6 +40,7 @@ from .streams import (
     BitStream,
     RandomAssignment,
     _exhausted,
+    block_digest,
     join_key,
     keyed_bit,
 )
@@ -803,49 +811,54 @@ def estimate_success_mc(
     Trial k of instance i reads each node's stream from the key
     (seed, i, k, identifier), so identical seeds replay identical estimates;
     a trial joins (seed, i, k) once and appends each identifier to it.
-    A trial is a pure function of the bits it reads, so each instance keeps
-    a trie of the read paths simulated so far, each ending in its verdict.
-    A trial walks the trie with its own keyed bits and runs the program only
-    where the trie has no branch for them; that run reads the trial's own
-    streams, so a trial hashes each block of a stream once.  The trie holds
-    at most one entry per bit read by a simulated run of the instance, and
-    is dropped after the instance.  Runs are checked against the instance's
-    compiled checks (:func:`compile_checks`), which agree with
-    :func:`verify`.  Every node is told ``claimed_n`` as the number of
-    nodes (default: the true count).
+    Trials stay per instance, but simulations are shared per distinct input
+    (:func:`input_key`).  A trial is a pure function of the bits it reads,
+    by identifier and stream index, and a copy of an input under a renaming
+    of its nodes reads the same bits and fails exactly when the input does.
+    So each distinct input keeps one trie of the read paths simulated so
+    far, on any of its copies, each ending in its verdict; a trie node names
+    an identifier and a stream index, never a node index.  A trial walks its
+    input's trie with its own keyed bits, each block of a stream hashed
+    once, and runs the program only where the trie has no branch for them.
+    That run is of the trial's own instance, on the trial's own streams, and
+    is checked against the instance's compiled checks (:func:`compile_checks`,
+    which agree with :func:`verify`), so an error names the instance's own
+    nodes.  The tries hold at most one entry per bit read by a simulated
+    run, and live for the call.  Every node is told ``claimed_n`` as the
+    number of nodes (default: the true count).
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    tries: dict[tuple, list] = {}
     estimates: list[McEstimate] = []
     for idx, compiled in enumerate(checks):
-        instance = compiled.instance
-        # trie[0] is the root.  An inner node is [identifier, index, child on
-        # 0, child on 1] for the next bit read; a leaf is a run's verdict.
-        trie: list = [None]
+        # trie[0] is the root; see _graft for the layout of its nodes
+        trie = tries.setdefault(input_key(compiled.instance), [None])
         bad = 0
         instance_key = join_key(seed, idx)
         for k in range(trials):
-            # the keys and digests of this trial's streams, by identifier;
-            # f"{trial_key}|{ident}" is join_key(seed, idx, k, ident)
-            trial_key = join_key(instance_key, k)
-            streams: dict[int, tuple[str, dict[int, bytes]]] = {}
+            trial_key = f"{instance_key}|{k}"  # join_key(seed, idx, k)
+            # this trial's stream blocks by (identifier, block index)
+            digests: dict[tuple[int, int], bytes] = {}
             node = trie[0]
             while node.__class__ is list:
-                ident = node[0]
-                stream = streams.get(ident)
-                if stream is None:
-                    stream = streams[ident] = (f"{trial_key}|{ident}", {})
-                node = node[2 + keyed_bit(stream[0], node[1], stream[1])]
+                block = digests.get(node[2])
+                if block is None:
+                    ident, block_index = node[2]
+                    block = digests[node[2]] = block_digest(
+                        f"{trial_key}|{ident}", block_index
+                    )
+                node = node[block[node[3]] >> node[4] & 1]
             if node is None:
-                reads: list[tuple[int, int, int]] = []
-                logged = {}
-                for ident in instance.ids:
-                    if ident not in streams:
-                        streams[ident] = (f"{trial_key}|{ident}", {})
-                    logged[ident] = _logged_stream(ident, *streams[ident], reads)
-                assignment = RandomAssignment(logged.__getitem__)
+                reads: dict[tuple[int, int], int] = {}
                 result = run_randomized(
-                    program, instance, claimed_n, streams=assignment, bit_cap=bit_cap
+                    program,
+                    compiled.instance,
+                    claimed_n,
+                    streams=RandomAssignment(
+                        partial(_trial_stream, trial_key, digests, reads)
+                    ),
+                    bit_cap=bit_cap,
                 )
                 node = compiled.valid(result.outputs)
                 _graft(trie, reads, node, program.name)
@@ -857,35 +870,57 @@ def estimate_success_mc(
     return estimates
 
 
-def _logged_stream(
-    ident: int, key: str, blocks: dict[int, bytes], reads: list[tuple[int, int, int]]
+def _trial_stream(
+    trial_key: str,
+    digests: dict[tuple[int, int], bytes],
+    reads: dict[tuple[int, int], int],
+    ident: int,
 ) -> BitStream:
-    """The keyed stream of the joined key ``key``, whose digests ``blocks``
-    caches, appending each bit it gives to ``reads`` as (``ident``, index,
-    bit)."""
+    """Identifier ``ident``'s keyed stream in the trial of the joined key
+    ``trial_key``, starting from the blocks the trial's walk hashed,
+    ``digests`` by (identifier, block index), and recording each bit it
+    gives in ``reads`` under (``ident``, index)."""
+    key = f"{trial_key}|{ident}"
+    blocks = {b: block for (owner, b), block in digests.items() if owner == ident}
 
     def getter(i: int) -> int:
-        bit = keyed_bit(key, i, blocks)
-        reads.append((ident, i, bit))
+        bit = reads[ident, i] = keyed_bit(key, i, blocks)
         return bit
 
     return BitStream(getter, f"keyed:{key}")
 
 
 def _graft(
-    trie: list, reads: list[tuple[int, int, int]], verdict: bool, name: str
+    trie: list, reads: dict[tuple[int, int], int], verdict: bool, name: str
 ) -> None:
-    """Add the read path of a simulated run, its (identifier, index, bit)
-    reads in read order, ending in its verdict, to the trie of
-    :func:`estimate_success_mc`."""
+    """Add the read path of a simulated run, its bits by (identifier, index)
+    in read order, ending in its verdict, to a trie of
+    :func:`estimate_success_mc`.
+
+    An inner node is [child on 0, child on 1, (identifier, block index),
+    byte in the block, shift in the byte, (identifier, index)] for the next
+    bit read, bit ``index`` of the identifier's stream (:func:`keyed_bit`);
+    a leaf is a run's verdict.  The path was laid down by runs of any copy of
+    the input, whose nodes step in another order, so it is walked by the
+    run's own bits, whatever order it asks for them in.  A pure run reads
+    every bit the path asks for, once, and ends past its last inner node,
+    so a path that asks for a bit the run never read, asks for one twice, or
+    ends at a leaf raises :class:`SimulationError`.  The reads the path did
+    not ask for, left in ``reads``, then extend it, in read order."""
     holder, slot = trie, 0
-    for ident, index, bit in reads:
-        node = holder[slot]
-        if node is None:
-            node = holder[slot] = [ident, index, None, None]
-        elif node.__class__ is not list or node[0] != ident or node[1] != index:
+    node = holder[slot]
+    while node.__class__ is list:
+        bit = reads.pop(node[5], None)
+        if bit is None:
             raise SimulationError(_IMPURE.format(name))
-        holder, slot = node, 2 + bit
-    if holder[slot] is not None:
+        holder, slot = node, bit
+        node = holder[slot]
+    if node is not None:
         raise SimulationError(_IMPURE.format(name))
+    for read, bit in reads.items():
+        ident, index = read
+        holder[slot] = node = [
+            None, None, (ident, index >> 8), (index & 255) >> 3, 7 - (index & 7), read
+        ]
+        holder, slot = node, bit
     holder[slot] = verdict

@@ -79,16 +79,23 @@ def join_key(*key_parts: object) -> str:
     return "|".join(map(str, key_parts))
 
 
+def block_digest(key: str, block_index: int) -> bytes:
+    """Block ``block_index`` of the keyed stream of the joined key ``key``:
+    the SHA-256 digest of ``f"{key}#{block_index}"``, which holds the
+    stream's bits ``256 * block_index`` to ``256 * block_index + 255``, each
+    byte's most significant bit first (:func:`keyed_bit`)."""
+    return hashlib.sha256(f"{key}#{block_index}".encode()).digest()
+
+
 def keyed_bit(key: str, i: int, blocks: dict[int, bytes]) -> int:
     """Bit ``i`` of the keyed stream of the joined key ``key``: bit ``i % 8``,
-    most significant first, of byte ``(i % 256) // 8`` of the SHA-256 digest
-    of ``f"{key}#{i // 256}"``.  ``blocks`` caches that key's digests by
-    block index."""
+    most significant first, of byte ``(i % 256) // 8`` of block ``i // 256``
+    (:func:`block_digest`).  ``blocks`` caches that key's digests by block
+    index."""
     block_index = i >> 8
     block = blocks.get(block_index)
     if block is None:
-        block = hashlib.sha256(f"{key}#{block_index}".encode()).digest()
-        blocks[block_index] = block
+        block = blocks[block_index] = block_digest(key, block_index)
     return block[(i & 255) >> 3] >> (7 - (i & 7)) & 1
 
 

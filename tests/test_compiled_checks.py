@@ -9,7 +9,9 @@ import dataclasses
 import hashlib
 import itertools
 import random
+import re
 import types
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -34,6 +36,7 @@ from derandlab import (
     BitStream,
     InstanceFamilySpec,
     McEstimate,
+    NodeContext,
     NodeProgram,
     RandomAssignment,
     SimulationError,
@@ -41,6 +44,7 @@ from derandlab import (
     StreamExhausted,
     compile_checks,
     compute_success_exact,
+    distinct_inputs,
     enumerate_instances,
     estimate_success_mc,
     extract_ball,
@@ -469,9 +473,21 @@ def test_monte_carlo_simulates_each_read_path_once(runs):
     got = estimate_success_mc(
         program, compile_checks(problem, N2_FAMILY), trials=10_000, seed=7
     )
-    # two nodes reading one bit each: at most 4 paths in each of 4 instances
-    assert runs[0] <= 16
+    # two nodes reading one bit each: at most 4 paths in each of the 2
+    # distinct inputs, whichever of an input's copies meets them
+    assert runs[0] <= 8
     assert sum(e.failure for e in got) == Fraction(9887, 10000)
+
+
+def test_monte_carlo_simulates_each_read_path_once_per_input(runs):
+    """The n=3 family lists 8 inputs 6 times each; three nodes reading two
+    bits each have 64 read paths per input."""
+    problem = problem_by_name("coloring:3")
+    program = two_bit_label_program(problem.output_alphabet)
+    estimate_success_mc(
+        program, compile_checks(problem, N3_FAMILY), 200, seed=1, claimed_n=512
+    )
+    assert runs[0] <= 8 * 64 == 512
 
 
 def test_monte_carlo_hashes_each_stream_block_once_per_trial(monkeypatch):
@@ -516,6 +532,84 @@ def test_monte_carlo_trie_matches_the_reference_loop(name, seed):
     want = reference_success_mc(program, problem, family, 40, seed, claimed_n)
     assert got == want
     assert all(type(e) is McEstimate for e in got)
+
+
+def rare_foreign_label_program(alphabet) -> NodeProgram:
+    """Reads seven bits and outputs the label of the first, except that
+    seven ones give a label outside the alphabet, at 1 node in 128."""
+    labels = tuple(alphabet)
+
+    def step(ctx: NodeContext) -> StepResult:
+        bits = ctx.bits.take(7)
+        return StepResult(output="?" if all(bits) else labels[bits[0]])
+
+    return NodeProgram("rare-foreign-label", step, lambda _claimed: 0, labels)
+
+
+def whole_class_case(name):
+    """(program, problem, claimed_n, bit_cap) of a differential case, or of
+    one of two programs that raise in some trial, with texts that name the
+    node or the trial's instance."""
+    if name == "rare-foreign-label":
+        problem = problem_by_name("coloring:2")
+        program = rare_foreign_label_program(problem.output_alphabet)
+        return program, problem, None, DEFAULT_BIT_CAP
+    if name == "leading-ones-past-the-cap":
+        return leading_ones_program(), leading_ones_count_problem(8), None, 8
+    program, problem, _, claimed_n = differential_case(name)
+    return program, problem, claimed_n, DEFAULT_BIT_CAP
+
+
+def shuffled_copies():
+    """40 draws from the n=3 family, in random order: some copies repeat,
+    some are missing, and the first copy of an input need not come first."""
+    rng = random.Random(19)
+    return [rng.choice(N3_FAMILY) for _ in range(40)]
+
+
+@pytest.mark.parametrize("seed", [1, "walk"])
+@pytest.mark.parametrize("family", ["n3", "shuffled"])
+@pytest.mark.parametrize(
+    "name",
+    sorted(DIFFERENTIAL_CASES) + ["leading-ones-past-the-cap", "rare-foreign-label"],
+)
+def test_monte_carlo_trie_matches_the_reference_loop_over_whole_classes(
+    name, family, seed
+):
+    """Each input's trie serves all of its copies, whose nodes step, and so
+    read, in other orders; the adaptive program's reads also differ between
+    nodes.  Estimates, and the error of the first trial that raises, are the
+    reference loop's, which runs every trial of every instance."""
+    program, problem, claimed_n, cap = whole_class_case(name)
+    family = N3_FAMILY if family == "n3" else shuffled_copies()
+    checks = compile_checks(problem, family)
+    got = outcome(estimate_success_mc, program, checks, 40, seed, cap, claimed_n)
+    want = outcome(
+        reference_success_mc, program, problem, family, 40, seed, claimed_n, cap
+    )
+    assert got == want
+
+
+def test_the_shuffled_copies_repeat_miss_and_reorder():
+    family = shuffled_copies()
+    indices = [N3_FAMILY.index(instance) for instance in family]
+    assert len(set(indices)) < len(indices)
+    assert indices != sorted(indices)
+    counts = Counter(distinct_inputs(family)[1])
+    assert len(counts) == 8 and min(counts.values()) < 6 < max(counts.values())
+
+
+@pytest.mark.parametrize("seed, idx", [(1, 2), ("walk", 1)])
+def test_the_whole_class_cap_error_is_met_on_a_copy(seed, idx):
+    """In the leading-ones case on the n=3 family above, the first trial
+    past the cap is one of a copy, not of its input's first copy, and its
+    stream key names that copy's index."""
+    program, problem, claimed_n, cap = whole_class_case("leading-ones-past-the-cap")
+    assert idx not in distinct_inputs(N3_FAMILY)[0]
+    with pytest.raises(BitBudgetExceeded, match=re.escape(f"keyed:{seed}|{idx}|")):
+        estimate_success_mc(
+            program, compile_checks(problem, N3_FAMILY), 40, seed, cap, claimed_n
+        )
 
 
 def test_the_adaptive_program_reads_one_or_two_bits():
@@ -603,4 +697,23 @@ def test_the_estimators_reject_a_program_whose_reads_change_on_replay():
     with pytest.raises(SimulationError, match="impure"):
         estimate_success_mc(
             impure_program(), compile_checks(problem, [single]), trials=50, seed=1
+        )
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_monte_carlo_catches_impurity_replayed_on_a_copy(seed):
+    """In each run of ``impure_program`` on two nodes only node 0 reads a
+    bit, so each n=2 instance alone always reads the same bit, and no trial
+    of it raises.  A copy's node 0 has the other identifier: with one trial
+    per instance, the only replay of a path is on a copy, whose run then
+    never reads the bit the path asks for.  Where the path goes next then
+    depends on the seeds: to the first copy's verdict (seed 1) or to a
+    branch no run has taken yet (seeds 2 and 3)."""
+    problem = problem_by_name("coloring:2")
+    for instance in N2_FAMILY:
+        checks = compile_checks(problem, [instance])
+        estimate_success_mc(impure_program(), checks, trials=50, seed=seed)
+    with pytest.raises(SimulationError, match="impure"):
+        estimate_success_mc(
+            impure_program(), compile_checks(problem, N2_FAMILY), trials=1, seed=seed
         )

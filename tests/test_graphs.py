@@ -28,6 +28,7 @@ from derandlab import (
     enumerate_instances,
     extend_instance,
     extract_ball,
+    input_key,
     instance_from_jsonable,
     instance_to_jsonable,
     load_instances,
@@ -244,6 +245,16 @@ class TestDistinctInputs:
 
     def test_an_empty_list(self):
         assert distinct_inputs([]) == ([], [])
+
+    def test_classes_are_the_input_keys(self):
+        family = list(enumerate_instances(InstanceFamilySpec(n=3, input_alphabet=("a", "b"))))
+        _, class_of = distinct_inputs(family)
+        keys = [input_key(inst) for inst in family]
+        for i, j in itertools.combinations(range(0, len(family), 7), 2):
+            assert (keys[i] == keys[j]) == (class_of[i] == class_of[j])
+            assert (keys[i] == keys[j]) == (
+                relabeled_by_identifier(family[i]) == relabeled_by_identifier(family[j])
+            )
 
 
 class TestExtractBall:

@@ -28,6 +28,7 @@ from .derandomize import (
     search_good_f,
 )
 from .graphs import (
+    InputClasses,
     InstanceFamilySpec,
     distinct_inputs,
     dump_instances,
@@ -126,12 +127,14 @@ def _family_spec(args: argparse.Namespace) -> InstanceFamilySpec:
     )
 
 
-def _instances(args: argparse.Namespace) -> list:
+def _input_classes(args: argparse.Namespace) -> InputClasses:
+    """The distinct inputs of the ``--instances`` file, or of the ``--n``
+    family, built without listing its copies."""
     if args.instances:
-        return load_instances(Path(args.instances).read_text())
+        return InputClasses.of_instances(load_instances(Path(args.instances).read_text()))
     if args.n is None:
         raise ValueError("provide --n or --instances")
-    return list(enumerate_instances(_family_spec(args)))
+    return InputClasses.of_spec(_family_spec(args))
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
@@ -188,7 +191,15 @@ def cmd_certify(args: argparse.Namespace) -> int:
         raise ValueError("bit budget must be nonnegative")
     problem = problem_by_name(args.problem)
     spec = _family_spec(args)
-    family = list(enumerate_instances(spec))
+    exact = args.mode == "exact"
+    # a copy of an input under a renaming of its nodes fails exactly when its
+    # first copy does, so the exact pass and --find-f compile and run each
+    # distinct input once; Monte-Carlo trials stay per instance, keyed by
+    # instance index, and share their simulations per input
+    if exact:
+        classes = InputClasses.of_spec(spec)
+    else:
+        family = list(enumerate_instances(spec))
     program = RANDOMIZED_BUILTINS[args.program](problem.output_alphabet)
     lift = lift_to_claimed_size(spec)
 
@@ -199,28 +210,22 @@ def cmd_certify(args: argparse.Namespace) -> int:
         "mode": args.mode,
         "claimed_n": claimed_n,
     }
-    if args.mode == "mc":
+    if not exact:
         if args.seed is None:
             raise ValueError("--seed is required in mc mode")
         if args.trials < 1:
             raise ValueError("need at least one trial")
-    # a copy of an input under a renaming of its nodes fails exactly when its
-    # first copy does, so the exact pass and --find-f compile and run each
-    # distinct input once; Monte-Carlo trials stay per instance, keyed by
-    # instance index, and share their simulations per input
-    representatives, class_of = distinct_inputs(family)
-    exact = args.mode == "exact"
     # one pass over the family holds one instance's checks at a time; with
     # --find-f the assignment search and the probability pass share one list
     checks = compile_checks(
-        problem, [family[i] for i in representatives] if exact else family
+        problem, [first for _, first in classes.firsts] if exact else family
     )
     if args.find_f:
         checks = list(checks)
     if exact:
         distinct_probs = compute_success_exact(program, checks, args.bits, claimed_n)
         certificate = certify_good_f(
-            [distinct_probs[k] for k in class_of],
+            [distinct_probs[k] for k, _ in classes.copies],
             lift.claimed_size,
             distinct_probs=distinct_probs,
         )
@@ -233,7 +238,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
             [e.failure for e in estimates], lift.claimed_size, estimated=True
         )
         if args.find_f:
-            checks = [checks[i] for i in representatives]
+            checks = [checks[i] for i in distinct_inputs(family)[0]]
     payload["certificate"] = certificate.to_jsonable()
 
     if args.find_f:
@@ -265,12 +270,11 @@ def cmd_certify(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     problem = problem_by_name(args.problem)
     table = load_table(_out_path(args.table), problem.output_alphabet)
-    instances = _instances(args)
+    classes = _input_classes(args)
     witness = None
     # a table passes on a copy of an input exactly when it passes on the
-    # input's first copy, which comes first in the list
-    for idx in distinct_inputs(instances)[0]:
-        instance = instances[idx]
+    # input's first copy, which comes first; the copies are never built
+    for idx, instance in classes.firsts:
         try:
             outputs = run_normal_form(table, instance)
         except IncompleteTableError as exc:
@@ -285,11 +289,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
             }
             break
     # every instance before the first failing one passed
-    passed = len(instances) if witness is None else witness["instance"]
+    passed = classes.size if witness is None else witness["instance"]
     payload = {
         "manifest": _manifest(args),
         "passed": passed,
-        "total": len(instances),
+        "total": classes.size,
         "witness": witness,
     }
     if args.out:
@@ -297,15 +301,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if witness is not None:
         print(f"verification failed: {witness}", file=sys.stderr)
         return EXIT_VERIFY_FAILED
-    print(f"verified {passed}/{len(instances)}", file=sys.stderr)
+    print(f"verified {passed}/{classes.size}", file=sys.stderr)
     return EXIT_OK
 
 
-def _per_input(instances: list, run: Callable) -> Iterator[tuple[int, object, list[int]]]:
-    """``(idx, result, perm)`` for each instance in list order, where
-    ``result`` is ``run(idx, first)`` on the instance's first copy ``first``
-    and ``perm[v]`` is the node of ``first`` with identifier
-    ``instances[idx].ids[v]``.
+def _per_copy(classes: InputClasses, run: Callable) -> Iterator[tuple[int, object, tuple]]:
+    """``(idx, result, perm)`` for each instance in order, where ``result``
+    is ``run(idx, first)`` on the instance's first copy ``first`` and
+    ``perm`` is the instance's renaming (:class:`InputClasses`).
 
     ``run`` is called once per distinct input, lazily, on the class's first
     copy, which comes before every other copy; so a pass meets the first
@@ -313,31 +316,29 @@ def _per_input(instances: list, run: Callable) -> Iterator[tuple[int, object, li
     ``run`` computes must see identifiers only, never node indices: a copy's
     node ``v`` then gets what node ``perm[v]`` got on the first copy.
     """
-    results: dict[int, tuple[object, dict[int, int]]] = {}
-    for idx, (instance, k) in enumerate(zip(instances, distinct_inputs(instances)[1])):
-        if k not in results:
-            node_of = {ident: v for v, ident in enumerate(instance.ids)}
-            results[k] = (run(idx, instance), node_of)
-        result, node_of = results[k]
-        yield idx, result, [node_of[ident] for ident in instance.ids]
+    results: list = []
+    for idx, (k, perm) in enumerate(classes.copies):
+        if k == len(results):  # classes are numbered in order of first copies
+            results.append(run(idx, classes.firsts[k][1]))
+        yield idx, results[k], perm
 
 
-def _outputs(outputs: dict[int, str], perm: list[int]) -> dict[str, str]:
+def _outputs(outputs: dict[int, str], perm: tuple[int, ...]) -> dict[str, str]:
     return {str(v): outputs[u] for v, u in enumerate(perm)}
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    instances = _instances(args)
+    classes = _input_classes(args)
     lines = []
     if args.table:
         table = load_table(_out_path(args.table))
-        runs = _per_input(instances, lambda _idx, instance: run_normal_form(table, instance))
+        runs = _per_copy(classes, lambda _idx, instance: run_normal_form(table, instance))
         for idx, outputs, perm in runs:
             lines.append({"index": idx, "outputs": _outputs(outputs, perm)})
     else:
         program = DETERMINISTIC_BUILTINS[args.program]()
-        runs = _per_input(
-            instances,
+        runs = _per_copy(
+            classes,
             lambda _idx, instance: run_deterministic(
                 program, instance, claimed_n=args.claimed_n, trace=args.trace
             ),
@@ -352,7 +353,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 # a trace row counts each node's messages, so it is renamed too
                 row["trace"] = [[r[u] for u in perm] for r in result.trace]
             lines.append(row)
-    _emit(args.out, "".join(json.dumps(row, sort_keys=True) + "\n" for row in lines))
+    encode = json.JSONEncoder(sort_keys=True).encode
+    _emit(args.out, "".join(encode(row) + "\n" for row in lines))
     return EXIT_OK
 
 
@@ -374,7 +376,7 @@ def cmd_connected_run(args: argparse.Namespace) -> int:
 
     rows = []
     failures = 0
-    for idx, outcome, perm in _per_input(_instances(args), run):
+    for idx, outcome, perm in _per_copy(_input_classes(args), run):
         if outcome is None:
             continue
         result, ok = outcome

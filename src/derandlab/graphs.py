@@ -15,11 +15,21 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from json.encoder import encode_basestring_ascii as _input_literal
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from operator import itemgetter
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
-# Identifier spaces larger than a 64-bit word are rejected by the enumerator
-# (count formulas still evaluate exactly, via native big integers).
+# Identifier spaces larger than a 64-bit word are rejected by
+# extend_instance (count formulas still evaluate exactly, via native big
+# integers).
 MAX_ID_SPACE = 2**63 - 1
+
+# The enumerators list every injective identifier tuple of each graph, and
+# itertools.permutations copies the whole identifier space before it yields
+# a tuple, so a family with more tuples per graph than this is rejected
+# before anything is allocated: n=3 at c=30 would copy 3**30 identifiers.
+# Listing even this many per graph takes minutes; every n <= 6 at c=1, and
+# n <= 4 at c=2 (43,680 tuples), is well inside it.
+MAX_ID_TUPLES = 2**20
 
 
 class InstanceFormatError(ValueError):
@@ -159,7 +169,8 @@ class InputInstance:
     ) -> "InputInstance":
         """An instance from parts that are valid by construction, built
         without :meth:`__post_init__`.  Only :func:`enumerate_instances`
-        calls it; every other instance is validated."""
+        and :meth:`InputClasses.of_spec` call it; every other instance is
+        validated."""
         instance = object.__new__(cls)
         fields = instance.__dict__
         fields["graph"] = graph
@@ -234,6 +245,27 @@ class InstanceFamilySpec:
         return range(1, self.id_space_size + 1)
 
 
+def _id_tuple_count(spec: InstanceFamilySpec) -> int:
+    """The number of injective identifier tuples per graph of ``spec``'s
+    family; raises ``ValueError`` when it exceeds :data:`MAX_ID_TUPLES`.
+    Both enumerators call it before they allocate anything."""
+    n = spec.n
+    # n**c >= 2**c once n >= 2, so a c this large is over the limit and n**c
+    # is not computed; otherwise every factor but the last is >= 2, so the
+    # product passes the limit within a few factors
+    count = MAX_ID_TUPLES + 1 if n > 1 and spec.c >= MAX_ID_TUPLES.bit_length() else 1
+    for k in range(n):
+        if count > MAX_ID_TUPLES:
+            break
+        count *= spec.id_space_size - k
+    if count > MAX_ID_TUPLES:
+        raise ValueError(
+            f"the family of n={n} at c={spec.c} has more than {MAX_ID_TUPLES} "
+            "identifier tuples per graph, too many to enumerate"
+        )
+    return count
+
+
 def enumerate_instances(spec: InstanceFamilySpec) -> Iterator[InputInstance]:
     """Yield the full family in a fixed order.
 
@@ -241,8 +273,7 @@ def enumerate_instances(spec: InstanceFamilySpec) -> Iterator[InputInstance]:
     (0,1), (0,2), ..., (n-2,n-1); then identifier assignments in lexicographic
     tuple order; then input labelings in lexicographic alphabet order.
     """
-    if spec.id_space_size > MAX_ID_SPACE:
-        raise ValueError("identifier space n**c exceeds the 64-bit range")
+    _id_tuple_count(spec)
     n = spec.n
     # identifiers are distinct picks from 1..n**c and labels come from the
     # alphabet, so every instance is valid by construction
@@ -277,8 +308,14 @@ def distinct_inputs(instances: Sequence[InputInstance]) -> tuple[list[int], list
     the same edges between identifiers (:func:`input_key`).  Classes are
     numbered in order of first appearance; ``representatives[k]`` is the
     index of class ``k``'s first copy in ``instances`` and ``class_of[i]`` is
-    the class of instance ``i``.  Any list works, duplicates and all;
-    :func:`enumerate_instances` lists each input once per renaming, n! times.
+    the class of instance ``i``.  Any list works, duplicates and all, at the
+    cost of building and keying every instance;
+    :func:`enumerate_instances` lists each input once per renaming, n! times,
+    and :meth:`InputClasses.of_spec` finds the same classes of its family
+    without listing the copies.  The passes that list the whole family use
+    this: the table search, ``tabulate``, ``derandomize_via_f`` and
+    Monte-Carlo ``certify --find-f``; so do instance files, through
+    :meth:`InputClasses.of_instances`.
 
     Nothing a step, a view key or a verdict sees depends on node indices, so
     every copy of an input behaves exactly like its first copy, and a pass
@@ -287,7 +324,7 @@ def distinct_inputs(instances: Sequence[InputInstance]) -> tuple[list[int], list
     too: node ``v`` of a copy gets what the first-copy node with identifier
     ``ids[v]`` got, since a renaming maps each node to the node with its
     identifier.  This is how ``simulate`` and ``connected-run`` write a row
-    for every instance from one run per input.
+    for every instance from one run per input (:class:`InputClasses`).
     """
     first: dict[tuple, int] = {}
     representatives: list[int] = []
@@ -298,6 +335,135 @@ def distinct_inputs(instances: Sequence[InputInstance]) -> tuple[list[int], list
             representatives.append(i)
         class_of.append(k)
     return representatives, class_of
+
+
+class InputClasses:
+    """A family's distinct inputs, each with the family index of every copy.
+
+    ``size`` is the number of instances.  ``firsts`` lists ``(index,
+    instance)`` for the first copy of each distinct input, in family order,
+    so class ``k`` is the input of ``firsts[k]`` (classes as in
+    :func:`distinct_inputs`).  ``copies[i]`` is ``(k, perm)`` for instance
+    ``i``: its class, and ``perm[v]``, the node of the first copy with the
+    identifier of the instance's node ``v``.  ``copies`` is built on first
+    use, so a pass that needs only the first copies never builds it.
+    """
+
+    def __init__(
+        self,
+        size: int,
+        firsts: list[tuple[int, InputInstance]],
+        copies: Callable[[], list[tuple[int, tuple[int, ...]]]],
+    ) -> None:
+        self.size = size
+        self.firsts = firsts
+        self._copies = copies
+
+    @cached_property
+    def copies(self) -> list[tuple[int, tuple[int, ...]]]:
+        return self._copies()
+
+    @classmethod
+    def of_instances(cls, instances: Sequence[InputInstance]) -> "InputClasses":
+        """The classes of any list of instances, such as an instance file,
+        keyed by :func:`distinct_inputs`."""
+        representatives, class_of = distinct_inputs(instances)
+        firsts = [(i, instances[i]) for i in representatives]
+
+        def copies():
+            return [
+                (k, tuple(map(firsts[k][1].node_with_id, instance.ids)))
+                for instance, k in zip(instances, class_of)
+            ]
+
+        return cls(len(instances), firsts, copies)
+
+    @classmethod
+    def of_spec(cls, spec: InstanceFamilySpec) -> "InputClasses":
+        """The classes of the family :func:`enumerate_instances` lists for
+        ``spec``, built without building or keying a single copy.
+
+        Renaming the nodes by ``s`` (node ``v`` of the copy is node ``s[v]``
+        of the original) maps an instance at edge mask ``M`` to one at the
+        mask image ``M∘s``, with identifiers ``ids∘s`` and labels
+        ``labels∘s``.  Masks come first in family order, so an input's first
+        copy sits at the least mask of its orbit, and there at the least
+        identifier tuple among the renamings that fix ``M`` (identifiers
+        are distinct, so no two renamings give the same tuple).  So the
+        masks are swept in ascending order; the first one not yet seen is
+        its orbit's least, and its first copies are its identifier tuples
+        that no automorphism makes smaller, each with every labeling.  The
+        copy ``s`` of a first copy has ``perm`` ``s`` and the family index
+        ``offset[M∘s] + rank(ids∘s) * |alphabet|**n + rank(labels∘s)``.
+        """
+        n = spec.n
+        tuples = _id_tuple_count(spec)
+        labelings = len(spec.input_alphabet) ** n
+        pairs = list(itertools.combinations(range(n), 2))
+        pair_index = {pair: p for p, pair in enumerate(pairs)}
+        renamings = list(itertools.permutations(range(n)))
+        # an itemgetter per renaming reads a tuple in renamed order
+        renamed = [itemgetter(*s) for s in renamings]
+        # (p, q) in moves[s]: bit p of the mask image under s is bit q of the mask
+        moves = [
+            [(p, pair_index[_normalize_edge(s[u], s[v])]) for p, (u, v) in enumerate(pairs)]
+            for s in renamings
+        ]
+        orbits = []  # (least mask, its graph, its image under each renaming)
+        seen = bytearray(2 ** len(pairs))
+        passing = []
+        for mask in range(2 ** len(pairs)):
+            if not seen[mask]:
+                images = [
+                    sum((mask >> q & 1) << p for p, q in move) for move in moves
+                ]
+                for image in images:
+                    seen[image] = 1
+                edges = tuple(pairs[p] for p in range(len(pairs)) if mask >> p & 1)
+                graph = Graph(n, edges)
+                # the degree multiset is the same on the whole orbit
+                if spec.max_degree is None or graph.max_degree <= spec.max_degree:
+                    orbits.append((mask, graph, images))
+                    passing.extend(images)
+        block = tuples * labelings
+        offset = {mask: rank * block for rank, mask in enumerate(sorted(set(passing)))}
+        size = len(offset) * block
+
+        firsts: list[tuple[int, InputInstance]] = []
+        image_offsets: list[list[int]] = []  # per class, offset[M∘s] for each s
+        instance = InputInstance._trusted
+        for mask, graph, images in orbits:
+            # the renamings other than the identity (the first) that fix the mask
+            automorphisms = [get for get, image in zip(renamed[1:], images[1:]) if image == mask]
+            offsets = [offset[image] for image in images]
+            for r, ids in enumerate(itertools.permutations(spec.id_space, n)):
+                if all(ids < get(ids) for get in automorphisms):
+                    index = offset[mask] + r * labelings
+                    for j, labels in enumerate(
+                        itertools.product(spec.input_alphabet, repeat=n)
+                    ):
+                        firsts.append((index + j, instance(graph, ids, labels, spec.c)))
+                        image_offsets.append(offsets)
+
+        def copies():
+            # key reads a tuple as the renamed getters do: unchanged, and for
+            # n=1 as its lone item, not a tuple
+            key = itemgetter(*range(n))
+            id_rank = {
+                key(ids): r for r, ids in enumerate(itertools.permutations(spec.id_space, n))
+            }
+            label_rank = {
+                key(labels): j
+                for j, labels in enumerate(itertools.product(spec.input_alphabet, repeat=n))
+            }
+            out: list = [None] * size
+            for k, ((_, first), offsets) in enumerate(zip(firsts, image_offsets)):
+                ids, labels = first.ids, first.inputs
+                for s, get, base in zip(renamings, renamed, offsets):
+                    out[base + id_rank[get(ids)] * labelings + label_rank[get(labels)]] = (k, s)
+            return out
+
+        return cls(size, firsts, copies)
 
 
 def count_bound(spec: InstanceFamilySpec) -> int:

@@ -42,6 +42,36 @@ class TestEnumerate:
         assert (tmp_path / "nested" / "fam.jsonl").exists()
 
 
+class TestOversizedFamily:
+    """A family with more identifier tuples per graph than the enumerators
+    list is refused before anything is allocated (n=3 at c=30 would copy
+    3**30 identifiers): one error line and exit 3."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["enumerate"],
+            ["derandomize", "--problem", "mis", "--T", "1"],
+            ["certify", "--problem", "coloring:2"],
+            ["verify", "--problem", "mis", "--table", "TABLE"],
+            ["simulate", "--program", "parity"],
+            ["connected-run", "--problem", "mis", "--table", "TABLE"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_exits_bad_input_with_one_error_line(self, tmp_path, capsys, argv):
+        table = tmp_path / "mis.json"
+        assert run(["derandomize", "--problem", "mis", "--n", "2", "--T", "1", "--out-table", str(table)]) == 0
+        capsys.readouterr()
+        argv = [str(table) if arg == "TABLE" else arg for arg in argv]
+        assert run(argv + ["--n", "3", "--c", "30"]) == 3
+        assert capsys.readouterr() == (
+            "",
+            "error: the family of n=3 at c=30 has more than 1048576 identifier tuples "
+            "per graph, too many to enumerate\n",
+        )
+
+
 class TestDerandomize:
     def test_mis_n3_succeeds(self, tmp_path):
         table = tmp_path / "table.json"

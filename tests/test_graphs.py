@@ -16,6 +16,7 @@ from derandlab import (
     BallNode,
     BallView,
     Graph,
+    InputClasses,
     InputInstance,
     InstanceFamilySpec,
     InstanceFormatError,
@@ -136,9 +137,23 @@ class TestEnumeration:
         assert graphs == {(), ((0, 1),), ((0, 2),), ((1, 2),)}
 
     def test_rejects_oversized_id_space(self):
-        spec = InstanceFamilySpec(n=8, c=22)  # 8**22 == 2**66
-        with pytest.raises(ValueError, match="64-bit"):
-            next(enumerate_instances(spec))
+        # both enumerators reject the family before they list anything
+        for spec in (
+            InstanceFamilySpec(n=8, c=22),  # 8**22 == 2**66
+            InstanceFamilySpec(n=3, c=30),  # 3**30 identifiers, copied by permutations
+            InstanceFamilySpec(n=3, c=5),  # 243 * 242 * 241 tuples per graph
+            InstanceFamilySpec(n=11),  # 11! tuples
+            InstanceFamilySpec(n=2, c=10**9),  # n**c is never computed
+        ):
+            message = f"n={spec.n} at c={spec.c} has more than 1048576 identifier tuples"
+            with pytest.raises(ValueError, match=message):
+                next(enumerate_instances(spec))
+            with pytest.raises(ValueError, match=message):
+                InputClasses.of_spec(spec)
+
+    def test_accepts_a_family_just_under_the_limit(self):
+        # 1024 * 1023 identifier tuples per graph, just under 2**20
+        assert next(enumerate_instances(InstanceFamilySpec(n=2, c=10))).ids == (1, 2)
 
     def test_count_bound_values(self):
         assert count_bound(InstanceFamilySpec(n=1)) == 1
@@ -255,6 +270,58 @@ class TestDistinctInputs:
             assert (keys[i] == keys[j]) == (
                 relabeled_by_identifier(family[i]) == relabeled_by_identifier(family[j])
             )
+
+
+INPUT_CLASS_SPECS = (
+    [InstanceFamilySpec(n=n) for n in (1, 2, 3, 4, 5)]
+    + [InstanceFamilySpec(n=n, c=2) for n in (1, 2, 3)]
+    + [InstanceFamilySpec(n=4, max_degree=d) for d in (0, 1, 2, 3)]
+    + [InstanceFamilySpec(n=n, input_alphabet=("a", "b")) for n in (1, 2, 3)]
+)
+
+
+class TestInputClasses:
+    @pytest.mark.parametrize(
+        "spec",
+        INPUT_CLASS_SPECS,
+        ids=lambda spec: f"n{spec.n}-c{spec.c}-{','.join(spec.input_alphabet)}-d{spec.max_degree}",
+    )
+    def test_of_spec_equals_the_classes_of_the_listed_family(self, spec):
+        family = list(enumerate_instances(spec))
+        expected = InputClasses.of_instances(family)
+        classes = InputClasses.of_spec(spec)
+        assert classes.size == expected.size == len(family)
+        assert [i for i, _ in classes.firsts] == [i for i, _ in expected.firsts]
+        for (_, first), (_, listed) in zip(classes.firsts, expected.firsts):
+            assert (first.graph.edges, first.ids, first.inputs, first.c) == (
+                listed.graph.edges,
+                listed.ids,
+                listed.inputs,
+                listed.c,
+            )
+        assert classes.copies == expected.copies
+        # perm renames each instance into its class's first copy
+        for instance, (k, perm) in zip(family, classes.copies):
+            first = classes.firsts[k][1]
+            assert instance.ids == tuple(first.ids[u] for u in perm)
+            assert instance.inputs == tuple(first.inputs[u] for u in perm)
+            renamed = {tuple(sorted((perm[u], perm[v]))) for u, v in instance.graph.edges}
+            assert renamed == set(first.graph.edges)
+
+    def test_of_instances_keeps_the_list_order_and_its_repeats(self):
+        family = list(enumerate_instances(InstanceFamilySpec(n=3)))
+        chosen = family[40:] + family[:8] + family[40:41]
+        classes = InputClasses.of_instances(chosen)
+        representatives, class_of = distinct_inputs(chosen)
+        assert classes.size == len(chosen)
+        assert classes.firsts == [(i, chosen[i]) for i in representatives]
+        assert [k for k, _ in classes.copies] == class_of
+        assert classes.copies[-1] == classes.copies[0] == (class_of[0], (0, 1, 2))
+
+    def test_the_copies_are_built_on_first_use(self):
+        classes = InputClasses.of_spec(InstanceFamilySpec(n=4))
+        assert len(classes.firsts) == 64 and "copies" not in vars(classes)
+        assert len(classes.copies) == 1536
 
 
 class TestExtractBall:

@@ -30,7 +30,6 @@ from .derandomize import (
 from .graphs import (
     InputClasses,
     InstanceFamilySpec,
-    distinct_inputs,
     dump_instances,
     enumerate_instances,
     load_instances,
@@ -104,8 +103,15 @@ def _alphabet(text: str) -> tuple[str, ...]:
     return labels
 
 
-def _family_args(parser: argparse.ArgumentParser, required: bool = True) -> None:
-    parser.add_argument("--n", type=int, required=required, help="node count")
+def _family_args(parser: argparse.ArgumentParser, instances: bool = False) -> None:
+    """The family's parameters; with ``instances``, ``--n`` or an
+    ``--instances`` file names the inputs, exactly one of them."""
+    if instances:
+        source = parser.add_mutually_exclusive_group(required=True)
+        source.add_argument("--n", type=int, help="node count")
+        source.add_argument("--instances", default=None, help="JSONL instance file")
+    else:
+        parser.add_argument("--n", type=int, required=True, help="node count")
     parser.add_argument("--c", type=int, default=1, help="identifier exponent")
     parser.add_argument(
         "--input-alphabet",
@@ -130,10 +136,8 @@ def _family_spec(args: argparse.Namespace) -> InstanceFamilySpec:
 def _input_classes(args: argparse.Namespace) -> InputClasses:
     """The distinct inputs of the ``--instances`` file, or of the ``--n``
     family, built without listing its copies."""
-    if args.instances:
+    if args.instances is not None:
         return InputClasses.of_instances(load_instances(Path(args.instances).read_text()))
-    if args.n is None:
-        raise ValueError("provide --n or --instances")
     return InputClasses.of_spec(_family_spec(args))
 
 
@@ -195,11 +199,9 @@ def cmd_certify(args: argparse.Namespace) -> int:
     # a copy of an input under a renaming of its nodes fails exactly when its
     # first copy does, so the exact pass and --find-f compile and run each
     # distinct input once; Monte-Carlo trials stay per instance, keyed by
-    # instance index, and share their simulations per input
-    if exact:
-        classes = InputClasses.of_spec(spec)
-    else:
-        family = list(enumerate_instances(spec))
+    # instance index, and share their simulations per input.  The classes
+    # come first in both modes, so an oversized family fails before anything
+    classes = InputClasses.of_spec(spec)
     program = RANDOMIZED_BUILTINS[args.program](problem.output_alphabet)
     lift = lift_to_claimed_size(spec)
 
@@ -215,11 +217,10 @@ def cmd_certify(args: argparse.Namespace) -> int:
             raise ValueError("--seed is required in mc mode")
         if args.trials < 1:
             raise ValueError("need at least one trial")
-    # one pass over the family holds one instance's checks at a time; with
-    # --find-f the assignment search and the probability pass share one list
-    checks = compile_checks(
-        problem, [first for _, first in classes.firsts] if exact else family
-    )
+    # the first copies' checks, for the exact pass and --find-f; one pass
+    # holds one instance's checks at a time, and with --find-f the
+    # assignment search and the exact pass share one list
+    checks = compile_checks(problem, [first for _, first in classes.firsts])
     if args.find_f:
         checks = list(checks)
     if exact:
@@ -231,14 +232,16 @@ def cmd_certify(args: argparse.Namespace) -> int:
         )
     else:
         estimates = estimate_success_mc(
-            program, checks, trials=args.trials, seed=args.seed, claimed_n=claimed_n
+            program,
+            compile_checks(problem, enumerate_instances(spec)),
+            trials=args.trials,
+            seed=args.seed,
+            claimed_n=claimed_n,
         )
         payload["stderr"] = [e.stderr for e in estimates]
         certificate = certify_good_f(
             [e.failure for e in estimates], lift.claimed_size, estimated=True
         )
-        if args.find_f:
-            checks = [checks[i] for i in distinct_inputs(family)[0]]
     payload["certificate"] = certificate.to_jsonable()
 
     if args.find_f:
@@ -328,6 +331,8 @@ def _outputs(outputs: dict[int, str], perm: tuple[int, ...]) -> dict[str, str]:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    if args.table and (args.trace or args.claimed_n is not None):
+        raise ValueError("--trace and --claimed-n apply to --program runs, not --table")
     classes = _input_classes(args)
     lines = []
     if args.table:
@@ -431,16 +436,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check a table against a family")
     p.add_argument("--problem", required=True)
     p.add_argument("--table", required=True, help=TABLE_HELP)
-    _family_args(p, required=False)
-    p.add_argument("--instances", default=None, help="JSONL instance file")
+    _family_args(p, instances=True)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("simulate", help="run a table or builtin program on a family")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--table", default=None, help=TABLE_HELP)
     group.add_argument("--program", default=None, choices=sorted(DETERMINISTIC_BUILTINS))
-    _family_args(p, required=False)
-    p.add_argument("--instances", default=None)
+    _family_args(p, instances=True)
     p.add_argument("--claimed-n", type=int, default=None)
     p.add_argument("--trace", action="store_true", help="record per-round message counts")
     p.add_argument("--out", default=None)
@@ -448,8 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("connected-run", help="two-phase runtime on connected instances")
     p.add_argument("--problem", required=True)
     p.add_argument("--table", required=True, help=TABLE_HELP)
-    _family_args(p, required=False)
-    p.add_argument("--instances", default=None)
+    _family_args(p, instances=True)
     p.add_argument("--out", default=None)
 
     return parser

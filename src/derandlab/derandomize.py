@@ -12,16 +12,16 @@ because it never looks at the program's internals.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .graphs import (
+    InputClasses,
     InputInstance,
     InstanceFamilySpec,
     canonicalize,
     count_bound,
-    distinct_inputs,
     enumerate_instances,
     extract_ball,
     instance_to_jsonable,
@@ -41,10 +41,10 @@ from .simulator import (
     NodeProgram,
     NormalFormTable,
     SimulationError,
-    _tabulate,
     fix_randomness,
     run_normal_form,
     run_randomized,
+    tabulate,
 )
 from .streams import (
     DEFAULT_BIT_CAP,
@@ -98,7 +98,7 @@ class GoodnessCertificate:
     certificate has no verdict.
 
     ``distinct_probs``, when given, holds the failure probability of each
-    distinct input of the family (:func:`distinct_inputs`) once.  The family
+    distinct input of the family (:class:`InputClasses`) once.  The family
     lists an input once per renaming of its nodes, and the union bound needs
     each input only once, so ``distinct_total`` below one also certifies
     that a good assignment exists.  ``total`` and ``verdict`` stay those of
@@ -231,26 +231,24 @@ def derandomize_via_f(
     Raises :class:`AssignmentNotGood` naming the first failing instance if the
     assignment is not good, and :class:`LocalityViolation` if the fixed
     program provably uses more than ``radius`` rounds.  The table is
-    tabulated from, and then verified with :func:`verify` on, the first copy
-    of each distinct input, in family order (:func:`distinct_inputs`).  A
-    tabulation that completes records exactly each node's run output, so the
-    table fails on an instance exactly when that instance's run fails.  Two
-    cases come out as they would not if each run were checked before it is
-    tabulated: when one instance fails and a later instance's views
-    conflict, :class:`LocalityViolation` comes first; and a label outside the
-    problem's alphabet raises the table's ``ValueError``, not
-    :func:`verify`'s.
+    tabulated from (:func:`tabulate`), and then verified with :func:`verify`
+    on, the first copy of each distinct input, in family order
+    (:class:`InputClasses`).  A tabulation that completes records exactly
+    each node's run output, so the table fails on an instance exactly when
+    that instance's run fails.  Two cases come out as they would not if each
+    run were checked before it is tabulated: when one instance fails and a
+    later instance's views conflict, :class:`LocalityViolation` comes first;
+    and a label outside the problem's alphabet raises the table's
+    ``ValueError``, not :func:`verify`'s.
     """
     fixed = fix_randomness(program, assignment, bit_cap)
-    representatives, _ = distinct_inputs(family)
-    table = NormalFormTable.from_mapping(
-        radius,
-        problem.output_alphabet,
-        _tabulate(fixed, radius, family, representatives, claimed_n),
+    # the replaced table checks its labels against the problem's alphabet
+    table = replace(
+        tabulate(fixed, radius, family, claimed_n),
+        output_alphabet=problem.output_alphabet,
         provenance=f"via-f:{program.name}",
     )
-    for idx in representatives:
-        instance = family[idx]
+    for idx, instance in InputClasses.of_instances(family).firsts:
         if not verify(problem, instance, run_normal_form(table, instance)).valid:
             raise AssignmentNotGood(idx, instance)
     return table
@@ -426,7 +424,7 @@ def find_normal_form(config: SearchConfig) -> TableSearchOutcome:
 
     The family lists each input once per renaming of its nodes, and all
     three passes run over the first copy of each input alone
-    (:func:`distinct_inputs`).  The copies add no view key and no
+    (:class:`InputClasses`).  The copies add no view key and no
     constraint, and each behaves exactly like its first copy, so the
     search, its counters, the witness and the final verdict are those of
     the whole family; ``family_size`` and ``verified_count`` count every
@@ -443,15 +441,14 @@ def find_normal_form(config: SearchConfig) -> TableSearchOutcome:
 
     problem = config.problem
     alphabet = problem.output_alphabet
-    instances = list(enumerate_instances(config.family))
-    representatives, _ = distinct_inputs(instances)
-    distinct = [instances[i] for i in representatives]
+    classes = InputClasses.of_instances(list(enumerate_instances(config.family)))
+    distinct = [first for _, first in classes.firsts]
     lap("enumerate")
     index = compile_family(problem, distinct, config.radius)
     lap("compile")
     realized = index.realized
     stats = SearchStats(
-        family_size=len(instances),
+        family_size=classes.size,
         realized_views=len(realized),
         constraints=len(index.constraints),
     )
@@ -460,17 +457,17 @@ def find_normal_form(config: SearchConfig) -> TableSearchOutcome:
     found, stats.placements, stats.checks, stats.conflicts = _cdcl(
         index.constraints, alphabet, labels, config.node_budget
     )
-    witness = None if found else next(
-        (i for k, i in enumerate(representatives) if not index.solvable(k)), None
+    unsolvable = None if found else next(
+        (first for k, first in enumerate(classes.firsts) if not index.solvable(k)), None
     )
     stats.predicate_calls = index.predicate_calls
     lap("search")
 
     if not found:
-        if witness is None:
+        if unsolvable is None:
             lap("verify")
             return TableSearchOutcome(None, True, None, None, True, stats, phase_s=phase_s)
-        inst = instances[witness]
+        witness, inst = unsolvable
         if brute_force_solve(problem, inst) is not None:
             raise SimulationError(
                 f"internal: instance {witness} is unsolvable over its compiled "
@@ -492,7 +489,7 @@ def find_normal_form(config: SearchConfig) -> TableSearchOutcome:
             raise SimulationError("internal: searched table failed final verification")
     lap("verify")
     return TableSearchOutcome(
-        table, False, None, None, False, stats, len(instances), phase_s
+        table, False, None, None, False, stats, classes.size, phase_s
     )
 
 

@@ -299,54 +299,29 @@ def input_key(instance: InputInstance) -> tuple:
     return tuple(sorted(zip(ids, instance.inputs))), tuple(sorted(edges))
 
 
-def distinct_inputs(instances: Sequence[InputInstance]) -> tuple[list[int], list[int]]:
-    """The instances grouped into distinct inputs: ``(representatives,
-    class_of)``.
-
-    Two instances are one input when renaming the node indices of one gives
-    the other, that is, when they have the same (identifier, input) pairs and
-    the same edges between identifiers (:func:`input_key`).  Classes are
-    numbered in order of first appearance; ``representatives[k]`` is the
-    index of class ``k``'s first copy in ``instances`` and ``class_of[i]`` is
-    the class of instance ``i``.  Any list works, duplicates and all, at the
-    cost of building and keying every instance;
-    :func:`enumerate_instances` lists each input once per renaming, n! times,
-    and :meth:`InputClasses.of_spec` finds the same classes of its family
-    without listing the copies.  The passes that list the whole family use
-    this: the table search, ``tabulate``, ``derandomize_via_f`` and
-    Monte-Carlo ``certify --find-f``; so do instance files, through
-    :meth:`InputClasses.of_instances`.
-
-    Nothing a step, a view key or a verdict sees depends on node indices, so
-    every copy of an input behaves exactly like its first copy, and a pass
-    over the representatives in order meets the first failure of a pass over
-    all the instances, in the same instance.  Per-node results carry over
-    too: node ``v`` of a copy gets what the first-copy node with identifier
-    ``ids[v]`` got, since a renaming maps each node to the node with its
-    identifier.  This is how ``simulate`` and ``connected-run`` write a row
-    for every instance from one run per input (:class:`InputClasses`).
-    """
-    first: dict[tuple, int] = {}
-    representatives: list[int] = []
-    class_of: list[int] = []
-    for i, instance in enumerate(instances):
-        k = first.setdefault(input_key(instance), len(representatives))
-        if k == len(representatives):
-            representatives.append(i)
-        class_of.append(k)
-    return representatives, class_of
-
-
 class InputClasses:
     """A family's distinct inputs, each with the family index of every copy.
 
+    Two instances are one input when renaming the node indices of one gives
+    the other, that is, when they have the same (identifier, input) pairs and
+    the same edges between identifiers (:func:`input_key`).
+    :func:`enumerate_instances` lists each input once per renaming, n! times.
+
     ``size`` is the number of instances.  ``firsts`` lists ``(index,
     instance)`` for the first copy of each distinct input, in family order,
-    so class ``k`` is the input of ``firsts[k]`` (classes as in
-    :func:`distinct_inputs`).  ``copies[i]`` is ``(k, perm)`` for instance
+    so class ``k`` is the input of ``firsts[k]`` and classes are numbered in
+    order of first appearance.  ``copies[i]`` is ``(k, perm)`` for instance
     ``i``: its class, and ``perm[v]``, the node of the first copy with the
     identifier of the instance's node ``v``.  ``copies`` is built on first
     use, so a pass that needs only the first copies never builds it.
+
+    Nothing a step, a view key or a verdict sees depends on node indices, so
+    every copy of an input behaves exactly like its first copy, and a pass
+    over ``firsts`` in order meets the first failure of a pass over all the
+    instances, in the same instance.  Per-node results carry over too: node
+    ``v`` of a copy gets what node ``perm[v]`` of the first copy got, since
+    a renaming maps each node to the node with its identifier.  This is how
+    every pass over a family runs once per input.
     """
 
     def __init__(
@@ -365,10 +340,18 @@ class InputClasses:
 
     @classmethod
     def of_instances(cls, instances: Sequence[InputInstance]) -> "InputClasses":
-        """The classes of any list of instances, such as an instance file,
-        keyed by :func:`distinct_inputs`."""
-        representatives, class_of = distinct_inputs(instances)
-        firsts = [(i, instances[i]) for i in representatives]
+        """The classes of any list of instances, duplicates and all, such as
+        an instance file, at the cost of keying every instance with
+        :func:`input_key`; :meth:`of_spec` finds the same classes of a spec
+        family without listing the copies."""
+        first: dict[tuple, int] = {}
+        firsts: list[tuple[int, InputInstance]] = []
+        class_of: list[int] = []
+        for i, instance in enumerate(instances):
+            k = first.setdefault(input_key(instance), len(firsts))
+            if k == len(firsts):
+                firsts.append((i, instance))
+            class_of.append(k)
 
         def copies():
             return [

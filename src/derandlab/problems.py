@@ -41,7 +41,7 @@ class ProblemSpec:
     and edges, but its verdict must not depend on node indices: renaming the
     nodes of an instance, with the labeling renamed alike, keeps the
     verdict.  The family is searched, certified, tabulated and verified on
-    one copy of each input (:func:`distinct_inputs`), which relies on it; a
+    one copy of each input (:class:`InputClasses`), which relies on it; a
     ball predicate sees identifiers only and meets it by construction.
     """
 
@@ -229,22 +229,31 @@ class CompiledCheck:
 
     ``checks`` are the instance's :class:`Check` objects in the order
     :func:`verify` visits them: nodes by increasing identifier, or the one
-    whole-instance check of a component-wise problem.
+    whole-instance check of a component-wise problem.  They are built on
+    first use, registering in ``shared`` (see :func:`compile_checks`), so a
+    pass that never reads them never compiles the instance.
     """
 
-    __slots__ = ("problem", "instance", "checks", "_alphabet")
+    __slots__ = ("problem", "instance", "_shared", "_checks", "_alphabet")
 
     def __init__(
         self,
         problem: ProblemSpec,
         instance: InputInstance,
-        checks: tuple[Check, ...],
+        shared: dict[str, Check],
         alphabet: frozenset[str],
     ):
         self.problem = problem
         self.instance = instance
-        self.checks = checks
+        self._shared = shared
+        self._checks: tuple[Check, ...] | None = None
         self._alphabet = alphabet  # the problem's output labels
+
+    @property
+    def checks(self) -> tuple[Check, ...]:
+        if self._checks is None:
+            self._checks = _instance_checks(self.problem, self.instance, self._shared)
+        return self._checks
 
     def valid(self, outputs: Mapping[int, str]) -> bool:
         """``verify(problem, instance, outputs).valid``, by memo lookups.
@@ -267,7 +276,8 @@ class CompiledCheck:
 def compile_checks(
     problem: ProblemSpec, instances: Iterable[InputInstance]
 ) -> Iterator[CompiledCheck]:
-    """The :class:`CompiledCheck` of each instance, built lazily in order.
+    """The :class:`CompiledCheck` of each instance, built lazily in order;
+    each one's checks are built when first read.
 
     Node checks whose balls have equal canonical keys share one verdict memo
     across all the instances of the call, so each distinct (key, label tuple)
@@ -277,8 +287,7 @@ def compile_checks(
     alphabet = frozenset(problem.output_alphabet)
     shared: dict[str, Check] = {}
     for instance in instances:
-        checks = _instance_checks(problem, instance, shared)
-        yield CompiledCheck(problem, instance, checks, alphabet)
+        yield CompiledCheck(problem, instance, shared, alphabet)
 
 
 def _instance_checks(

@@ -26,9 +26,9 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .graphs import (
+    InputClasses,
     InputInstance,
     canonicalize,
-    distinct_inputs,
     extract_ball,
     input_key,
     json_value,
@@ -472,31 +472,13 @@ def tabulate(
     If one key ever maps to two outputs the program is provably using more
     than ``radius`` rounds of information and :class:`LocalityViolation` is
     raised with both witnesses.  Each distinct input runs once, on its first
-    copy in family order (:func:`distinct_inputs`): a copy has the same keys
+    copy in family order (:class:`InputClasses`): a copy has the same keys
     and outputs, so it adds no entry and no conflict, and the first conflict
     or error of the whole family is met in the same instance and node.
     """
-    entries = _tabulate(program, radius, family, distinct_inputs(family)[0], claimed_n)
-    alphabet = program.output_alphabet or tuple(sorted(set(entries.values())))
-    return NormalFormTable.from_mapping(
-        radius, alphabet, entries, provenance=f"tabulate:{program.name}"
-    )
-
-
-def _tabulate(
-    program: NodeProgram,
-    radius: int,
-    family: Sequence[InputInstance],
-    indices: Iterable[int],
-    claimed_n: int | None,
-) -> dict[str, str]:
-    """The loop of :func:`tabulate`: run the program on the instances of
-    ``family`` at ``indices``, in order, and record each node's output under
-    its radius-T view key."""
     entries: dict[str, str] = {}
     origin: dict[str, tuple[int, int, str]] = {}
-    for idx in indices:
-        instance = family[idx]
+    for idx, instance in InputClasses.of_instances(family).firsts:
         result = run_deterministic(program, instance, claimed_n)
         for v in range(instance.n):
             key = canonicalize(extract_ball(instance, v, radius))
@@ -507,7 +489,10 @@ def _tabulate(
             else:
                 entries[key] = out
                 origin[key] = (idx, v, out)
-    return entries
+    alphabet = program.output_alphabet or tuple(sorted(set(entries.values())))
+    return NormalFormTable.from_mapping(
+        radius, alphabet, entries, provenance=f"tabulate:{program.name}"
+    )
 
 
 # ---------------------------------------------------------------------------

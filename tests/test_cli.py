@@ -466,9 +466,12 @@ class TestCertify:
             "--seed", "1", *find_f, "--out", str(tmp_path / "cert.json"),
         ]
         assert run(argv) == 0
-        # the exact pass compiles each of the 8 distinct inputs once;
-        # Monte-Carlo trials are keyed by instance, so mc compiles all 48
-        assert len(compiled) == (8 if mode == "exact" else 48)
+        # the exact pass compiles each of the 8 distinct inputs once, and
+        # --find-f shares its checks; a Monte-Carlo trial compiles its
+        # instance only when it misses its input's trie (12 of the 48), and
+        # --find-f compiles the first copies it reads (4 of the 8) apart
+        counts = {"exact": 8, "exact-find-f": 8, "mc": 12, "mc-find-f": 16}
+        assert len(compiled) == counts[mode + "-find-f" * bool(find_f)]
 
     def test_mc_mode_replays(self, tmp_path):
         outs = [tmp_path / "c1.json", tmp_path / "c2.json"]
@@ -550,8 +553,42 @@ class TestVerifyAndSimulate:
         assert rows[0]["rounds"] == 0
         assert rows[0]["trace"] == [[0, 0]]
 
-    def test_needs_family_or_instances(self, mis_table):
-        assert run(["verify", "--problem", "mis", "--table", str(mis_table)]) == 3
+    def test_needs_family_or_instances(self, mis_table, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["verify", "--problem", "mis", "--table", str(mis_table)])
+        assert exc.value.code == 3
+        err = capsys.readouterr().err
+        assert "error: one of the arguments --n --instances is required" in err
+
+    @pytest.mark.parametrize("subcommand", ["verify", "simulate", "connected-run"])
+    def test_rejects_family_and_instances_together(
+        self, mis_table, tmp_path, capsys, subcommand
+    ):
+        # an empty file would otherwise pass as "verified 0/0"
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        problem = [] if subcommand == "simulate" else ["--problem", "mis"]
+        argv = [
+            subcommand, *problem, "--table", str(mis_table), "--n", "2",
+            "--instances", str(empty),
+        ]
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 3
+        err = capsys.readouterr().err
+        assert "error: argument --instances: not allowed with argument --n" in err
+
+    @pytest.mark.parametrize(
+        "option", [["--trace"], ["--claimed-n", "5"]], ids=["trace", "claimed-n"]
+    )
+    def test_simulate_table_rejects_program_options(self, mis_table, tmp_path, capsys, option):
+        out = tmp_path / "runs.jsonl"
+        argv = ["simulate", "--table", str(mis_table), "--n", "2", *option, "--out", str(out)]
+        assert run(argv) == 3
+        assert capsys.readouterr().err == (
+            "error: --trace and --claimed-n apply to --program runs, not --table\n"
+        )
+        assert not out.exists()
 
     def test_instances_file_input(self, mis_table, tmp_path):
         fam = tmp_path / "fam.jsonl"

@@ -34,6 +34,7 @@ from derandlab import (
     BitBudgetExceeded,
     BitReader,
     BitStream,
+    InputClasses,
     InstanceFamilySpec,
     McEstimate,
     NodeContext,
@@ -44,7 +45,6 @@ from derandlab import (
     StreamExhausted,
     compile_checks,
     compute_success_exact,
-    distinct_inputs,
     enumerate_instances,
     estimate_success_mc,
     extract_ball,
@@ -595,7 +595,7 @@ def test_the_shuffled_copies_repeat_miss_and_reorder():
     indices = [N3_FAMILY.index(instance) for instance in family]
     assert len(set(indices)) < len(indices)
     assert indices != sorted(indices)
-    counts = Counter(distinct_inputs(family)[1])
+    counts = Counter(k for k, _ in InputClasses.of_instances(family).copies)
     assert len(counts) == 8 and min(counts.values()) < 6 < max(counts.values())
 
 
@@ -605,7 +605,7 @@ def test_the_whole_class_cap_error_is_met_on_a_copy(seed, idx):
     past the cap is one of a copy, not of its input's first copy, and its
     stream key names that copy's index."""
     program, problem, claimed_n, cap = whole_class_case("leading-ones-past-the-cap")
-    assert idx not in distinct_inputs(N3_FAMILY)[0]
+    assert idx not in [i for i, _ in InputClasses.of_instances(N3_FAMILY).firsts]
     with pytest.raises(BitBudgetExceeded, match=re.escape(f"keyed:{seed}|{idx}|")):
         estimate_success_mc(
             program, compile_checks(problem, N3_FAMILY), 40, seed, cap, claimed_n

@@ -43,7 +43,11 @@ from derandlab import (
 )
 from derandlab.graphs import canonicalize, extract_ball
 from derandlab.problems import Check, _triggers, compile_checks
-from derandlab.programs import first_bit_label_program, id_sum_parity_program
+from derandlab.programs import (
+    first_bit_label_program,
+    id_sum_parity_program,
+    two_bit_label_program,
+)
 
 
 def output_one_problem():
@@ -305,6 +309,16 @@ class TestDerandomizeViaAssignment:
             assert err.value.index == index
             assert err.value.instance is self.family[index]
         assert verdicts == [False, True, True, False]
+
+    def test_a_label_outside_the_problem_alphabet_raises_the_tables_value_error(self):
+        # "C" is in the program's alphabet but not in coloring:2's; the node
+        # with identifier 2 reads bits 1, 0 and outputs it
+        program = two_bit_label_program(("A", "B", "C"))
+        f = RandomAssignment.from_vectors({1: (0, 0), 2: (1, 0)})
+        with pytest.raises(ValueError) as err:
+            derandomize_via_f(program, f, 0, self.family, self.problem)
+        assert type(err.value) is ValueError
+        assert str(err.value) == "table value 'C' outside the output alphabet"
 
     def test_radius_too_small_raises_locality_violation(self):
         # a 1-round gather cannot be a function of radius-0 views

@@ -24,7 +24,6 @@ from derandlab import (
     canonicalize,
     count_bound,
     disjoint_union,
-    distinct_inputs,
     dump_instances,
     enumerate_instances,
     extend_instance,
@@ -190,7 +189,16 @@ def relabeled_by_identifier(instance: InputInstance) -> tuple:
     )
 
 
+def quotient(instances) -> tuple[list[int], list[int]]:
+    """The family index of each class's first copy, and the class of each
+    instance, as ``InputClasses.of_instances`` finds them."""
+    classes = InputClasses.of_instances(instances)
+    return [i for i, _ in classes.firsts], [k for k, _ in classes.copies]
+
+
 class TestDistinctInputs:
+    """``InputClasses.of_instances`` on listed families and on any list."""
+
     @pytest.mark.parametrize(
         "spec, classes",
         [
@@ -203,7 +211,7 @@ class TestDistinctInputs:
     )
     def test_class_counts(self, spec, classes):
         family = list(enumerate_instances(spec))
-        representatives, class_of = distinct_inputs(family)
+        representatives, class_of = quotient(family)
         assert len(representatives) == classes
         assert len(class_of) == len(family)
 
@@ -218,12 +226,12 @@ class TestDistinctInputs:
     )
     def test_at_c1_every_input_appears_once_per_renaming(self, spec):
         family = list(enumerate_instances(spec))
-        _, class_of = distinct_inputs(family)
+        _, class_of = quotient(family)
         assert set(Counter(class_of).values()) == {math.factorial(spec.n)}
 
     def test_classes_are_the_renamings_and_start_at_their_first_copy(self):
         family = list(enumerate_instances(InstanceFamilySpec(n=3, c=2)))
-        representatives, class_of = distinct_inputs(family)
+        representatives, class_of = quotient(family)
         first: dict[tuple, int] = {}
         for i, inst in enumerate(family):
             first.setdefault(relabeled_by_identifier(inst), i)
@@ -239,7 +247,7 @@ class TestDistinctInputs:
         # (as equal objects read back from a dump), in any order
         chosen = rng.sample(family, 150) + load_instances(dump_instances(family[:40]))
         rng.shuffle(chosen)
-        representatives, class_of = distinct_inputs(chosen)
+        representatives, class_of = quotient(chosen)
         seen: dict[tuple, int] = {}
         for i, inst in enumerate(chosen):
             k = seen.setdefault(relabeled_by_identifier(inst), len(seen))
@@ -247,23 +255,32 @@ class TestDistinctInputs:
             assert representatives[k] <= i
         assert len(representatives) == len(seen)
         assert all(class_of[i] == k for k, i in enumerate(representatives))
+        # perm renames each listed instance into its class's first copy
+        classes = InputClasses.of_instances(chosen)
+        for inst, (k, perm) in zip(chosen, classes.copies):
+            first = chosen[representatives[k]]
+            assert inst.ids == tuple(first.ids[u] for u in perm)
+            assert inst.inputs == tuple(first.inputs[u] for u in perm)
+            renamed = {tuple(sorted((perm[u], perm[v]))) for u, v in inst.graph.edges}
+            assert renamed == set(first.graph.edges)
 
     def test_inputs_and_identifiers_separate_classes(self):
         path = InputInstance(Graph(3, ((0, 1), (1, 2))), (1, 2, 3), ("x", "y", "x"), 1)
         renamed = InputInstance(Graph(3, ((0, 2), (1, 2))), (1, 3, 2), ("x", "x", "y"), 1)
         other_label = InputInstance(Graph(3, ((0, 1), (1, 2))), (1, 2, 3), ("y", "x", "x"), 1)
         other_center = InputInstance(Graph(3, ((0, 1), (1, 2))), (2, 1, 3), ("x", "y", "x"), 1)
-        assert distinct_inputs([path, renamed, other_label, other_center, path]) == (
+        assert quotient([path, renamed, other_label, other_center, path]) == (
             [0, 2, 3],
             [0, 0, 1, 2, 0],
         )
 
     def test_an_empty_list(self):
-        assert distinct_inputs([]) == ([], [])
+        assert quotient([]) == ([], [])
+        assert InputClasses.of_instances([]).size == 0
 
     def test_classes_are_the_input_keys(self):
         family = list(enumerate_instances(InstanceFamilySpec(n=3, input_alphabet=("a", "b"))))
-        _, class_of = distinct_inputs(family)
+        _, class_of = quotient(family)
         keys = [input_key(inst) for inst in family]
         for i, j in itertools.combinations(range(0, len(family), 7), 2):
             assert (keys[i] == keys[j]) == (class_of[i] == class_of[j])
@@ -312,7 +329,15 @@ class TestInputClasses:
         family = list(enumerate_instances(InstanceFamilySpec(n=3)))
         chosen = family[40:] + family[:8] + family[40:41]
         classes = InputClasses.of_instances(chosen)
-        representatives, class_of = distinct_inputs(chosen)
+        seen: dict[tuple, int] = {}
+        representatives = [
+            i
+            for i, inst in enumerate(chosen)
+            if seen.setdefault(relabeled_by_identifier(inst), i) == i
+        ]
+        class_of = [
+            representatives.index(seen[relabeled_by_identifier(inst)]) for inst in chosen
+        ]
         assert classes.size == len(chosen)
         assert classes.firsts == [(i, chosen[i]) for i in representatives]
         assert [k for k, _ in classes.copies] == class_of

@@ -2,7 +2,7 @@
 
 The table search, ``certify``, ``tabulate``, ``verify``, ``simulate`` and
 ``connected-run`` run each distinct input once, on its first copy
-(``distinct_inputs``; the CLI passes over a ``--n`` family find the first
+(``InputClasses``; the CLI passes over a ``--n`` family find the first
 copies without listing the family, through ``InputClasses.of_spec``).  Each
 reference here is the same pass run over every instance of the family, as it
 ran before the quotient; both must give the same tables, Fractions,
@@ -28,6 +28,7 @@ from derandlab import (
     AssignmentNotGood,
     ConnectedRunConfig,
     IncompleteTableError,
+    InputClasses,
     InstanceFamilySpec,
     LocalityViolation,
     RandomAssignment,
@@ -38,7 +39,6 @@ from derandlab import (
     compile_family,
     compute_success_exact,
     derandomize_via_f,
-    distinct_inputs,
     dump_instances,
     enumerate_instances,
     extract_ball,
@@ -167,7 +167,8 @@ def assert_same_search(config: SearchConfig, component_wise: bool) -> None:
     if component_wise:
         # one whole-labeling constraint per instance: the copies' constraints,
         # redundant with their first copy's, are no longer built or evaluated
-        distinct = len(distinct_inputs(list(enumerate_instances(config.family)))[0])
+        family = list(enumerate_instances(config.family))
+        distinct = len(InputClasses.of_instances(family).firsts)
         assert stats.constraints == distinct
         assert stats.checks <= expected["checks"]
     else:
@@ -268,7 +269,8 @@ def test_certify_over_distinct_inputs_matches_every_instance(
         certificate = payload["certificate"]
         assert certificate["failure_probs"] == probs
         assert payload["good_f"] == good_f
-        representatives, _ = distinct_inputs(list(enumerate_instances(spec)))
+        classes = InputClasses.of_instances(list(enumerate_instances(spec)))
+        representatives = [i for i, _ in classes.firsts]
         assert certificate["distinct_inputs"] == len(representatives)
         assert certificate["distinct_total"] == str(
             sum(Fraction(probs[i]) for i in representatives)
@@ -309,6 +311,16 @@ def test_mc_find_f_over_distinct_inputs_matches_every_instance(tmp_path, name, p
 
 
 # -- tabulate -----------------------------------------------------------------
+
+
+def shuffled_with_repeats(family: list) -> list:
+    """What an instance file could hold: two thirds of ``family``, a quarter
+    of those twice, in shuffled order."""
+    rng = random.Random(len(family))
+    chosen = rng.sample(family, 2 * len(family) // 3)
+    chosen += chosen[: len(chosen) // 4]
+    rng.shuffle(chosen)
+    return chosen
 
 
 def per_instance_tabulate(program, radius, family) -> dict[str, str]:
@@ -353,11 +365,12 @@ TABULATE_CASES = [
 def test_tabulate_over_distinct_inputs_matches_every_instance(label, factory, radius, n, c):
     family = list(enumerate_instances(InstanceFamilySpec(n=n, c=c)))
     program = factory()
-    outcome = raised(lambda: dict(tabulate(program, radius, family).entries))
-    expected = raised(lambda: per_instance_tabulate(program, radius, family))
-    if expected[0] == "ok":
-        expected = ("ok", dict(sorted(expected[1].items())))
-    assert outcome == expected
+    for listed in (family, shuffled_with_repeats(family)):
+        outcome = raised(lambda: dict(tabulate(program, radius, listed).entries))
+        expected = raised(lambda: per_instance_tabulate(program, radius, listed))
+        if expected[0] == "ok":
+            expected = ("ok", dict(sorted(expected[1].items())))
+        assert outcome == expected
 
 
 def per_instance_via_f(program, assignment, radius, family, problem):
@@ -389,14 +402,17 @@ def test_derandomize_via_f_over_distinct_inputs_matches_every_instance(name):
     program = factory(problem.output_alphabet)
     family = list(enumerate_instances(spec))
     outcomes = set()
-    for vectors in itertools.product((0, 1), repeat=len(spec.id_space)):
+    for vectors, listed in itertools.product(
+        itertools.product((0, 1), repeat=len(spec.id_space)),
+        (family, shuffled_with_repeats(family)),
+    ):
         f = RandomAssignment.from_vectors(
             {i: (bit,) for i, bit in zip(spec.id_space, vectors)}
         )
         got = raised(
-            lambda: dict(derandomize_via_f(program, f, radius, family, problem).entries)
+            lambda: dict(derandomize_via_f(program, f, radius, listed, problem).entries)
         )
-        assert got == raised(lambda: per_instance_via_f(program, f, radius, family, problem))
+        assert got == raised(lambda: per_instance_via_f(program, f, radius, listed, problem))
         outcomes.add(got[0] if got[0] == "ok" else got[1])
     assert outcomes - {"ok"}  # some assignment fails, so errors are compared
 

@@ -103,6 +103,10 @@ def _alphabet(text: str) -> tuple[str, ...]:
     return labels
 
 
+# The defaults of the options that shape an --n family besides --n itself.
+_FAMILY_DEFAULTS = {"c": 1, "input_alphabet": ("x",), "max_degree": None}
+
+
 def _family_args(parser: argparse.ArgumentParser, instances: bool = False) -> None:
     """The family's parameters; with ``instances``, ``--n`` or an
     ``--instances`` file names the inputs, exactly one of them."""
@@ -112,15 +116,18 @@ def _family_args(parser: argparse.ArgumentParser, instances: bool = False) -> No
         source.add_argument("--instances", default=None, help="JSONL instance file")
     else:
         parser.add_argument("--n", type=int, required=True, help="node count")
-    parser.add_argument("--c", type=int, default=1, help="identifier exponent")
+    parser.add_argument("--c", type=int, default=_FAMILY_DEFAULTS["c"], help="identifier exponent")
     parser.add_argument(
         "--input-alphabet",
         type=_alphabet,
-        default=("x",),
+        default=_FAMILY_DEFAULTS["input_alphabet"],
         help="comma-separated input labels (default: x)",
     )
     parser.add_argument(
-        "--max-degree", type=int, default=None, help="optional degree filter"
+        "--max-degree",
+        type=int,
+        default=_FAMILY_DEFAULTS["max_degree"],
+        help="optional degree filter",
     )
 
 
@@ -135,10 +142,18 @@ def _family_spec(args: argparse.Namespace) -> InstanceFamilySpec:
 
 def _input_classes(args: argparse.Namespace) -> InputClasses:
     """The distinct inputs of the ``--instances`` file, or of the ``--n``
-    family, built without listing its copies."""
-    if args.instances is not None:
-        return InputClasses.of_instances(load_instances(Path(args.instances).read_text()))
-    return InputClasses.of_spec(_family_spec(args))
+    family, built without listing its copies.  A file fixes its own
+    identifiers, inputs and degrees, so it takes no other family option."""
+    if args.instances is None:
+        return InputClasses.of_spec(_family_spec(args))
+    given = [
+        "--" + name.replace("_", "-")
+        for name, default in _FAMILY_DEFAULTS.items()
+        if getattr(args, name) != default
+    ]
+    if given:
+        raise ValueError(f"{', '.join(given)}: family options apply to --n, not --instances")
+    return InputClasses.of_instances(load_instances(Path(args.instances).read_text()))
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
@@ -326,20 +341,31 @@ def _per_copy(classes: InputClasses, run: Callable) -> Iterator[tuple[int, objec
         yield idx, results[k], perm
 
 
-def _outputs(outputs: dict[int, str], perm: tuple[int, ...]) -> dict[str, str]:
-    return {str(v): outputs[u] for v, u in enumerate(perm)}
+def _outputs(render: Callable[[dict], str]) -> Callable[[dict, tuple], str]:
+    """``text(outputs, perm)``: the text of a copy's ``outputs`` object
+    ``{str(v): outputs[perm[v]]}``, rendered by ``render`` once per distinct
+    label vector and reused for every copy that has it."""
+    rendered = functools.cache(
+        lambda labels: render({str(v): label for v, label in enumerate(labels)})
+    )
+    return lambda outputs, perm: rendered(tuple(map(outputs.__getitem__, perm)))
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    if args.table and (args.trace or args.claimed_n is not None):
+    if args.table is not None and (args.trace or args.claimed_n is not None):
         raise ValueError("--trace and --claimed-n apply to --program runs, not --table")
     classes = _input_classes(args)
-    lines = []
-    if args.table:
+    # each line is the JSONEncoder(sort_keys=True) rendering of its row, made
+    # from texts rendered once per distinct content
+    encode = json.JSONEncoder(sort_keys=True).encode
+    outputs = _outputs(encode)
+    if args.table is not None:
         table = load_table(_out_path(args.table))
         runs = _per_copy(classes, lambda _idx, instance: run_normal_form(table, instance))
-        for idx, outputs, perm in runs:
-            lines.append({"index": idx, "outputs": _outputs(outputs, perm)})
+        lines = [
+            f'{{"index": {idx}, "outputs": {outputs(result, perm)}}}\n'
+            for idx, result, perm in runs
+        ]
     else:
         program = DETERMINISTIC_BUILTINS[args.program]()
         runs = _per_copy(
@@ -348,18 +374,19 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 program, instance, claimed_n=args.claimed_n, trace=args.trace
             ),
         )
+        trace = functools.cache(encode)
+        lines = []
         for idx, result, perm in runs:
-            row = {
-                "index": idx,
-                "outputs": _outputs(result.outputs, perm),
-                "rounds": result.rounds,
-            }
+            line = (
+                f'{{"index": {idx}, "outputs": {outputs(result.outputs, perm)}, '
+                f'"rounds": {result.rounds}'
+            )
             if args.trace:
                 # a trace row counts each node's messages, so it is renamed too
-                row["trace"] = [[r[u] for u in perm] for r in result.trace]
-            lines.append(row)
-    encode = json.JSONEncoder(sort_keys=True).encode
-    _emit(args.out, "".join(encode(row) + "\n" for row in lines))
+                renamed = tuple(tuple(r[u] for u in perm) for r in result.trace)
+                line += ', "trace": ' + trace(renamed)
+            lines.append(line + "}\n")
+    _emit(args.out, "".join(lines))
     return EXIT_OK
 
 
@@ -367,36 +394,44 @@ def cmd_connected_run(args: argparse.Namespace) -> int:
     problem = problem_by_name(args.problem)
     table = load_table(_out_path(args.table), problem.output_alphabet)
     config = ConnectedRunConfig(problem, table)
+    # the rows are _json's rendering of each run, at its indent in "runs"
+    outputs = _outputs(
+        lambda obj: json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n      ")
+    )
+    path = functools.cache(json.dumps)
 
     def run(idx: int, instance):
         if not instance.graph.is_connected:
-            if args.instances:
+            if args.instances is not None:
                 raise ValueError(f"instance {idx} is disconnected")
             return None
         try:
             result = run_connected_aware(config, instance)
         except UnsolvableInstance as exc:
             raise UnsolvableInstance(f"instance {idx}: {exc}") from None
-        return result, verify(problem, instance, result.outputs).valid
+        ok = verify(problem, instance, result.outputs).valid
+        rest = (
+            f',\n      "path": {path(result.path)},\n'
+            f'      "rounds_charged": {result.rounds_charged},\n'
+            f'      "valid": {"true" if ok else "false"}\n    }}'
+        )
+        return result.outputs, ok, rest
 
     rows = []
     failures = 0
     for idx, outcome, perm in _per_copy(_input_classes(args), run):
         if outcome is None:
             continue
-        result, ok = outcome
+        first, ok, rest = outcome
         failures += not ok
         rows.append(
-            {
-                "index": idx,
-                "path": result.path,
-                "rounds_charged": result.rounds_charged,
-                "valid": ok,
-                "outputs": _outputs(result.outputs, perm),
-            }
+            f'    {{\n      "index": {idx},\n      "outputs": {outputs(first, perm)}{rest}'
         )
-    payload = {"manifest": _manifest(args), "runs": rows, "failures": failures}
-    _emit(args.out, _json(payload))
+    text = _json({"manifest": _manifest(args), "runs": [], "failures": failures})
+    if rows:
+        # "runs" sorts last, so its empty array ends the text
+        text = text[: -len("[]\n}\n")] + "[\n" + ",\n".join(rows) + "\n  ]\n}\n"
+    _emit(args.out, text)
     return EXIT_VERIFY_FAILED if failures else EXIT_OK
 
 

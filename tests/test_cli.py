@@ -590,6 +590,59 @@ class TestVerifyAndSimulate:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("option", [[], ["--trace"]], ids=["plain", "trace"])
+    def test_simulate_takes_an_empty_table_name_as_a_table(
+        self, tmp_path, capsys, monkeypatch, option
+    ):
+        # "" names a file (here the working directory), not a --program run
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("DERANDLAB_OUT_DIR", raising=False)
+        out = tmp_path / "runs.jsonl"
+        assert run(["simulate", "--table", "", "--n", "2", *option, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        if option:
+            assert err == "error: --trace and --claimed-n apply to --program runs, not --table\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("subcommand", ["verify", "simulate", "connected-run"])
+    @pytest.mark.parametrize(
+        "option",
+        [["--c", "5"], ["--input-alphabet", "q"], ["--max-degree", "0"]],
+        ids=["c", "input-alphabet", "max-degree"],
+    )
+    def test_instances_reject_family_options(
+        self, mis_table, tmp_path, capsys, subcommand, option
+    ):
+        # a file fixes its own identifiers, inputs and degrees; the option
+        # would otherwise be ignored, as in "verified 48/48"
+        fam = tmp_path / "fam.jsonl"
+        assert run(["enumerate", "--n", "3", "--out", str(fam)]) == 0
+        problem = [] if subcommand == "simulate" else ["--problem", "mis"]
+        out = tmp_path / "out.json"
+        argv = [
+            subcommand, *problem, "--table", str(mis_table), "--instances", str(fam),
+            *option, "--out", str(out),
+        ]
+        capsys.readouterr()
+        assert run(argv) == 3
+        assert capsys.readouterr().err == (
+            f"error: {option[0]}: family options apply to --n, not --instances\n"
+        )
+        assert not out.exists()
+
+    def test_instances_manifest_records_the_family_defaults(self, mis_table, tmp_path):
+        fam = tmp_path / "fam.jsonl"
+        assert run(["enumerate", "--n", "3", "--out", str(fam)]) == 0
+        out = tmp_path / "verify.json"
+        argv = [
+            "verify", "--problem", "mis", "--table", str(mis_table), "--instances", str(fam),
+            "--out", str(out),
+        ]
+        assert run(argv) == 0
+        params = json.loads(out.read_text())["manifest"]["parameters"]
+        assert (params["c"], params["input_alphabet"], params["max_degree"]) == (1, ["x"], None)
+
     def test_instances_file_input(self, mis_table, tmp_path):
         fam = tmp_path / "fam.jsonl"
         assert run(["enumerate", "--n", "3", "--out", str(fam)]) == 0

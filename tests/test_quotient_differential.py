@@ -15,6 +15,7 @@ import functools
 import itertools
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -45,6 +46,7 @@ from derandlab import (
     find_normal_form,
     fix_randomness,
     lift_to_claimed_size,
+    load_instances,
     load_table,
     problem_by_name,
     run_connected_aware,
@@ -79,6 +81,7 @@ FAMILIES = {
     "c2": ({"c": 2}, ["--c", "2"]),
     "max-degree": ({"max_degree": 1}, ["--max-degree", "1"]),
     "labels": ({"input_alphabet": ("a", "b")}, ["--input-alphabet", "a,b"]),
+    "isolated": ({"max_degree": 0}, ["--max-degree", "0"]),
 }
 
 
@@ -594,7 +597,8 @@ def expected_connected_run(argv, problem, table, instances, from_file):
     def run():
         rows, failures = per_instance_connected_run(problem, table, instances, from_file)
         manifest = cli._manifest(cli.build_parser().parse_args(argv))
-        text = cli._json({"manifest": manifest, "runs": rows, "failures": failures})
+        payload = {"manifest": manifest, "runs": rows, "failures": failures}
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
         return text, cli.EXIT_VERIFY_FAILED if failures else cli.EXIT_OK
 
     return raised(run)
@@ -672,7 +676,7 @@ def assert_same_lookups(tmp_path, capsys, problem_name, path, n, source) -> tupl
 LOOKUP_FAMILIES = [
     (n, source) for source in ("family", "shuffled", "shuffled-connected") for n in (2, 3, 4)
 ] + [(2, "c2"), (3, "c2"), (2, "max-degree"), (3, "max-degree"), (4, "max-degree"),
-     (2, "labels"), (3, "labels")]
+     (2, "labels"), (3, "labels"), (2, "isolated")]
 
 
 @pytest.mark.parametrize(
@@ -686,6 +690,9 @@ def test_table_runs_over_distinct_inputs_match_every_instance(
     problem_name, table_n, _radius = LOOKUP_TABLES[name]
     path = write_lookup_table(tmp_path, name, kind)
     simulated, connected = assert_same_lookups(tmp_path, capsys, problem_name, path, n, source)
+    if source == "isolated":
+        # no instance is connected, and the report keeps its empty runs
+        assert connected[0] == "ok" and '\n  "runs": []\n' in connected[1][0]
     if source == "shuffled":
         # the file holds an instance with no edges, so connected-run stops
         assert connected[:2] in {("raised", ValueError), ("raised", UnsolvableInstance)}
@@ -788,6 +795,75 @@ def test_program_runs_over_distinct_inputs_match_every_instance(
         assert any(len(set(row["trace"][0])) > 1 for row in rows)
 
 
+def star_file(tmp_path) -> tuple[list, list[str]]:
+    """Stars on 11 nodes, so that output key "10" sorts before "2": two
+    identifier orders, the first listed twice."""
+    n = 11
+    rows = [
+        {
+            "c": 1,
+            "edges": [[0, v] for v in range(1, n)],
+            "ids": {str(v): ids[v] for v in range(n)},
+            "inputs": {str(v): "x" for v in range(n)},
+            "n": n,
+        }
+        for ids in ([(7 * v) % n + 1 for v in range(n)], [n - v for v in range(n)])
+    ]
+    path = tmp_path / "stars.jsonl"
+    path.write_text("".join(json.dumps(row) + "\n" for row in [rows[0], rows[1], rows[0]]))
+    return load_instances(path.read_text()), ["--instances", str(path)]
+
+
+@pytest.mark.parametrize("options", [[], ["--trace"]], ids=["plain", "trace"])
+@pytest.mark.parametrize("name", ["parity", "id-sum-parity"])
+def test_program_runs_on_a_large_star_match_every_instance(
+    tmp_path, monkeypatch, capsys, name, options
+):
+    monkeypatch.setitem(DETERMINISTIC_BUILTINS, "id-sum-parity", lambda: id_sum_parity_program(1))
+    instances, instance_args = star_file(tmp_path)
+    program = DETERMINISTIC_BUILTINS[name]()
+    out = tmp_path / "sim.jsonl"
+    argv = ["simulate", "--program", name, *instance_args, *options, "--out", str(out)]
+    expected = raised(
+        lambda: (per_instance_simulate(instances, program=program, trace=bool(options)), 0)
+    )
+    assert expected[0] == "ok"
+    assert expected[1][0].index('"10": ') < expected[1][0].index('"2": ')
+    assert_same_run(argv, out, expected, capsys)
+
+
+def test_connected_runs_on_a_large_star_match_every_instance(tmp_path, capsys):
+    instances, instance_args = star_file(tmp_path)
+    table_path = write_lookup_table(tmp_path, "mis-n4-T2", "whole")
+    out = tmp_path / "conn.json"
+    argv = [
+        "connected-run", "--problem", "mis", "--table", str(table_path), *instance_args,
+        "--out", str(out),
+    ]
+    expected = expected_connected_run(
+        argv, problem_by_name("mis"), load_table(table_path), instances, True
+    )
+    assert expected[0] == "ok"
+    assert {row["path"] for row in json.loads(expected[1][0])["runs"]} == {"brute-force"}
+    assert_same_run(argv, out, expected, capsys)
+
+
+@pytest.mark.parametrize("source", ["family", "shuffled-connected"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_non_ascii_labels_are_written_escaped(tmp_path, capsys, n, source):
+    problem_path = tmp_path / "accent.json"
+    accent = {"name": "mis-é", "radius": 1, "output_alphabet": ["é", "ø"], "kind": "mis-like"}
+    problem_path.write_text(json.dumps(accent))
+    config = SearchConfig(problem_by_name(str(problem_path)), InstanceFamilySpec(n=3), 1)
+    table_path = tmp_path / "accent-table.json"
+    table_path.write_text(json.dumps(find_normal_form(config).table.to_jsonable()))
+    simulated, connected = assert_same_lookups(
+        tmp_path, capsys, str(problem_path), table_path, n, source
+    )
+    for outcome in (simulated, connected):
+        assert outcome[0] == "ok" and "\\u00e9" in outcome[1][0] and "é" not in outcome[1][0]
+
+
 # -- call counts: one run per distinct input ----------------------------------
 
 
@@ -834,3 +910,44 @@ def test_connected_run_runs_each_distinct_connected_input_once(tmp_path, monkeyp
     assert cli.main(argv + ["--out", str(out)]) == 0
     assert len(json.loads(out.read_text())["runs"]) == 912
     assert len(calls) == 912 // 24
+
+
+# -- rendering: one encoder call per distinct row content ---------------------
+
+
+def counting_encoders(monkeypatch) -> list:
+    """Calls of ``json.dumps`` and ``JSONEncoder.encode`` made from ``cli``."""
+    calls: list = []
+
+    def counted(real):
+        def call(*args, **kwargs):
+            if sys._getframe(1).f_globals.get("__name__") == cli.__name__:
+                calls.append(1)
+            return real(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(json, "dumps", counted(json.dumps))
+    monkeypatch.setattr(json.JSONEncoder, "encode", counted(json.JSONEncoder.encode))
+    return calls
+
+
+def test_rows_are_rendered_once_per_distinct_label_vector(tmp_path, monkeypatch):
+    path = write_lookup_table(tmp_path, "coloring4-n4-T0", "whole")
+    calls = counting_encoders(monkeypatch)
+    out = tmp_path / "sim.jsonl"
+    assert cli.main(["simulate", "--table", str(path), "--n", "4", "--out", str(out)]) == 0
+    rows = [json.loads(line) for line in out.read_text().splitlines()]
+    vectors = {tuple(sorted(row["outputs"].items())) for row in rows}
+    assert len(rows) == 1536 and len(vectors) == 73
+    assert len(calls) <= len(vectors) + 1
+
+    calls.clear()
+    out = tmp_path / "conn.json"
+    argv = ["connected-run", "--problem", "coloring:4", "--table", str(path), "--n", "4"]
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    runs = json.loads(out.read_text())["runs"]
+    vectors = {tuple(sorted(row["outputs"].items())) for row in runs}
+    assert len(runs) == 912 and len(vectors) == 32
+    # the runs' vectors, their two paths and the report around them
+    assert len(calls) <= len(vectors) + 3

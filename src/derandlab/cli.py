@@ -22,6 +22,7 @@ from .connected import ConnectedRunConfig, UnsolvableInstance, run_connected_awa
 from .derandomize import (
     SearchBudgetExceeded,
     SearchConfig,
+    certify_classes,
     certify_good_f,
     derandomize,
     lift_to_claimed_size,
@@ -240,10 +241,8 @@ def cmd_certify(args: argparse.Namespace) -> int:
         checks = list(checks)
     if exact:
         distinct_probs = compute_success_exact(program, checks, args.bits, claimed_n)
-        certificate = certify_good_f(
-            [distinct_probs[k] for k, _ in classes.copies],
-            lift.claimed_size,
-            distinct_probs=distinct_probs,
+        certificate = certify_classes(
+            distinct_probs, [k for k, _ in classes.copies], lift.claimed_size
         )
     else:
         estimates = estimate_success_mc(

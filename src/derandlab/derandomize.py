@@ -12,6 +12,7 @@ because it never looks at the program's internals.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -97,12 +98,12 @@ class GoodnessCertificate:
     probabilities.  An estimated total below one proves nothing, so such a
     certificate has no verdict.
 
-    ``distinct_probs``, when given, holds the failure probability of each
-    distinct input of the family (:class:`InputClasses`) once.  The family
-    lists an input once per renaming of its nodes, and the union bound needs
-    each input only once, so ``distinct_total`` below one also certifies
-    that a good assignment exists.  ``total`` and ``verdict`` stay those of
-    the whole family.
+    ``distinct_probs``, when given (:func:`certify_classes`), holds the
+    failure probability of each distinct input of the family
+    (:class:`InputClasses`) once.  The family lists an input once per
+    renaming of its nodes, and the union bound needs each input only once,
+    so ``distinct_total`` below one also certifies that a good assignment
+    exists.  ``total`` and ``verdict`` stay those of the whole family.
     """
 
     failure_probs: tuple[Fraction, ...]
@@ -148,7 +149,6 @@ def certify_good_f(
     failure_probs: Sequence[Fraction],
     claimed_size: int,
     estimated: bool = False,
-    distinct_probs: Sequence[Fraction] | None = None,
 ) -> GoodnessCertificate:
     probs = _probabilities(failure_probs)
     return GoodnessCertificate(
@@ -157,7 +157,33 @@ def certify_good_f(
         family_size=len(probs),
         claimed_size=claimed_size,
         estimated=estimated,
-        distinct_probs=None if distinct_probs is None else _probabilities(distinct_probs),
+    )
+
+
+def certify_classes(
+    distinct_probs: Sequence[Fraction],
+    classes: Sequence[int],
+    claimed_size: int,
+) -> GoodnessCertificate:
+    """The certificate ``certify_good_f([distinct_probs[k] for k in classes],
+    claimed_size)``, with ``distinct_probs`` as well, of a family whose
+    instance ``i`` is a copy of distinct input ``classes[i]``
+    (:class:`InputClasses`), each input with at least one copy.
+
+    Each distinct probability is checked once, and ``total`` adds each one
+    times its number of copies, which is the same exact sum.  Inputs are
+    numbered in order of first appearance, so the first probability out of
+    range is also the first in family order, and the error is the same.
+    """
+    probs = _probabilities(distinct_probs)
+    return GoodnessCertificate(
+        failure_probs=tuple([probs[k] for k in classes]),
+        total=sum(
+            (copies * probs[k] for k, copies in Counter(classes).items()), Fraction(0)
+        ),
+        family_size=len(classes),
+        claimed_size=claimed_size,
+        distinct_probs=probs,
     )
 
 

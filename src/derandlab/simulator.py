@@ -808,9 +808,16 @@ def estimate_success_mc(
     That run is of the trial's own instance, on the trial's own streams, and
     is checked against the instance's compiled checks (:func:`compile_checks`,
     which agree with :func:`verify`), so an error names the instance's own
-    nodes.  The tries hold at most one entry per bit read by a simulated
-    run, and live for the call.  Every node is told ``claimed_n`` as the
-    number of nodes (default: the true count).
+    nodes.  A test whose two branches end in one verdict cannot change it,
+    so :func:`_graft` puts the verdict in its place, as the reduction rule
+    of decision diagrams does (Bryant, 1986): a trial that reaches it hashes
+    no further, and once an input's whole trie is one verdict, each
+    remaining trial of its copies counts that verdict without a walk.  A
+    collapsed test has no unexplored branch below it, so trials miss exactly
+    where they would without it, and the runs, their errors and the
+    estimates stay the same.  The tries hold at most one entry per bit read
+    by a simulated run, and live for the call.  Every node is told
+    ``claimed_n`` as the number of nodes (default: the true count).
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -822,10 +829,16 @@ def estimate_success_mc(
         bad = 0
         instance_key = join_key(seed, idx)
         for k in range(trials):
+            node = trie[0]
+            if node.__class__ is bool:
+                # every read path of the input ends in this verdict, so this
+                # trial and the rest end in it: none can miss
+                if not node:
+                    bad += trials - k
+                break
             trial_key = f"{instance_key}|{k}"  # join_key(seed, idx, k)
             # this trial's stream blocks by (identifier, block index)
             digests: dict[tuple[int, int], bytes] = {}
-            node = trie[0]
             while node.__class__ is list:
                 block = digests.get(node[2])
                 if block is None:
@@ -885,20 +898,26 @@ def _graft(
     An inner node is [child on 0, child on 1, (identifier, block index),
     byte in the block, shift in the byte, (identifier, index)] for the next
     bit read, bit ``index`` of the identifier's stream (:func:`keyed_bit`);
-    a leaf is a run's verdict.  The path was laid down by runs of any copy of
-    the input, whose nodes step in another order, so it is walked by the
-    run's own bits, whatever order it asks for them in.  A pure run reads
-    every bit the path asks for, once, and ends past its last inner node,
-    so a path that asks for a bit the run never read, asks for one twice, or
-    ends at a leaf raises :class:`SimulationError`.  The reads the path did
-    not ask for, left in ``reads``, then extend it, in read order."""
+    a leaf is a verdict, of a run or of every run below tests it stands in
+    for, and None is a branch no run has taken.  The path was laid down by
+    runs of any copy of the input, whose nodes step in another order, so it
+    is walked by the run's own bits, whatever order it asks for them in.  A
+    pure run reads every bit the path asks for, once, and ends past its last
+    inner node, so a path that asks for a bit the run never read, asks for
+    one twice, or ends at a leaf raises :class:`SimulationError`.  The reads
+    the path did not ask for, left in ``reads``, then extend it, in read
+    order.  Then each node up the path whose two branches are that verdict
+    is replaced by it, up to the first that is not: only leaves are
+    compared, so no branch still None is ever merged away."""
     holder, slot = trie, 0
+    path = [(holder, slot)]  # where each node of the path hangs
     node = holder[slot]
     while node.__class__ is list:
         bit = reads.pop(node[5], None)
         if bit is None:
             raise SimulationError(_IMPURE.format(name))
         holder, slot = node, bit
+        path.append((holder, slot))
         node = holder[slot]
     if node is not None:
         raise SimulationError(_IMPURE.format(name))
@@ -908,4 +927,11 @@ def _graft(
             None, None, (ident, index >> 8), (index & 255) >> 3, 7 - (index & 7), read
         ]
         holder, slot = node, bit
+        path.append((holder, slot))
     holder[slot] = verdict
+    # a test whose two branches end in one verdict cannot change it: the
+    # verdict takes its place, and so on up the path while that holds
+    while holder is not trie and holder[1 - slot] is verdict:
+        path.pop()
+        holder, slot = path[-1]
+        holder[slot] = verdict

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -249,6 +250,25 @@ class TestCertify:
         assert certificate["family_size"] == 4
         assert certificate["distinct_inputs"] == 2
         assert certificate["distinct_total"] == "1/2"
+
+    @pytest.mark.parametrize(
+        "n, c", [(1, 1), (2, 1), (3, 1), (4, 1), (1, 2), (2, 2), (3, 2)]
+    )
+    def test_exact_total_is_the_sum_over_every_copy(self, tmp_path, n, c):
+        """``total`` adds each distinct input's probability once per copy,
+        which must give the plain sum of the listed per-copy probabilities.
+        (The n=4 family at c=2 lists 2,795,520 instances; it is left out.)"""
+        out = tmp_path / "cert.json"
+        argv = [
+            "certify", "--problem", "coloring:2", "--n", str(n), "--c", str(c),
+            "--program", "first-bit", "--bits", "1", "--out", str(out),
+        ]
+        assert run(argv) == 0
+        certificate = json.loads(out.read_text())["certificate"]
+        probs = [Fraction(p) for p in certificate["failure_probs"]]
+        assert len(probs) == certificate["family_size"]
+        assert certificate["total"] == str(sum(probs, Fraction(0)))
+        assert len(set(probs)) > 1 or n == 1
 
     def test_distinct_fields_are_exact_mode_only(self, tmp_path):
         out = tmp_path / "cert.json"

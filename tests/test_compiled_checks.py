@@ -490,24 +490,77 @@ def test_monte_carlo_simulates_each_read_path_once_per_input(runs):
     assert runs[0] <= 8 * 64 == 512
 
 
-def test_monte_carlo_hashes_each_stream_block_once_per_trial(monkeypatch):
-    """A trial that misses the trie runs on the streams its walk read, so
-    each of the 200 trials hashes one block per node of each instance: the
-    n=3 family has 48 instances of 3 nodes, and two-bit reads two bits."""
-    digests = [0]
+@pytest.fixture()
+def digests(monkeypatch):
+    """Counts the SHA-256 digests of stream blocks (:func:`block_digest`)."""
+    count = [0]
     sha256 = hashlib.sha256
 
     def counting(data):
-        digests[0] += 1
+        count[0] += 1
         return sha256(data)
 
     monkeypatch.setattr(streams, "hashlib", types.SimpleNamespace(sha256=counting))
+    return count
+
+
+def test_monte_carlo_hashes_each_stream_block_once_per_trial(runs, digests):
+    """A trial that misses the trie runs on the streams its walk read, so no
+    trial hashes a block twice: at most one block per node of each instance
+    in each of the 200 trials, as the n=3 family has 48 instances of 3
+    nodes and two-bit reads two bits of one block.  A test whose branches
+    end in one verdict is collapsed into it, so a trial that reaches it
+    hashes no more: 21,076 digests where every trial hashed all 28,800."""
     problem = problem_by_name("coloring:3")
     program = two_bit_label_program(problem.output_alphabet)
     estimate_success_mc(
         program, compile_checks(problem, N3_FAMILY), 200, seed=1, claimed_n=512
     )
-    assert digests[0] == 200 * sum(inst.n for inst in N3_FAMILY) == 28_800
+    assert digests[0] == 21_076
+    assert digests[0] <= 200 * sum(inst.n for inst in N3_FAMILY) == 28_800
+    assert runs[0] == 512
+
+
+def test_monte_carlo_skips_digests_that_cannot_change_a_verdict(runs, digests):
+    """first-bit on the n=2 family: an edge instance fails exactly when its
+    two bits agree, so each of its trials hashes both streams, 40,000 in
+    all, while the no-edge input never fails, and once its trie knows all
+    four read paths its trials hash nothing: 14 more, not another 40,000."""
+    problem = problem_by_name("coloring:2")
+    program = first_bit_label_program(problem.output_alphabet)
+    got = estimate_success_mc(
+        program, compile_checks(problem, N2_FAMILY), trials=10_000, seed=7
+    )
+    assert digests[0] == 40_014
+    assert runs[0] <= 8
+    assert sum(e.failure for e in got) == Fraction(9887, 10000)
+
+
+def test_monte_carlo_trials_past_a_collapsed_root_hash_nothing(monkeypatch, digests):
+    """The two no-edge copies of the n=2 family share one trie, whose four
+    read paths all end in success.  After the fourth run the whole trie is
+    that verdict, and no later trial computes a digest."""
+    problem = problem_by_name("coloring:2")
+    program = first_bit_label_program(problem.output_alphabet)
+    no_edge = [instance for instance in N2_FAMILY if not instance.graph.edges]
+    assert len(no_edge) == 2
+    after_run = []  # digests so far, as each run returns
+    real = simulator.run_randomized
+
+    def logging(*args, **kwargs):
+        result = real(*args, **kwargs)
+        after_run.append(digests[0])
+        return result
+
+    monkeypatch.setattr(simulator, "run_randomized", logging)
+    got = estimate_success_mc(
+        program, compile_checks(problem, no_edge), trials=1000, seed=7
+    )
+    assert [e.failure for e in got] == [0, 0]
+    assert len(after_run) == 4
+    assert digests[0] == after_run[-1]
+    # a walk of every trial would hash 2 * 1000 * 2 blocks
+    assert digests[0] < 40
 
 
 @pytest.mark.parametrize("name", sorted(DIFFERENTIAL_CASES))

@@ -1,5 +1,6 @@
 """Both pipelines: certificates, assignment search, and direct table search."""
 
+import dataclasses
 import importlib
 import random
 from fractions import Fraction
@@ -22,6 +23,7 @@ from derandlab import (
     SearchConfig,
     assignment_is_good,
     brute_force_solve,
+    certify_classes,
     certify_good_f,
     compile_family,
     compute_success_exact,
@@ -112,6 +114,34 @@ class TestCertificate:
         cert = certify_good_f([Fraction(1, 3)], 4)
         assert cert.to_jsonable()["failure_probs"] == ["1/3"]
         assert cert.to_jsonable()["total"] == "1/3"
+
+    @pytest.mark.parametrize(
+        "distinct, classes",
+        [
+            ([Fraction(0)], [0, 0, 0]),
+            ([Fraction(1, 3), Fraction(1, 2)], [0, 1, 1, 0, 1]),
+            ([Fraction(1, 7), Fraction(0), Fraction(5, 6)], [0, 1, 0, 2, 2, 1, 2]),
+            ([], []),
+        ],
+    )
+    def test_per_class_certificate_is_the_per_copy_one(self, distinct, classes):
+        per_copy = certify_good_f([distinct[k] for k in classes], 64)
+        per_class = certify_classes(distinct, classes, 64)
+        assert per_class == dataclasses.replace(
+            per_copy, distinct_probs=tuple(distinct)
+        )
+        assert per_class.distinct_total == sum(distinct, Fraction(0))
+
+    def test_per_class_certificate_rejects_the_same_probability(self):
+        # inputs numbered by first appearance: 3/2 comes first in both orders
+        distinct = [Fraction(1, 2), Fraction(3, 2), Fraction(2)]
+        classes = [0, 1, 0, 2, 1]
+        with pytest.raises(ValueError) as per_copy:
+            certify_good_f([distinct[k] for k in classes], 8)
+        with pytest.raises(ValueError) as per_class:
+            certify_classes(distinct, classes, 8)
+        assert str(per_class.value) == str(per_copy.value)
+        assert str(per_class.value) == "failure probability 3/2 outside [0, 1]"
 
 
 class TestSearchGoodAssignment:

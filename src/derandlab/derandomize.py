@@ -32,20 +32,20 @@ from .problems import (
     CompiledCheck,
     ProblemSpec,
     SearchBudgetExceeded,
-    _backtrack,
     _cdcl,
     brute_force_solve,
     compile_checks,
+    solve_lex_first,
     verify,
 )
 from .simulator import (
     NodeProgram,
     NormalFormTable,
     SimulationError,
+    _tabulate_firsts,
     fix_randomness,
     run_normal_form,
     run_randomized,
-    tabulate,
 )
 from .streams import (
     DEFAULT_BIT_CAP,
@@ -256,25 +256,26 @@ def derandomize_via_f(
 
     Raises :class:`AssignmentNotGood` naming the first failing instance if the
     assignment is not good, and :class:`LocalityViolation` if the fixed
-    program provably uses more than ``radius`` rounds.  The table is
-    tabulated from (:func:`tabulate`), and then verified with :func:`verify`
-    on, the first copy of each distinct input, in family order
-    (:class:`InputClasses`).  A tabulation that completes records exactly
-    each node's run output, so the table fails on an instance exactly when
-    that instance's run fails.  Two cases come out as they would not if each
+    program provably uses more than ``radius`` rounds.  The family is
+    grouped into distinct inputs once (:class:`InputClasses`), and the table
+    is tabulated from (as by :func:`tabulate`), and then verified with
+    :func:`verify` on, the first copy of each, in family order.  A
+    tabulation that completes records exactly each node's run output, so the
+    table fails on an instance exactly when that instance's run fails.  Two cases come out as they would not if each
     run were checked before it is tabulated: when one instance fails and a
     later instance's views conflict, :class:`LocalityViolation` comes first;
     and a label outside the problem's alphabet raises the table's
     ``ValueError``, not :func:`verify`'s.
     """
     fixed = fix_randomness(program, assignment, bit_cap)
+    firsts = InputClasses.of_instances(family).firsts
     # the replaced table checks its labels against the problem's alphabet
     table = replace(
-        tabulate(fixed, radius, family, claimed_n),
+        _tabulate_firsts(fixed, radius, firsts, claimed_n),
         output_alphabet=problem.output_alphabet,
         provenance=f"via-f:{program.name}",
     )
-    for idx, instance in InputClasses.of_instances(family).firsts:
+    for idx, instance in firsts:
         if not verify(problem, instance, run_normal_form(table, instance)).valid:
             raise AssignmentNotGood(idx, instance)
     return table
@@ -311,31 +312,21 @@ class SearchStats:
 
 @dataclass
 class FamilyIndex:
-    """A family compiled once for one table radius and one problem.
+    """A family compiled once for one table radius and one problem: the data
+    the table search runs on.
 
     ``realized`` lists the realized radius-T view keys in sorted order, and
     ``node_pos[i][v]`` is the position of node ``v`` of instance ``i`` among
     them.  A node's verification check depends only on its canonical
     verification ball and on the positions of the ball's members, so checks
     are deduplicated on that pair: ``constraints`` holds each distinct one
-    once, as a :class:`Check` whose ``members`` are realized-view positions,
-    and ``instance_constraints[i]`` names those of instance ``i``.  A
-    component-wise problem gets one constraint per instance.
+    once, as a :class:`Check` whose ``members`` are realized-view positions.
+    A component-wise problem gets one constraint per instance.
     """
 
-    problem: ProblemSpec
     realized: list[str]
     node_pos: list[tuple[int, ...]]
     constraints: list[Check]
-    instance_constraints: list[tuple[int, ...]]
-
-    def solvable(self, index: int) -> bool:
-        """Whether instance ``index`` admits any valid labeling, decided over
-        its own compiled constraints."""
-        checks = [self.constraints[c] for c in self.instance_constraints[index]]
-        order = sorted(set(self.node_pos[index]))
-        labels: list[str | None] = [None] * len(self.realized)
-        return _backtrack(order, checks, self.problem.output_alphabet, labels)
 
     @property
     def predicate_calls(self) -> int:
@@ -349,39 +340,25 @@ def compile_family(
     """Build the :class:`FamilyIndex` of ``instances`` at table radius
     ``radius``.
 
-    Constraints come from the instances' compiled checks
-    (:func:`compile_checks`): a check's member node indices are mapped to
-    realized-view positions, and checks with equal canonical keys and equal
-    positions become one constraint, with a verdict memo of its own.  When
-    the table radius is the problem's radius and the problem is locally
-    verifiable, each node's view key is the key of its own check (the one
-    whose ``members[0]`` is the node), so each ball is extracted and keyed
-    once.
+    Each node's view key is ``canonicalize(extract_ball(instance, v,
+    radius))``, computed as :func:`run_normal_form` (and so ``derandlab
+    verify``) computes the key it looks the node up under.  Constraints come
+    from the instances' compiled checks (:func:`compile_checks`, read once
+    and in order): a check's member node indices are mapped to realized-view
+    positions, and checks with equal canonical keys and equal positions
+    become one constraint, with a verdict memo of its own.
     """
-    compiled_family: Iterable[CompiledCheck] = compile_checks(problem, instances)
-    if radius == problem.radius and problem.locally_verifiable:
-        # the checks are then needed twice; otherwise they stay lazy
-        compiled_family = list(compiled_family)
-        node_keys = []
-        for compiled in compiled_family:
-            keys = [""] * compiled.instance.n
-            for check in compiled.checks:
-                keys[check.members[0]] = check.key
-            node_keys.append(tuple(keys))
-    else:
-        node_keys = [
-            tuple(canonicalize(extract_ball(inst, v, radius)) for v in range(inst.n))
-            for inst in instances
-        ]
+    node_keys = [
+        tuple(canonicalize(extract_ball(inst, v, radius)) for v in range(inst.n))
+        for inst in instances
+    ]
     realized = sorted({key for keys in node_keys for key in keys})
     pos_of = {key: i for i, key in enumerate(realized)}
     node_pos = [tuple(pos_of[key] for key in keys) for keys in node_keys]
 
     constraints: list[Check] = []
-    seen: dict[object, int] = {}
-    instance_constraints: list[tuple[int, ...]] = []
-    for compiled, positions in zip(compiled_family, node_pos):
-        own: dict[int, None] = {}
+    seen: set[object] = set()
+    for compiled, positions in zip(compile_checks(problem, instances), node_pos):
         # node order fixes the order in which checks fire, which decides the
         # search's check and predicate counts (not its tables or placements)
         for check in sorted(compiled.checks, key=lambda c: c.members[0]):
@@ -389,13 +366,11 @@ def compile_family(
             # a component-wise check has no key and is never shared
             key = check if check.key is None else (check.key, scope)
             if key not in seen:
-                seen[key] = len(constraints)
+                seen.add(key)
                 constraints.append(
                     Check(check.ball, check.key, scope, check.evaluate, {})
                 )
-            own[seen[key]] = None
-        instance_constraints.append(tuple(own))
-    return FamilyIndex(problem, realized, node_pos, constraints, instance_constraints)
+    return FamilyIndex(realized, node_pos, constraints)
 
 
 @dataclass
@@ -404,8 +379,8 @@ class TableSearchOutcome:
 
     ``witness`` is set when some single family instance admits no valid
     labeling at all; otherwise ``exhausted`` records that the whole table
-    space was searched without success (the instances are individually
-    solvable but no single consistent table covers them all).
+    space was searched without success (each instance has a valid labeling
+    of its own, but no single consistent table covers them all).
     ``verified_count`` is the number of family instances on which a found
     table passed the final verification.  ``phase_s`` holds the seconds
     spent enumerating the family, compiling it, searching and verifying;
@@ -441,12 +416,15 @@ def find_normal_form(config: SearchConfig) -> TableSearchOutcome:
     it and jumps back.  ``stats.placements`` counts the labels it chose by
     decision (implied labels are free) and is what ``node_budget`` caps.
 
-    When the clauses refute every table, each instance is solved alone over
-    its own constraints in family order; the first unsolvable one is the
-    witness, confirmed by :func:`brute_force_solve`.  A found table is
-    verified once more on the whole family with :func:`verify`, the
-    spec-level oracle, each node's output looked up in the table under the
-    view key the compilation gave it.
+    When the clauses refute every table, each distinct input is solved alone
+    with :func:`solve_lex_first`, the product's single-instance solver, in
+    family order; the first unsolvable one is the witness, confirmed by
+    :func:`brute_force_solve`.  The scan reads no constraint of the index, so
+    ``stats.predicate_calls`` counts the table search's memo misses alone.  A
+    found table is verified once more on the whole family with
+    :func:`verify`, the spec-level oracle, each node's output looked up in
+    the table under the view key the compilation gave it, which is the key
+    every table lookup computes.
 
     The family lists each input once per renaming of its nodes, and all
     three passes run over the first copy of each input alone
@@ -484,7 +462,12 @@ def find_normal_form(config: SearchConfig) -> TableSearchOutcome:
         index.constraints, alphabet, labels, config.node_budget
     )
     unsolvable = None if found else next(
-        (first for k, first in enumerate(classes.firsts) if not index.solvable(k)), None
+        (
+            (idx, first)
+            for idx, first in classes.firsts
+            if solve_lex_first(problem, first) is None
+        ),
+        None,
     )
     stats.predicate_calls = index.predicate_calls
     lap("search")
@@ -496,8 +479,8 @@ def find_normal_form(config: SearchConfig) -> TableSearchOutcome:
         witness, inst = unsolvable
         if brute_force_solve(problem, inst) is not None:
             raise SimulationError(
-                f"internal: instance {witness} is unsolvable over its compiled "
-                "constraints but brute force finds a labeling"
+                f"internal: solve_lex_first finds no labeling of instance {witness} "
+                "but brute force finds one"
             )
         lap("verify")
         return TableSearchOutcome(None, True, witness, inst, False, stats, phase_s=phase_s)
@@ -568,13 +551,16 @@ def derandomize(
     :func:`run_normal_form`; :func:`find_normal_form` has already verified it
     on the whole family, and the report's ``verified_count`` is that count.
     When ``t_rand`` is supplied the report also evaluates it at the claimed
-    size, which is the round count the table stands in for.
+    size, which is the round count the table stands in for.  The claimed
+    size and the closed-form bound are computed after the search, which
+    refuses a family too large to enumerate before the bound's
+    ``n ** (c * n)`` would take long to compute.
     """
     spec = config.family
-    lift = lift_to_claimed_size(spec)
     start = time.perf_counter()
     outcome = find_normal_form(config)
     wall = time.perf_counter() - start
+    lift = lift_to_claimed_size(spec)
     report = DerandReport(
         n=spec.n,
         c=spec.c,

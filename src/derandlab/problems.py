@@ -351,8 +351,8 @@ def _backtrack(
     Each check fires once the last of its members in ``order`` is labeled,
     in the order ``checks`` lists them (:func:`_triggers`).  Returns True
     with ``labels`` holding the first complete assignment that satisfies
-    every check, and False once the space is exhausted.  It serves the
-    single-instance solves, where it is faster than :func:`_cdcl`.
+    every check, and False once the space is exhausted.  It serves
+    :func:`solve_lex_first`, where it is faster than :func:`_cdcl`.
     """
     triggers = _triggers(order, checks)
     depth = 0

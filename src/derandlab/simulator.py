@@ -340,6 +340,8 @@ class NormalFormTable:
         if self.radius < 0:
             raise ValueError("radius must be nonnegative")
         object.__setattr__(self, "output_alphabet", tuple(self.output_alphabet))
+        if len(set(self.output_alphabet)) != len(self.output_alphabet):
+            raise ValueError("output alphabet has duplicate labels")
         entries = tuple(sorted(self.entries))
         object.__setattr__(self, "entries", entries)
         keys = [k for k, _ in entries]
@@ -476,9 +478,22 @@ def tabulate(
     and outputs, so it adds no entry and no conflict, and the first conflict
     or error of the whole family is met in the same instance and node.
     """
+    return _tabulate_firsts(
+        program, radius, InputClasses.of_instances(family).firsts, claimed_n
+    )
+
+
+def _tabulate_firsts(
+    program: NodeProgram,
+    radius: int,
+    firsts: Iterable[tuple[int, InputInstance]],
+    claimed_n: int | None,
+) -> NormalFormTable:
+    """:func:`tabulate` over a family's first copies (``InputClasses.firsts``:
+    family index and instance), for a caller that has grouped it already."""
     entries: dict[str, str] = {}
     origin: dict[str, tuple[int, int, str]] = {}
-    for idx, instance in InputClasses.of_instances(family).firsts:
+    for idx, instance in firsts:
         result = run_deterministic(program, instance, claimed_n)
         for v in range(instance.n):
             key = canonicalize(extract_ball(instance, v, radius))

@@ -2,7 +2,10 @@
 
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -71,6 +74,26 @@ class TestOversizedFamily:
             "error: the family of n=3 at c=30 has more than 1048576 identifier tuples "
             "per graph, too many to enumerate\n",
         )
+
+
+def test_derandomize_refuses_a_huge_identifier_space_before_its_bound():
+    """The closed-form family bound counts n ** (c * n) identifier maps; at
+    c = 10**7 computing it takes longer than the size check that refuses the
+    family, so the check must come first, as it does for ``certify``."""
+    import derandlab
+
+    source = os.path.dirname(os.path.dirname(os.path.abspath(derandlab.__file__)))
+    argv = ["derandomize", "--problem", "mis", "--n", "3", "--T", "1", "--c", "10000000"]
+    script = "import sys; from derandlab.cli import main; sys.exit(main(sys.argv[1:]))"
+    done = subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        env=dict(os.environ, PYTHONPATH=source),
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert done.returncode == 3
+    assert done.stderr.endswith("too many to enumerate\n")
 
 
 class TestDerandomize:
@@ -786,6 +809,23 @@ class TestTableFileErrors:
             table.write_text(text)
             argv = ["connected-run", "--problem", "mis", "--table", str(table), "--n", "2"]
             self.bad_input(argv, capsys)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify", "--problem", "mis"], ["simulate"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_duplicate_output_labels_are_rejected(self, mis_table, tmp_path, capsys, argv):
+        # a problem file with duplicate labels exits 3; so does a table file
+        obj = json.loads(mis_table.read_text())
+        obj["output_alphabet"] = ["IN", "IN", "OUT"]
+        table = tmp_path / "dup.json"
+        table.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert run(argv + ["--table", str(table), "--n", "2"]) == 3
+        assert capsys.readouterr().err == (
+            "error: malformed table: output alphabet has duplicate labels\n"
+        )
 
     def test_connected_run_incomplete_table_exits_2(self, tmp_path, capsys):
         # a radius-0 table for three nodes has no entry for identifier 4, and

@@ -1,5 +1,6 @@
 """The n=4 frontier: every (mis, coloring:2..4) x T in {1, 2} table question
-on the 1,536-instance family is decided, with no budget.
+on the 1,536-instance family is decided, with no budget.  Two n=5 verdicts
+at T=1 are pinned as well: coloring:2 has a witness and mis is exhausted.
 
 Found tables are checked with the spec-level oracle, :func:`verify` over
 :func:`run_normal_form`; witnesses with :func:`brute_force_solve`.  The final
@@ -12,6 +13,7 @@ from __future__ import annotations
 import pytest
 
 from derandlab import (
+    InputClasses,
     InstanceFamilySpec,
     SearchConfig,
     brute_force_solve,
@@ -71,3 +73,20 @@ def test_every_n4_table_question_is_decided(instances, name, radius, verdict):
         assert verify(problem, inst, outputs).valid
         shared = {v: table.lookup(index.realized[pos]) for v, pos in enumerate(positions)}
         assert shared == outputs
+
+
+N5 = InstanceFamilySpec(n=5)
+
+
+def test_n5_coloring2_witness_is_a_first_copy_brute_force_cannot_label():
+    problem = problem_by_name("coloring:2")
+    outcome = find_normal_form(SearchConfig(problem=problem, family=N5, radius=1))
+    assert (outcome.unsat, outcome.exhausted, outcome.witness_index) == (True, False, 2280)
+    firsts = dict(InputClasses.of_spec(N5).firsts)
+    assert outcome.witness == firsts[2280]
+    assert brute_force_solve(problem, outcome.witness) is None
+
+
+def test_n5_mis_t1_is_exhausted():
+    outcome = find_normal_form(SearchConfig(problem=problem_by_name("mis"), family=N5, radius=1))
+    assert (outcome.unsat, outcome.exhausted, outcome.witness_index) == (True, True, None)

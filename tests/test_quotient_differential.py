@@ -35,6 +35,7 @@ from derandlab import (
     RandomAssignment,
     SearchConfig,
     UnsolvableInstance,
+    brute_force_solve,
     canonicalize,
     compile_checks,
     compile_family,
@@ -95,7 +96,9 @@ def family_of(n: int, source: str) -> tuple[InstanceFamilySpec, list[str]]:
 
 
 def per_instance_search(config: SearchConfig) -> dict:
-    """The table search compiled, scanned and verified over every instance."""
+    """The table search compiled, scanned and verified over every instance;
+    the witness is the first instance :func:`brute_force_solve` cannot label,
+    so the reference depends on neither of the product's solvers."""
     problem = config.problem
     instances = list(enumerate_instances(config.family))
     index = compile_family(problem, instances, config.radius)
@@ -104,7 +107,8 @@ def per_instance_search(config: SearchConfig) -> dict:
         index.constraints, problem.output_alphabet, labels, config.node_budget
     )
     witness = None if found else next(
-        (i for i in range(len(instances)) if not index.solvable(i)), None
+        (i for i, inst in enumerate(instances) if brute_force_solve(problem, inst) is None),
+        None,
     )
     table = dict(zip(index.realized, labels)) if found else None
     if found:
@@ -165,8 +169,6 @@ def assert_same_search(config: SearchConfig, component_wise: bool) -> None:
     assert stats.family_size == expected["family_size"]
     if outcome.found:
         assert outcome.verified_count == expected["family_size"]
-    # the witness scan solves fewer instances, so it may miss the memo less
-    assert stats.predicate_calls <= expected["predicate_calls"]
     if component_wise:
         # one whole-labeling constraint per instance: the copies' constraints,
         # redundant with their first copy's, are no longer built or evaluated
@@ -174,11 +176,12 @@ def assert_same_search(config: SearchConfig, component_wise: bool) -> None:
         distinct = len(InputClasses.of_instances(family).firsts)
         assert stats.constraints == distinct
         assert stats.checks <= expected["checks"]
+        assert stats.predicate_calls <= expected["predicate_calls"]
     else:
         assert stats.constraints == expected["constraints"]
         assert stats.checks == expected["checks"]
-        if outcome.found:
-            assert stats.predicate_calls == expected["predicate_calls"]
+        # the witness scan reads no memo, so these are the search's alone
+        assert stats.predicate_calls == expected["predicate_calls"]
 
 
 @pytest.mark.parametrize("name, n, radius", SEARCH_CASES)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from conftest import (
     copy_neighbor_parity_problem,
     naive_lex_first_table,
     one_leader_problem,
+    random_instance,
 )
 from derandlab import (
     AssignmentNotGood,
@@ -42,7 +44,7 @@ from derandlab import (
     verify,
 )
 from derandlab.graphs import canonicalize, extract_ball
-from derandlab.problems import _triggers, compile_checks
+from derandlab.problems import Check, _cdcl, _triggers, compile_checks
 from derandlab.programs import (
     first_bit_label_program,
     id_sum_parity_program,
@@ -460,7 +462,73 @@ class TestFindNormalForm:
             )
 
 
+def reference_compile_family(problem, instances, radius):
+    """``compile_family`` with view keys taken from the compiled checks where
+    they can be: at the problem's radius, a locally verifiable problem's
+    check centred on a node (``members[0]``) is keyed by the node's view, so
+    its key serves as the node's view key.  Elsewhere every view is keyed
+    anew.  Returns the index's fields."""
+    compiled_family = list(compile_checks(problem, instances))
+    if radius == problem.radius and problem.locally_verifiable:
+        node_keys = []
+        for compiled in compiled_family:
+            keys = [""] * compiled.instance.n
+            for check in compiled.checks:
+                keys[check.members[0]] = check.key
+            node_keys.append(tuple(keys))
+    else:
+        node_keys = [
+            tuple(canonicalize(extract_ball(inst, v, radius)) for v in range(inst.n))
+            for inst in instances
+        ]
+    realized = sorted({key for keys in node_keys for key in keys})
+    pos_of = {key: i for i, key in enumerate(realized)}
+    node_pos = [tuple(pos_of[key] for key in keys) for keys in node_keys]
+
+    constraints: list[Check] = []
+    seen: set[object] = set()
+    for compiled, positions in zip(compiled_family, node_pos):
+        for check in sorted(compiled.checks, key=lambda c: c.members[0]):
+            scope = tuple(positions[m] for m in check.members)
+            key = check if check.key is None else (check.key, scope)
+            if key not in seen:
+                seen.add(key)
+                constraints.append(
+                    Check(check.ball, check.key, scope, check.evaluate, {})
+                )
+    return realized, node_pos, constraints
+
+
+def index_is_solvable(problem, inst):
+    """Whether the table search over ``inst`` alone finds a table, at a
+    radius that covers the instance: every node then sees its own
+    identifier at the centre of its view, so a table is any labeling."""
+    index = compile_family(problem, [inst], inst.n)
+    assert len(index.realized) == inst.n
+    return _cdcl(index.constraints, problem.output_alphabet, [None] * inst.n)[0]
+
+
 class TestFamilyIndex:
+    @pytest.mark.parametrize("name", ["mis", "coloring:2", "coloring:3"])
+    def test_solvable_agrees_with_brute_force_on_small_families(self, name):
+        problem = problem_by_name(name)
+        for n in (1, 2, 3):
+            for idx, inst in enumerate(enumerate_instances(InstanceFamilySpec(n=n))):
+                expected = brute_force_solve(problem, inst) is not None
+                assert index_is_solvable(problem, inst) == expected, (name, n, idx)
+
+    def test_solvable_agrees_with_brute_force_on_random_instances(self):
+        rng = random.Random(20230512)
+        problems = [problem_by_name(name) for name in ("mis", "coloring:2", "coloring:3")]
+        outcomes = set()
+        for draw in range(200):
+            problem = problems[draw % len(problems)]
+            inst = random_instance(rng, max_n=6)
+            expected = brute_force_solve(problem, inst) is not None
+            assert index_is_solvable(problem, inst) == expected, (problem.name, inst)
+            outcomes.add(expected)
+        assert outcomes == {True, False}
+
     def test_checks_are_deduplicated_and_triggered_once(self):
         family = list(enumerate_instances(InstanceFamilySpec(n=3)))
         index = compile_family(make_mis(), family, 1)
@@ -477,6 +545,29 @@ class TestFamilyIndex:
             assert sorted(map(id, triggered)) == sorted(map(id, index.constraints))
             for con in index.constraints:
                 assert con in triggers[order.index(fire_at(con.members))]
+
+    @pytest.mark.parametrize(
+        "name, n, radius",
+        [
+            (name, n, radius)
+            for name in ("mis", "coloring:2", "coloring:3", "coloring:4")
+            for n in (1, 2, 3)
+            for radius in (0, 1, 2)
+        ]
+        + [("coloring:4", 4, 1)],
+    )
+    def test_view_keys_from_the_checks_leave_the_index_unchanged(self, name, n, radius):
+        """At the problem's radius, taking node view keys from the compiled
+        checks gives the index built by keying every view anew."""
+        problem = problem_by_name(name)
+        family = list(enumerate_instances(InstanceFamilySpec(n=n)))
+        index = compile_family(problem, family, radius)
+        realized, node_pos, constraints = reference_compile_family(problem, family, radius)
+        assert index.realized == realized
+        assert index.node_pos == node_pos
+        assert [(c.key, c.members, c.ball) for c in index.constraints] == [
+            (c.key, c.members, c.ball) for c in constraints
+        ]
 
     def test_component_wise_problem_gets_one_constraint_per_instance(self):
         family = list(enumerate_instances(InstanceFamilySpec(n=3)))

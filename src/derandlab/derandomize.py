@@ -33,8 +33,8 @@ from .problems import (
     ProblemSpec,
     SearchBudgetExceeded,
     _cdcl,
+    _instance_checks,
     brute_force_solve,
-    compile_checks,
     solve_lex_first,
     verify,
 )
@@ -261,11 +261,12 @@ def derandomize_via_f(
     is tabulated from (as by :func:`tabulate`), and then verified with
     :func:`verify` on, the first copy of each, in family order.  A
     tabulation that completes records exactly each node's run output, so the
-    table fails on an instance exactly when that instance's run fails.  Two cases come out as they would not if each
-    run were checked before it is tabulated: when one instance fails and a
-    later instance's views conflict, :class:`LocalityViolation` comes first;
-    and a label outside the problem's alphabet raises the table's
-    ``ValueError``, not :func:`verify`'s.
+    table fails on an instance exactly when that instance's run fails.  Two
+    cases come out as they would not if each run were checked before it is
+    tabulated: when one instance fails and a later instance's views
+    conflict, :class:`LocalityViolation` comes first; and a label outside the
+    problem's alphabet raises the table's ``ValueError``, not
+    :func:`verify`'s.
     """
     fixed = fix_randomness(program, assignment, bit_cap)
     firsts = InputClasses.of_instances(family).firsts
@@ -343,33 +344,39 @@ def compile_family(
     Each node's view key is ``canonicalize(extract_ball(instance, v,
     radius))``, computed as :func:`run_normal_form` (and so ``derandlab
     verify``) computes the key it looks the node up under.  Constraints come
-    from the instances' compiled checks (:func:`compile_checks`, read once
-    and in order): a check's member node indices are mapped to realized-view
-    positions, and checks with equal canonical keys and equal positions
-    become one constraint, with a verdict memo of its own.
+    from each instance's checks, built as :func:`compile_checks` builds them
+    and read in node order; when the table radius is the problem's radius, a
+    node's view is its verification ball, so the check is built on that
+    view and its key instead of extracting the ball again.  Checks with
+    equal canonical keys whose members have equal view keys become one
+    constraint, with a verdict memo of its own, whose ``members`` are the
+    members' realized-view positions.
     """
-    node_keys = [
-        tuple(canonicalize(extract_ball(inst, v, radius)) for v in range(inst.n))
-        for inst in instances
-    ]
-    realized = sorted({key for keys in node_keys for key in keys})
-    pos_of = {key: i for i, key in enumerate(realized)}
-    node_pos = [tuple(pos_of[key] for key in keys) for keys in node_keys]
-
-    constraints: list[Check] = []
-    seen: set[object] = set()
-    for compiled, positions in zip(compile_checks(problem, instances), node_pos):
+    shared: dict[str, Check] = {}
+    node_keys: list[tuple[str, ...]] = []
+    # each distinct check with its members' view keys, in first-seen order
+    distinct: dict[object, tuple[Check, tuple[str, ...]]] = {}
+    for inst in instances:
+        balls = [extract_ball(inst, v, radius) for v in range(inst.n)]
+        keys = tuple(map(canonicalize, balls))
+        node_keys.append(keys)
+        views = list(zip(balls, keys)) if radius == problem.radius else None
+        checks = _instance_checks(problem, inst, shared, views)
         # node order fixes the order in which checks fire, which decides the
         # search's check and predicate counts (not its tables or placements)
-        for check in sorted(compiled.checks, key=lambda c: c.members[0]):
-            scope = tuple(positions[m] for m in check.members)
+        for check in sorted(checks, key=lambda c: c.members[0]):
+            scope = tuple(map(keys.__getitem__, check.members))
             # a component-wise check has no key and is never shared
             key = check if check.key is None else (check.key, scope)
-            if key not in seen:
-                seen.add(key)
-                constraints.append(
-                    Check(check.ball, check.key, scope, check.evaluate, {})
-                )
+            if key not in distinct:
+                distinct[key] = (check, scope)
+    realized = sorted({key for keys in node_keys for key in keys})
+    pos_of = {key: i for i, key in enumerate(realized)}
+    node_pos = [tuple(map(pos_of.__getitem__, keys)) for keys in node_keys]
+    constraints: list[Check] = []
+    for check, scope in distinct.values():
+        members = tuple(map(pos_of.__getitem__, scope))
+        constraints.append(Check(check.ball, check.key, members, check.evaluate, {}))
     return FamilyIndex(realized, node_pos, constraints)
 
 

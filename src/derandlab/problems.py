@@ -291,7 +291,10 @@ def compile_checks(
 
 
 def _instance_checks(
-    problem: ProblemSpec, instance: InputInstance, shared: dict[str, Check] | None
+    problem: ProblemSpec,
+    instance: InputInstance,
+    shared: dict[str, Check] | None,
+    views: Sequence[tuple[BallView, str]] | None = None,
 ) -> tuple[Check, ...]:
     """The :class:`Check` objects of one instance, in the order :func:`verify`
     visits them.
@@ -299,23 +302,35 @@ def _instance_checks(
     With ``shared``, node checks are keyed by their balls' canonical keys and
     checks with equal keys share one verdict memo, registered in ``shared``.
     Without it no key is computed and every check has a memo of its own.
+    ``views[v]``, when given, is node ``v``'s verification ball and its
+    canonical key, computed by the caller; they are used instead of
+    extracting and keying the ball again.
     """
     if not problem.locally_verifiable:
         evaluate = partial(_labeling_verdict, problem, instance)
         return (Check(None, None, tuple(range(instance.n)), evaluate, {}),)
     order = sorted(range(instance.n), key=instance.identifier)
-    return tuple(_node_check(problem, instance, v, shared) for v in order)
+    if views is None:
+        balls = (extract_ball(instance, v, problem.radius) for v in order)
+        return tuple(_node_check(problem, instance, ball, None, shared) for ball in balls)
+    return tuple(_node_check(problem, instance, *views[v], shared) for v in order)
 
 
 def _node_check(
     problem: ProblemSpec,
     instance: InputInstance,
-    v: int,
+    ball: BallView,
+    key: str | None,
     shared: dict[str, Check] | None,
 ) -> Check:
-    ball = extract_ball(instance, v, problem.radius)
+    """The check of the node at the center of ``ball``, its verification
+    ball; ``key`` is the ball's canonical key, or None to compute it here
+    when ``shared`` needs it."""
     members = tuple(map(instance.node_with_id, ball.identifiers))
-    key = None if shared is None else canonicalize(ball)
+    if shared is None:
+        key = None
+    elif key is None:
+        key = canonicalize(ball)
     first = None if shared is None else shared.get(key)
     if first is None:
         first = Check(ball, key, members, partial(_ball_verdict, problem, ball), {})

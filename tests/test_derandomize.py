@@ -3,6 +3,7 @@
 import dataclasses
 import importlib
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from derandlab import (
     AssignmentNotGood,
     InstanceFamilySpec,
     LocalityViolation,
+    NormalFormTable,
     ProblemSpec,
     RandomAssignment,
     SearchBudgetExceeded,
@@ -44,7 +46,7 @@ from derandlab import (
     verify,
 )
 from derandlab.graphs import canonicalize, extract_ball
-from derandlab.problems import Check, _cdcl, _triggers, compile_checks
+from derandlab.problems import _cdcl, _triggers, compile_checks
 from derandlab.programs import (
     first_bit_label_program,
     id_sum_parity_program,
@@ -462,44 +464,7 @@ class TestFindNormalForm:
             )
 
 
-def reference_compile_family(problem, instances, radius):
-    """``compile_family`` with view keys taken from the compiled checks where
-    they can be: at the problem's radius, a locally verifiable problem's
-    check centred on a node (``members[0]``) is keyed by the node's view, so
-    its key serves as the node's view key.  Elsewhere every view is keyed
-    anew.  Returns the index's fields."""
-    compiled_family = list(compile_checks(problem, instances))
-    if radius == problem.radius and problem.locally_verifiable:
-        node_keys = []
-        for compiled in compiled_family:
-            keys = [""] * compiled.instance.n
-            for check in compiled.checks:
-                keys[check.members[0]] = check.key
-            node_keys.append(tuple(keys))
-    else:
-        node_keys = [
-            tuple(canonicalize(extract_ball(inst, v, radius)) for v in range(inst.n))
-            for inst in instances
-        ]
-    realized = sorted({key for keys in node_keys for key in keys})
-    pos_of = {key: i for i, key in enumerate(realized)}
-    node_pos = [tuple(pos_of[key] for key in keys) for keys in node_keys]
-
-    constraints: list[Check] = []
-    seen: set[object] = set()
-    for compiled, positions in zip(compiled_family, node_pos):
-        for check in sorted(compiled.checks, key=lambda c: c.members[0]):
-            scope = tuple(positions[m] for m in check.members)
-            key = check if check.key is None else (check.key, scope)
-            if key not in seen:
-                seen.add(key)
-                constraints.append(
-                    Check(check.ball, check.key, scope, check.evaluate, {})
-                )
-    return realized, node_pos, constraints
-
-
-def index_is_solvable(problem, inst):
+def search_finds_a_table(problem, inst):
     """Whether the table search over ``inst`` alone finds a table, at a
     radius that covers the instance: every node then sees its own
     identifier at the centre of its view, so a table is any labeling."""
@@ -510,14 +475,14 @@ def index_is_solvable(problem, inst):
 
 class TestFamilyIndex:
     @pytest.mark.parametrize("name", ["mis", "coloring:2", "coloring:3"])
-    def test_solvable_agrees_with_brute_force_on_small_families(self, name):
+    def test_search_over_one_instance_agrees_with_brute_force(self, name):
         problem = problem_by_name(name)
         for n in (1, 2, 3):
             for idx, inst in enumerate(enumerate_instances(InstanceFamilySpec(n=n))):
                 expected = brute_force_solve(problem, inst) is not None
-                assert index_is_solvable(problem, inst) == expected, (name, n, idx)
+                assert search_finds_a_table(problem, inst) == expected, (name, n, idx)
 
-    def test_solvable_agrees_with_brute_force_on_random_instances(self):
+    def test_search_over_one_random_instance_agrees_with_brute_force(self):
         rng = random.Random(20230512)
         problems = [problem_by_name(name) for name in ("mis", "coloring:2", "coloring:3")]
         outcomes = set()
@@ -525,7 +490,7 @@ class TestFamilyIndex:
             problem = problems[draw % len(problems)]
             inst = random_instance(rng, max_n=6)
             expected = brute_force_solve(problem, inst) is not None
-            assert index_is_solvable(problem, inst) == expected, (problem.name, inst)
+            assert search_finds_a_table(problem, inst) == expected, (problem.name, inst)
             outcomes.add(expected)
         assert outcomes == {True, False}
 
@@ -556,18 +521,54 @@ class TestFamilyIndex:
         ]
         + [("coloring:4", 4, 1)],
     )
-    def test_view_keys_from_the_checks_leave_the_index_unchanged(self, name, n, radius):
-        """At the problem's radius, taking node view keys from the compiled
-        checks gives the index built by keying every view anew."""
+    def test_index_agrees_with_table_lookup_and_compiled_checks(self, name, n, radius):
+        """Each node's realized view is the key a table looks the node up
+        under, and the constraints are the compiled checks with their
+        members moved to realized-view positions, each pair once."""
         problem = problem_by_name(name)
         family = list(enumerate_instances(InstanceFamilySpec(n=n)))
         index = compile_family(problem, family, radius)
-        realized, node_pos, constraints = reference_compile_family(problem, family, radius)
-        assert index.realized == realized
-        assert index.node_pos == node_pos
-        assert [(c.key, c.members, c.ball) for c in index.constraints] == [
-            (c.key, c.members, c.ball) for c in constraints
-        ]
+        # a table that outputs each realized view's position
+        alphabet = [str(p) for p in range(len(index.realized))]
+        table = NormalFormTable.from_mapping(
+            radius, alphabet, dict(zip(index.realized, alphabet))
+        )
+        for inst, positions in zip(family, index.node_pos):
+            assert run_normal_form(table, inst) == {
+                v: str(p) for v, p in enumerate(positions)
+            }
+        expected = {
+            (check.key, check.ball, tuple(positions[m] for m in check.members))
+            for compiled, positions in zip(
+                compile_checks(problem, family), index.node_pos
+            )
+            for check in compiled.checks
+        }
+        constraints = [(c.key, c.ball, c.members) for c in index.constraints]
+        assert len(set(constraints)) == len(constraints)
+        assert set(constraints) == expected
+
+    @pytest.mark.parametrize("radius, per_node", [(0, 2), (1, 1), (2, 2)])
+    def test_each_ball_is_extracted_once_at_the_problem_radius(
+        self, monkeypatch, radius, per_node
+    ):
+        """At the problem's radius a node's view is also its verification
+        ball, so it is extracted (and keyed) once; elsewhere the view and
+        the ball are extracted apart."""
+        calls = Counter()
+        real = extract_ball
+
+        def counting(inst, v, r):
+            calls[r] += 1
+            return real(inst, v, r)
+
+        for module in ("derandlab.derandomize", "derandlab.problems"):
+            monkeypatch.setattr(importlib.import_module(module), "extract_ball", counting)
+        family = list(enumerate_instances(InstanceFamilySpec(n=3)))
+        compile_family(make_mis(), family, radius)
+        nodes = sum(inst.n for inst in family)
+        assert sum(calls.values()) == per_node * nodes
+        assert calls[radius] == nodes
 
     def test_component_wise_problem_gets_one_constraint_per_instance(self):
         family = list(enumerate_instances(InstanceFamilySpec(n=3)))

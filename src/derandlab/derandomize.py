@@ -47,11 +47,10 @@ from .simulator import (
     run_normal_form,
     run_randomized,
 )
-from .streams import (
-    DEFAULT_BIT_CAP,
-    RandomAssignment,
-    iter_bounded_assignments,
-)
+from .streams import RandomAssignment, iter_bounded_assignments
+
+# the most candidate assignments search_good_f tries
+ASSIGNMENT_BUDGET = 1 << 22
 
 
 class AssignmentNotGood(RuntimeError):
@@ -65,28 +64,28 @@ class AssignmentNotGood(RuntimeError):
 
 @dataclass(frozen=True)
 class ClaimedSizeLift:
-    """The claimed-size bookkeeping for a family: the size we pretend the
-    input has, the closed-form family bound, and the two comparisons the
-    pipelines rely on."""
+    """The claimed-size bookkeeping for a family of ``n``-node inputs: the
+    closed-form family bound, and, derived from both, the size we pretend
+    the input has and the two comparisons the pipelines rely on."""
 
     n: int
-    claimed_size: int  # 2 ** (n*n)
     family_bound: int
-    bound_below_claimed: bool  # family_bound < claimed_size
-    bound_below_claimed_over_n: bool  # family_bound * n < claimed_size
+
+    @property
+    def claimed_size(self) -> int:
+        return 2 ** (self.n * self.n)
+
+    @property
+    def bound_below_claimed(self) -> bool:
+        return self.family_bound < self.claimed_size
+
+    @property
+    def bound_below_claimed_over_n(self) -> bool:
+        return self.family_bound * self.n < self.claimed_size
 
 
 def lift_to_claimed_size(spec: InstanceFamilySpec) -> ClaimedSizeLift:
-    n = spec.n
-    claimed = 2 ** (n * n)
-    bound = count_bound(spec)
-    return ClaimedSizeLift(
-        n=n,
-        claimed_size=claimed,
-        family_bound=bound,
-        bound_below_claimed=bound < claimed,
-        bound_below_claimed_over_n=bound * n < claimed,
-    )
+    return ClaimedSizeLift(n=spec.n, family_bound=count_bound(spec))
 
 
 @dataclass(frozen=True)
@@ -108,10 +107,13 @@ class GoodnessCertificate:
 
     failure_probs: tuple[Fraction, ...]
     total: Fraction
-    family_size: int
     claimed_size: int
     estimated: bool = False
     distinct_probs: tuple[Fraction, ...] | None = None
+
+    @property
+    def family_size(self) -> int:
+        return len(self.failure_probs)
 
     @property
     def verdict(self) -> bool | None:
@@ -154,7 +156,6 @@ def certify_good_f(
     return GoodnessCertificate(
         failure_probs=probs,
         total=sum(probs, Fraction(0)),
-        family_size=len(probs),
         claimed_size=claimed_size,
         estimated=estimated,
     )
@@ -181,7 +182,6 @@ def certify_classes(
         total=sum(
             (copies * probs[k] for k, copies in Counter(classes).items()), Fraction(0)
         ),
-        family_size=len(classes),
         claimed_size=claimed_size,
         distinct_probs=probs,
     )
@@ -192,7 +192,6 @@ def assignment_is_good(
     assignment: RandomAssignment,
     checks: Iterable[CompiledCheck],
     claimed_n: int | None = None,
-    bit_cap: int = DEFAULT_BIT_CAP,
 ) -> tuple[bool, int | None]:
     """Whether the program, run with the streams of ``assignment``, verifies
     on every instance; on failure also the first failing instance index.
@@ -201,9 +200,7 @@ def assignment_is_good(
     family order); a caller that tries many assignments compiles them once.
     """
     for idx, compiled in enumerate(checks):
-        result = run_randomized(
-            program, compiled.instance, claimed_n, streams=assignment, bit_cap=bit_cap
-        )
+        result = run_randomized(program, compiled.instance, claimed_n, streams=assignment)
         if not compiled.valid(result.outputs):
             return False, idx
     return True, None
@@ -215,8 +212,6 @@ def search_good_f(
     bits: int,
     id_space: Sequence[int],
     claimed_n: int | None = None,
-    budget: int | None = 1 << 22,
-    bit_cap: int = DEFAULT_BIT_CAP,
 ) -> RandomAssignment | None:
     """Lexicographically first good bounded assignment, or None.
 
@@ -226,19 +221,22 @@ def search_good_f(
     are ``checks``.  They are read once, before the first candidate, since
     every candidate passes over the whole family.  None means the entire
     bounded space fails, which says nothing about unbounded assignments.
+    A space of more than :data:`ASSIGNMENT_BUDGET` candidates raises
+    :class:`SearchBudgetExceeded` before the first one is tried.
     """
     if bits < 0:
         raise ValueError("bit budget must be nonnegative")
     # the space holds 2**exponent assignments; the count itself is never built
     exponent = bits * len(set(id_space))
-    if budget is not None and exponent >= max(budget, 0).bit_length():
+    if exponent >= ASSIGNMENT_BUDGET.bit_length():
         size = 2**exponent if exponent <= 64 else f"2^{exponent}"
         raise SearchBudgetExceeded(
-            f"assignment space holds {size} candidates, over the budget {budget}"
+            f"assignment space holds {size} candidates, "
+            f"over the budget {ASSIGNMENT_BUDGET}"
         )
     checks = list(checks)
     for assignment in iter_bounded_assignments(id_space, bits):
-        if assignment_is_good(program, assignment, checks, claimed_n, bit_cap)[0]:
+        if assignment_is_good(program, assignment, checks, claimed_n)[0]:
             return assignment
     return None
 
@@ -250,7 +248,6 @@ def derandomize_via_f(
     family: Sequence[InputInstance],
     problem: ProblemSpec,
     claimed_n: int | None = None,
-    bit_cap: int = DEFAULT_BIT_CAP,
 ) -> NormalFormTable:
     """Fix the randomness, tabulate at ``radius``, and verify on the family.
 
@@ -268,7 +265,7 @@ def derandomize_via_f(
     problem's alphabet raises the table's ``ValueError``, not
     :func:`verify`'s.
     """
-    fixed = fix_randomness(program, assignment, bit_cap)
+    fixed = fix_randomness(program, assignment)
     firsts = InputClasses.of_instances(family).firsts
     # the replaced table checks its labels against the problem's alphabet
     table = replace(
@@ -384,28 +381,37 @@ def compile_family(
 class TableSearchOutcome:
     """Either a verified table or an unsatisfiability verdict.
 
-    ``witness`` is set when some single family instance admits no valid
-    labeling at all; otherwise ``exhausted`` records that the whole table
-    space was searched without success (each instance has a valid labeling
-    of its own, but no single consistent table covers them all).
-    ``verified_count`` is the number of family instances on which a found
-    table passed the final verification.  ``phase_s`` holds the seconds
-    spent enumerating the family, compiling it, searching and verifying;
-    timings are kept out of every report.
+    Without a table the outcome is ``unsat``: ``witness`` is set when some
+    single family instance admits no valid labeling at all, and otherwise
+    the search is ``exhausted`` (each instance has a valid labeling of its
+    own, but no single consistent table covers them all).  A found table
+    passed the final verification on all ``verified_count`` family
+    instances; a failure there raises.  ``phase_s`` holds the seconds spent
+    enumerating the family, compiling it, searching and verifying; timings
+    are kept out of every report.
     """
 
     table: NormalFormTable | None
-    unsat: bool
     witness_index: int | None
     witness: InputInstance | None
-    exhausted: bool
     stats: SearchStats
-    verified_count: int | None = None
     phase_s: dict[str, float] = field(default_factory=dict)
 
     @property
     def found(self) -> bool:
         return self.table is not None
+
+    @property
+    def unsat(self) -> bool:
+        return self.table is None
+
+    @property
+    def exhausted(self) -> bool:
+        return self.table is None and self.witness is None
+
+    @property
+    def verified_count(self) -> int | None:
+        return self.stats.family_size if self.found else None
 
 
 def find_normal_form(config: SearchConfig) -> TableSearchOutcome:
@@ -482,7 +488,7 @@ def find_normal_form(config: SearchConfig) -> TableSearchOutcome:
     if not found:
         if unsolvable is None:
             lap("verify")
-            return TableSearchOutcome(None, True, None, None, True, stats, phase_s=phase_s)
+            return TableSearchOutcome(None, None, None, stats, phase_s)
         witness, inst = unsolvable
         if brute_force_solve(problem, inst) is not None:
             raise SimulationError(
@@ -490,7 +496,7 @@ def find_normal_form(config: SearchConfig) -> TableSearchOutcome:
                 "but brute force finds one"
             )
         lap("verify")
-        return TableSearchOutcome(None, True, witness, inst, False, stats, phase_s=phase_s)
+        return TableSearchOutcome(None, witness, inst, stats, phase_s)
 
     table = NormalFormTable.from_mapping(
         config.radius,
@@ -504,9 +510,7 @@ def find_normal_form(config: SearchConfig) -> TableSearchOutcome:
         if not verify(problem, inst, outputs).valid:
             raise SimulationError("internal: searched table failed final verification")
     lap("verify")
-    return TableSearchOutcome(
-        table, False, None, None, False, stats, classes.size, phase_s
-    )
+    return TableSearchOutcome(table, None, None, stats, phase_s)
 
 
 # ---------------------------------------------------------------------------
@@ -538,13 +542,11 @@ class DerandReport:
     wall_time_s: float
     t_rand_at_claimed_size: int | None = None
 
-    def to_jsonable(self, include_timing: bool = True) -> dict:
+    def to_jsonable(self) -> dict:
         out = asdict(self)
         out["input_alphabet"] = list(self.input_alphabet)
         out["output_alphabet"] = list(self.output_alphabet)
-        wall_time_s = out.pop("wall_time_s")
-        if include_timing:
-            out["timing"] = {"wall_time_s": wall_time_s}
+        out["timing"] = {"wall_time_s": out.pop("wall_time_s")}
         return out
 
 

@@ -27,8 +27,9 @@ MAX_ID_SPACE = 2**63 - 1
 # itertools.permutations copies the whole identifier space before it yields
 # a tuple, so a family with more tuples per graph than this is rejected
 # before anything is allocated: n=3 at c=30 would copy 3**30 identifiers.
-# Listing even this many per graph takes minutes; every n <= 6 at c=1, and
-# n <= 4 at c=2 (43,680 tuples), is well inside it.
+# So is a family with more instances (tuples times input labelings) per
+# graph.  Listing even this many per graph takes minutes; every n <= 6 at
+# c=1, and n <= 4 at c=2 (43,680 tuples), is well inside it.
 MAX_ID_TUPLES = 2**20
 
 
@@ -247,8 +248,9 @@ class InstanceFamilySpec:
 
 def _id_tuple_count(spec: InstanceFamilySpec) -> int:
     """The number of injective identifier tuples per graph of ``spec``'s
-    family; raises ``ValueError`` when it exceeds :data:`MAX_ID_TUPLES`.
-    Both enumerators call it before they allocate anything."""
+    family; raises ``ValueError`` when it, or the count times the number of
+    input labelings, exceeds :data:`MAX_ID_TUPLES`.  Both enumerators call
+    it before they allocate anything."""
     n = spec.n
     # n**c >= 2**c once n >= 2, so a c this large is over the limit and n**c
     # is not computed; otherwise every factor but the last is >= 2, so the
@@ -262,6 +264,12 @@ def _id_tuple_count(spec: InstanceFamilySpec) -> int:
         raise ValueError(
             f"the family of n={n} at c={spec.c} has more than {MAX_ID_TUPLES} "
             "identifier tuples per graph, too many to enumerate"
+        )
+    # count >= n! here, so n <= 9 and the power stays small
+    if count * len(spec.input_alphabet) ** n > MAX_ID_TUPLES:
+        raise ValueError(
+            f"the family of n={n} with {len(spec.input_alphabet)} input labels has "
+            f"more than {MAX_ID_TUPLES} instances per graph, too many to enumerate"
         )
     return count
 
@@ -526,10 +534,6 @@ class BallView:
         fields["nodes"] = nodes
         fields["edges"] = edges
         return view
-
-    @property
-    def center(self) -> BallNode:
-        return self.nodes[0]
 
     @property
     def center_id(self) -> int:

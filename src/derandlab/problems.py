@@ -29,13 +29,14 @@ class ProblemFormatError(ValueError):
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """A labeling problem.
+    """A labeling problem, with exactly one of two predicates.
 
-    Locally verifiable problems carry a ``ball_predicate`` evaluated on the
-    radius-``radius`` view of every node; their component predicate is derived
-    as the conjunction of the ball predicates over the component, keeping the
-    two verifiers consistent by construction.  Component-wise-only problems
-    carry an explicit ``component_predicate`` and use ``radius=0``.
+    A ``locally_verifiable`` problem carries a ``ball_predicate`` evaluated
+    on the radius-``radius`` view of every node; its component predicate is
+    the conjunction of the ball predicates over the component, keeping the
+    two verifiers consistent by construction.  A component-wise-only
+    problem carries a ``component_predicate`` instead and uses ``radius=0``.
+    A spec with both could have verifiers that disagree, and is rejected.
 
     A ``component_predicate`` may read the instance's identifiers, inputs
     and edges, but its verdict must not depend on node indices: renaming the
@@ -48,7 +49,6 @@ class ProblemSpec:
     name: str
     radius: int
     output_alphabet: tuple[str, ...]
-    locally_verifiable: bool = True
     ball_predicate: BallPredicate | None = field(default=None, repr=False)
     component_predicate: ComponentPredicate | None = field(default=None, repr=False)
     declarative: tuple[tuple[str, object], ...] | None = field(default=None, repr=False)
@@ -61,14 +61,16 @@ class ProblemSpec:
             raise ValueError("output alphabet has duplicate labels")
         if self.radius < 0:
             raise ValueError("verification radius must be nonnegative")
-        if self.locally_verifiable:
-            if self.ball_predicate is None:
-                raise ValueError("locally verifiable problem needs a ball predicate")
-        else:
-            if self.component_predicate is None:
-                raise ValueError("component-wise problem needs a component predicate")
-            if self.radius != 0:
-                raise ValueError("component-wise-only problems use radius 0")
+        if (self.ball_predicate is None) == (self.component_predicate is None):
+            raise ValueError(
+                "a problem needs exactly one of a ball predicate and a component predicate"
+            )
+        if not self.locally_verifiable and self.radius != 0:
+            raise ValueError("component-wise-only problems use radius 0")
+
+    @property
+    def locally_verifiable(self) -> bool:
+        return self.ball_predicate is not None
 
     def ball_valid(self, ball: BallView, outputs_by_id: Mapping[int, str]) -> bool:
         assert self.ball_predicate is not None

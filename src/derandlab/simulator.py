@@ -286,11 +286,7 @@ def run_randomized(
     return _run(program, instance, claimed_n, readers, trace)
 
 
-def fix_randomness(
-    program: NodeProgram,
-    assignment: RandomAssignment,
-    bit_cap: int = DEFAULT_BIT_CAP,
-) -> NodeProgram:
+def fix_randomness(program: NodeProgram, assignment: RandomAssignment) -> NodeProgram:
     """Deterministic program in which each node reads bits from the stream
     assigned to its identifier.
 
@@ -301,9 +297,8 @@ def fix_randomness(
 
     def step(ctx: NodeContext) -> StepResult:
         inner_state, consumed = ctx.state if ctx.state is not None else (None, 0)
-        reader = BitReader(
-            assignment.stream_for(ctx.identifier), cap=bit_cap, start=consumed
-        )
+        reader = BitReader(assignment.stream_for(ctx.identifier))
+        reader.position = consumed
         res = program.step(ctx._replace(state=inner_state, bits=reader))
         return StepResult(
             send=res.send,
@@ -371,9 +366,6 @@ class NormalFormTable:
             return self._map[key]
         except KeyError:
             raise IncompleteTableError(key) from None
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._map
 
     @property
     def size(self) -> int:

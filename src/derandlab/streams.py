@@ -128,20 +128,18 @@ def _as_bits(bits: Sequence[int]) -> tuple[int, ...]:
 class BitReader:
     """Sequential cursor over a stream with a consumption cap.
 
-    ``position`` is the absolute index of the next bit; a run that resumes a
-    reader at a later start keeps the cap meaningful because the cap bounds
-    the absolute position reached.  The reader calls the stream's getter
-    directly, so a negative start is rejected here, where
-    :meth:`BitStream.bit` would reject a negative index.
+    ``position`` is the absolute index of the next bit, from 0; a caller
+    that resumes a stream sets it (:func:`fix_randomness`), and the cap
+    bounds the absolute position reached.  The reader calls the stream's
+    getter directly, skipping :meth:`BitStream.bit`'s index check, so
+    ``position`` must never be negative.
     """
 
-    def __init__(self, stream: BitStream, cap: int = DEFAULT_BIT_CAP, start: int = 0):
-        if start < 0:
-            raise IndexError("negative bit index")
+    def __init__(self, stream: BitStream, cap: int = DEFAULT_BIT_CAP):
         self.stream = stream
         self._getter = stream._getter
         self.cap = cap
-        self.position = start
+        self.position = 0
 
     def next_bit(self) -> int:
         position = self.position

@@ -144,7 +144,6 @@ def one_leader_problem() -> ProblemSpec:
         name="one-leader",
         radius=0,
         output_alphabet=("F", "L"),
-        locally_verifiable=False,
         component_predicate=component_pred,
     )
 

@@ -49,7 +49,9 @@ class TestEnumerate:
 class TestOversizedFamily:
     """A family with more identifier tuples per graph than the enumerators
     list is refused before anything is allocated (n=3 at c=30 would copy
-    3**30 identifiers): one error line and exit 3."""
+    3**30 identifiers), and so is one with more instances per graph, each
+    tuple with every input labeling (n=3 with 200 labels lists 6 * 200**3):
+    one error line and exit 3."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -73,6 +75,13 @@ class TestOversizedFamily:
             "",
             "error: the family of n=3 at c=30 has more than 1048576 identifier tuples "
             "per graph, too many to enumerate\n",
+        )
+        labels = ",".join(f"l{i}" for i in range(200))
+        assert run(argv + ["--n", "3", "--input-alphabet", labels]) == 3
+        assert capsys.readouterr() == (
+            "",
+            "error: the family of n=3 with 200 input labels has more than 1048576 "
+            "instances per graph, too many to enumerate\n",
         )
 
 
@@ -196,13 +205,53 @@ class TestDerandomize:
 
     def test_a_malformed_problem_file_exits_bad_input(self, tmp_path, capsys):
         problem = tmp_path / "problem.json"
-        problem.write_text(json.dumps({
-            "name": "p", "radius": 1, "output_alphabet": ["A", "B"], "kind": "table",
-            "allowed": [{"center": "A", "neighbors_condition": {"forbid": 5}}],
-        }))
-        capsys.readouterr()
-        assert run(["derandomize", "--problem", str(problem), "--n", "2", "--T", "1"]) == 3
-        assert capsys.readouterr().err == "error: forbid must be a list, not 5\n"
+        for allowed, error in [
+            (
+                [{"center": "A", "neighbors_condition": {"forbid": 5}}],
+                "forbid must be a list, not 5",
+            ),
+            (["A"], "bad allowed entry: 'A'"),
+            (
+                [{"center": "A", "neighbors_condition": {"avoid": ["A"]}}],
+                "bad neighbors_condition: {'avoid': ['A']}",
+            ),
+            (
+                [{"center": "A", "neighbors_condition": {"forbid": ["C"]}}],
+                "label 'C' outside alphabet",
+            ),
+        ]:
+            problem.write_text(json.dumps({
+                "name": "p", "radius": 1, "output_alphabet": ["A", "B"], "kind": "table",
+                "allowed": allowed,
+            }))
+            capsys.readouterr()
+            assert run(["derandomize", "--problem", str(problem), "--n", "2", "--T", "1"]) == 3
+            assert capsys.readouterr() == ("", f"error: {error}\n")
+
+    @pytest.mark.parametrize(
+        "option, error",
+        [
+            (["--T", "-1"], "error: radius must be nonnegative"),
+            (["--T", "1", "--budget", "0"], "error: budget must be positive"),
+            (["--T", "1", "--problem", "coloring:0"], "error: need at least one color"),
+            (
+                ["--T", "1", "--input-alphabet", ","],
+                "derandlab derandomize: error: argument --input-alphabet: "
+                "alphabet must name at least one label",
+            ),
+        ],
+        ids=["radius", "budget", "colors", "input-alphabet"],
+    )
+    def test_an_out_of_range_option_exits_bad_input(self, capsys, option, error):
+        # argparse exits itself on a value its type rejects, after a usage line
+        try:
+            code = run(["derandomize", "--problem", "mis", "--n", "2"] + option)
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert [line for line in captured.err.splitlines() if "error:" in line] == [error]
 
     def test_rerunning_a_manifest_reproduces_all_non_timing_fields(self, tmp_path):
         report = tmp_path / "report.json"

@@ -276,9 +276,7 @@ def test_seeded_assignments_read_the_keyed_streams(key):
         assert reader.take(512) == bits
 
 
-def test_readers_reject_a_negative_start():
-    with pytest.raises(IndexError, match="negative bit index"):
-        BitReader(BitStream.keyed("s"), start=-1)
+def test_streams_reject_a_negative_index():
     with pytest.raises(IndexError, match="negative bit index"):
         BitStream.keyed("s").bit(-1)
 

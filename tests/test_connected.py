@@ -120,7 +120,6 @@ class TestRunConnectedAware:
             name="cw",
             radius=0,
             output_alphabet=("A",),
-            locally_verifiable=False,
             component_predicate=lambda i, c, o: True,
         )
         with pytest.raises(ValueError, match="locally verifiable"):

@@ -149,6 +149,25 @@ def impure_program():
     return NodeProgram("impure", step, lambda _claimed: 0, ("A", "B"))
 
 
+def unchecked_label_program():
+    """Outputs ``"AZ"[bit]`` with no output alphabet of its own, so only the
+    problem's verification sees a foreign label."""
+
+    def step(ctx):
+        return StepResult(output="AZ"[ctx.bits.next_bit()])
+
+    return NodeProgram("unchecked-label", step, lambda _claimed: 0)
+
+
+def never_halting_program():
+    """Reads a bit every round and never outputs, over a bound of 1."""
+
+    def step(ctx):
+        return StepResult(state=ctx.bits.next_bit())
+
+    return NodeProgram("never-halts", step, lambda _claimed: 1, ("A", "B"))
+
+
 @pytest.mark.parametrize(
     "make, problem, family, bits, error",
     [
@@ -178,8 +197,17 @@ def impure_program():
         ),
         # a step that reads a bit only on every other call
         (impure_program, "coloring:2", FAMILIES[1], 1, SimulationError),
+        # a label outside the problem's alphabet: verify names the node
+        (unchecked_label_program, "coloring:2", FAMILIES[2], 1, ValueError),
+        (unchecked_label_program, "coloring:2", FAMILIES[3], 1, ValueError),
+        # the round budget
+        (never_halting_program, "coloring:2", FAMILIES[2], 2, SimulationError),
+        (never_halting_program, "coloring:2", FAMILIES[3], 2, SimulationError),
     ],
-    ids=["leading-ones", "two-bit", "greedy", "bit-cap", "impure"],
+    ids=[
+        "leading-ones", "two-bit", "greedy", "bit-cap", "impure",
+        "foreign-label-n2", "foreign-label-n3", "round-budget-n2", "round-budget-n3",
+    ],
 )
 def test_errors_match_the_tree_walk(make, problem, family, bits, error):
     if isinstance(problem, str):
@@ -189,6 +217,25 @@ def test_errors_match_the_tree_walk(make, problem, family, bits, error):
     got = raised(compute_success_exact, make(), compile_checks(problem, family), bits)
     assert got == want
     assert want[0] is error
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_runs_that_halt_on_some_paths_only_match_the_tree_walk(n):
+    """A node halts with ``A`` on bit 1 in round 0 and otherwise waits and
+    outputs ``B`` in round 1, so a configuration whose nodes could all
+    continue has outcomes in which every node has halted."""
+
+    def step(ctx):
+        if ctx.round == 0 and ctx.bits.next_bit():
+            return StepResult(output="A")
+        return StepResult(output="B") if ctx.round else StepResult()
+
+    program = NodeProgram("halt-on-one", step, lambda _claimed: 1, ("A", "B"))
+    problem = problem_by_name("coloring:2")
+    family = FAMILIES[n]
+    got = compute_success_exact(program, compile_checks(problem, family), 1)
+    assert got == reference_tree_walk(program, problem, family, 1)
+    assert len(set(got)) > 1
 
 
 def test_a_foreign_label_in_a_late_context_raises_like_the_tree_walk():

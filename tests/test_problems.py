@@ -15,6 +15,7 @@ from derandlab import (
     InputInstance,
     InstanceFamilySpec,
     ProblemFormatError,
+    ProblemSpec,
     brute_force_solve,
     enumerate_instances,
     extend_instance,
@@ -120,6 +121,21 @@ class TestVerifyComponentwise:
         assert verify(problem, two_comps, {0: "L", 1: "F", 2: "L"}).valid
         assert not verify(problem, two_comps, {0: "L", 1: "F", 2: "F"}).valid
         assert not verify(problem, two_comps, {0: "L", 1: "L", 2: "L"}).valid
+
+
+@pytest.mark.parametrize("ball, component", [(False, False), (True, True)])
+def test_a_spec_has_exactly_one_predicate(ball, component):
+    with pytest.raises(
+        ValueError,
+        match="^a problem needs exactly one of a ball predicate and a component predicate$",
+    ):
+        ProblemSpec(
+            name="p",
+            radius=0,
+            output_alphabet=("A",),
+            ball_predicate=(lambda ball, outputs: True) if ball else None,
+            component_predicate=(lambda i, c, o: True) if component else None,
+        )
 
 
 class TestBruteForce:

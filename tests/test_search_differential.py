@@ -125,8 +125,8 @@ def reference_find_normal_form(config: SearchConfig) -> TableSearchOutcome:
     if pos < 0:
         for idx, inst in enumerate(instances):
             if brute_force_solve(problem, inst) is None:
-                return TableSearchOutcome(None, True, idx, inst, False, stats)
-        return TableSearchOutcome(None, True, None, None, True, stats)
+                return TableSearchOutcome(None, idx, inst, stats)
+        return TableSearchOutcome(None, None, None, stats)
 
     table = NormalFormTable.from_mapping(
         config.radius,
@@ -137,7 +137,7 @@ def reference_find_normal_form(config: SearchConfig) -> TableSearchOutcome:
     for inst in instances:
         if not verify(problem, inst, run_normal_form(table, inst)).valid:
             raise SimulationError("internal: searched table failed final verification")
-    return TableSearchOutcome(table, False, None, None, False, stats)
+    return TableSearchOutcome(table, None, None, stats)
 
 
 LOCAL = ["mis", "coloring:1", "coloring:2", "coloring:3", "coloring:4"]

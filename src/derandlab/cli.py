@@ -174,10 +174,8 @@ def cmd_derandomize(args: argparse.Namespace) -> int:
         node_budget=args.budget,
     )
     report, outcome = derandomize(config)
-    payload = report.to_jsonable()
-    payload["manifest"] = _manifest(args)
     if args.out_report:
-        _emit(args.out_report, _json(payload))
+        _emit(args.out_report, _json({**report, "manifest": _manifest(args)}))
     stats = outcome.stats
     print(
         f"search: {stats.realized_views} views / {stats.constraints} constraints / "
@@ -196,7 +194,7 @@ def cmd_derandomize(args: argparse.Namespace) -> int:
             _emit(args.out_table, _json(outcome.table.to_jsonable()))
         print(
             f"table found: {outcome.table.size} entries, verified "
-            f"{report.verified_count}/{report.family_size}",
+            f"{outcome.verified_count}/{outcome.stats.family_size}",
             file=sys.stderr,
         )
         return EXIT_OK
@@ -233,12 +231,9 @@ def cmd_certify(args: argparse.Namespace) -> int:
             raise ValueError("--seed is required in mc mode")
         if args.trials < 1:
             raise ValueError("need at least one trial")
-    # the first copies' checks, for the exact pass and --find-f; one pass
-    # holds one instance's checks at a time, and with --find-f the
-    # assignment search and the exact pass share one list
-    checks = compile_checks(problem, [first for _, first in classes.firsts])
-    if args.find_f:
-        checks = list(checks)
+    # the first copies' checks, shared by the exact pass and --find-f; each
+    # copy's checks are built when first read
+    checks = list(compile_checks(problem, [first for _, first in classes.firsts]))
     if exact:
         distinct_probs = compute_success_exact(program, checks, args.bits, claimed_n)
         certificate = certify_classes(

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
@@ -387,8 +387,8 @@ class TableSearchOutcome:
     own, but no single consistent table covers them all).  A found table
     passed the final verification on all ``verified_count`` family
     instances; a failure there raises.  ``phase_s`` holds the seconds spent
-    enumerating the family, compiling it, searching and verifying; timings
-    are kept out of every report.
+    enumerating the family, compiling it, searching and verifying; their sum
+    is the one timing in :func:`derandomize`'s report.
     """
 
     table: NormalFormTable | None
@@ -517,83 +517,51 @@ def find_normal_form(config: SearchConfig) -> TableSearchOutcome:
 # End-to-end report.
 
 
-@dataclass
-class DerandReport:
-    n: int
-    c: int
-    input_alphabet: tuple[str, ...]
-    max_degree: int | None
-    problem: str
-    output_alphabet: tuple[str, ...]
-    radius: int
-    claimed_size: int
-    family_bound: int
-    bound_below_claimed: bool
-    bound_below_claimed_over_n: bool
-    family_size: int
-    pipeline: str
-    found: bool
-    table_size: int | None
-    verified_count: int | None
-    unsat_witness_index: int | None
-    unsat_witness: dict | None
-    exhausted_search: bool | None
-    placements: int
-    wall_time_s: float
-    t_rand_at_claimed_size: int | None = None
-
-    def to_jsonable(self) -> dict:
-        out = asdict(self)
-        out["input_alphabet"] = list(self.input_alphabet)
-        out["output_alphabet"] = list(self.output_alphabet)
-        out["timing"] = {"wall_time_s": out.pop("wall_time_s")}
-        return out
-
-
 def derandomize(
     config: SearchConfig,
     t_rand: Callable[[int], int] | None = None,
-) -> tuple[DerandReport, TableSearchOutcome]:
-    """Run the direct pipeline end to end and report.
+) -> tuple[dict, TableSearchOutcome]:
+    """Run the direct pipeline end to end: the report and the search's outcome.
 
-    The deterministic artifact is the pair (radius, table) executed by
-    :func:`run_normal_form`; :func:`find_normal_form` has already verified it
-    on the whole family, and the report's ``verified_count`` is that count.
-    When ``t_rand`` is supplied the report also evaluates it at the claimed
-    size, which is the round count the table stands in for.  The claimed
-    size and the closed-form bound are computed after the search, which
-    refuses a family too large to enumerate before the bound's
-    ``n ** (c * n)`` would take long to compute.
+    The report is the JSON object ``derandlab derandomize --out-report``
+    writes, without its manifest.  The deterministic artifact is the pair
+    (radius, table) executed by :func:`run_normal_form`;
+    :func:`find_normal_form` has already verified it on the whole family,
+    and the report's ``verified_count`` is that count.  When ``t_rand`` is
+    supplied the report also evaluates it at the claimed size, which is the
+    round count the table stands in for.  ``timing.wall_time_s`` is the sum
+    of the search's phase timings, the report's only field that is not
+    reproducible.  The claimed size and the closed-form bound are computed
+    after the search, which refuses a family too large to enumerate before
+    the bound's ``n ** (c * n)`` would take long to compute.
     """
     spec = config.family
-    start = time.perf_counter()
     outcome = find_normal_form(config)
-    wall = time.perf_counter() - start
     lift = lift_to_claimed_size(spec)
-    report = DerandReport(
-        n=spec.n,
-        c=spec.c,
-        input_alphabet=spec.input_alphabet,
-        max_degree=spec.max_degree,
-        problem=config.problem.name,
-        output_alphabet=config.problem.output_alphabet,
-        radius=config.radius,
-        claimed_size=lift.claimed_size,
-        family_bound=lift.family_bound,
-        bound_below_claimed=lift.bound_below_claimed,
-        bound_below_claimed_over_n=lift.bound_below_claimed_over_n,
-        family_size=outcome.stats.family_size,
-        pipeline="table-search",
-        found=outcome.found,
-        table_size=outcome.table.size if outcome.found else None,
-        verified_count=outcome.verified_count,
-        unsat_witness_index=outcome.witness_index,
-        unsat_witness=(
+    report = {
+        "n": spec.n,
+        "c": spec.c,
+        "input_alphabet": list(spec.input_alphabet),
+        "max_degree": spec.max_degree,
+        "problem": config.problem.name,
+        "output_alphabet": list(config.problem.output_alphabet),
+        "radius": config.radius,
+        "claimed_size": lift.claimed_size,
+        "family_bound": lift.family_bound,
+        "bound_below_claimed": lift.bound_below_claimed,
+        "bound_below_claimed_over_n": lift.bound_below_claimed_over_n,
+        "family_size": outcome.stats.family_size,
+        "pipeline": "table-search",
+        "found": outcome.found,
+        "table_size": outcome.table.size if outcome.found else None,
+        "verified_count": outcome.verified_count,
+        "unsat_witness_index": outcome.witness_index,
+        "unsat_witness": (
             instance_to_jsonable(outcome.witness) if outcome.witness else None
         ),
-        exhausted_search=outcome.exhausted if outcome.unsat else None,
-        placements=outcome.stats.placements,
-        wall_time_s=wall,
-        t_rand_at_claimed_size=t_rand(lift.claimed_size) if t_rand else None,
-    )
+        "exhausted_search": outcome.exhausted if outcome.unsat else None,
+        "placements": outcome.stats.placements,
+        "t_rand_at_claimed_size": t_rand(lift.claimed_size) if t_rand else None,
+        "timing": {"wall_time_s": sum(outcome.phase_s.values())},
+    }
     return report, outcome

@@ -248,9 +248,11 @@ class InstanceFamilySpec:
 
 def _id_tuple_count(spec: InstanceFamilySpec) -> int:
     """The number of injective identifier tuples per graph of ``spec``'s
-    family; raises ``ValueError`` when it, or the count times the number of
-    input labelings, exceeds :data:`MAX_ID_TUPLES`.  Both enumerators call
-    it before they allocate anything."""
+    family; raises ``ValueError`` when it, the count times the number of
+    input labelings, or the number of edge sets the enumerators sweep
+    (``2 ** (n * (n - 1) / 2)``, so every n >= 7) exceeds
+    :data:`MAX_ID_TUPLES`.  Both enumerators call it before they allocate
+    anything."""
     n = spec.n
     # n**c >= 2**c once n >= 2, so a c this large is over the limit and n**c
     # is not computed; otherwise every factor but the last is >= 2, so the
@@ -270,6 +272,11 @@ def _id_tuple_count(spec: InstanceFamilySpec) -> int:
         raise ValueError(
             f"the family of n={n} with {len(spec.input_alphabet)} input labels has "
             f"more than {MAX_ID_TUPLES} instances per graph, too many to enumerate"
+        )
+    if 2 ** (n * (n - 1) // 2) > MAX_ID_TUPLES:
+        raise ValueError(
+            f"the family of n={n} has more than {MAX_ID_TUPLES} edge sets, "
+            "too many to enumerate"
         )
     return count
 

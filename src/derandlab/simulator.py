@@ -671,7 +671,6 @@ def _exact_failure(
     degrees = layout[2]
     alphabet = frozenset(compiled.problem.output_alphabet)
     triggers: list[list[Check]] | None = None
-    verdicts: dict[tuple[str, ...], bool] = {}
     # weights, and the failed mass, are numerators over 2**scale
     configs: dict[tuple[_Entry, ...], int] = {((None, None, None, 0),) * n: 1}
     scale = failed = 0
@@ -731,13 +730,8 @@ def _exact_failure(
                 ]
             for entries, w in combos:
                 if all(entry[2] is not None for entry in entries):
-                    outputs = tuple([entry[2] for entry in entries])
-                    valid = verdicts.get(outputs)
-                    if valid is None:
-                        valid = verdicts[outputs] = compiled.valid(
-                            dict(enumerate(outputs))
-                        )
-                    if not valid:
+                    outputs = {v: entry[2] for v, entry in enumerate(entries)}
+                    if not compiled.valid(outputs):
                         failed += w
                     continue
                 try:

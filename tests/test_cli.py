@@ -4,20 +4,51 @@ import dataclasses
 import json
 import os
 import re
+import resource
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
 
+import derandlab
 from conftest import claimed_size_program
 from derandlab import cli, load_table, problems, save_table
 from derandlab.cli import main
 from derandlab.programs import DETERMINISTIC_BUILTINS, RANDOMIZED_BUILTINS, parity_program
 
 
+# the directory holding the package, for the tests that run it in a subprocess
+SOURCE = os.path.dirname(os.path.dirname(os.path.abspath(derandlab.__file__)))
+
+
 def run(argv):
     return main(argv)
+
+
+def test_readme_cli_block_runs(tmp_path):
+    """Every command in the README's CLI example runs as written, one after
+    another in one directory, with the exit codes its comments promise."""
+    readme = os.path.join(os.path.dirname(SOURCE), "README.md")
+    with open(readme) as f:
+        section = f.read().split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.replace("\\\n", " ").splitlines() if line.strip()]
+    commands = [shlex.split(line) for line in lines if not line.startswith("#")]
+    codes = []
+    for command in commands:
+        assert command[0] == "derandlab"
+        done = subprocess.run(
+            [sys.executable, "-m", "derandlab.cli", *command[1:]],
+            cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=SOURCE),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        codes.append(done.returncode)
+    assert codes == [0, 0, 1, 0, 0, 0, 0, 0]
 
 
 class TestEnumerate:
@@ -50,8 +81,9 @@ class TestOversizedFamily:
     """A family with more identifier tuples per graph than the enumerators
     list is refused before anything is allocated (n=3 at c=30 would copy
     3**30 identifiers), and so is one with more instances per graph, each
-    tuple with every input labeling (n=3 with 200 labels lists 6 * 200**3):
-    one error line and exit 3."""
+    tuple with every input labeling (n=3 with 200 labels lists 6 * 200**3),
+    and so is one with more edge sets (n=7 sweeps 2**21 of them): one error
+    line and exit 3."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -83,20 +115,50 @@ class TestOversizedFamily:
             "error: the family of n=3 with 200 input labels has more than 1048576 "
             "instances per graph, too many to enumerate\n",
         )
+        assert run(argv + ["--n", "7"]) == 3
+        assert capsys.readouterr() == (
+            "",
+            "error: the family of n=7 has more than 1048576 edge sets, "
+            "too many to enumerate\n",
+        )
+
+
+def test_derandomize_refuses_n7_within_a_small_address_space():
+    """n=7 passes both per-graph limits (7! identifier tuples, one labeling
+    each) but has 2**21 edge sets; listing them ran out of memory in a
+    traceback with exit 1.  Under a 1 GiB address space the refusal must
+    come first, in one error line with exit 3."""
+    limit = 1 << 30
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    argv = ["derandomize", "--problem", "mis", "--n", "7", "--T", "0"]
+    done = subprocess.run(
+        [sys.executable, "-m", "derandlab.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=SOURCE),
+        capture_output=True,
+        text=True,
+        timeout=20,
+        preexec_fn=cap_memory,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (
+        3,
+        "",
+        "error: the family of n=7 has more than 1048576 edge sets, "
+        "too many to enumerate\n",
+    )
 
 
 def test_derandomize_refuses_a_huge_identifier_space_before_its_bound():
     """The closed-form family bound counts n ** (c * n) identifier maps; at
     c = 10**7 computing it takes longer than the size check that refuses the
     family, so the check must come first, as it does for ``certify``."""
-    import derandlab
-
-    source = os.path.dirname(os.path.dirname(os.path.abspath(derandlab.__file__)))
     argv = ["derandomize", "--problem", "mis", "--n", "3", "--T", "1", "--c", "10000000"]
     script = "import sys; from derandlab.cli import main; sys.exit(main(sys.argv[1:]))"
     done = subprocess.run(
         [sys.executable, "-c", script, *argv],
-        env=dict(os.environ, PYTHONPATH=source),
+        env=dict(os.environ, PYTHONPATH=SOURCE),
         capture_output=True,
         text=True,
         timeout=10,

@@ -211,10 +211,11 @@ def cmd_certify(args: argparse.Namespace) -> int:
     spec = _family_spec(args)
     exact = args.mode == "exact"
     # a copy of an input under a renaming of its nodes fails exactly when its
-    # first copy does, so the exact pass and --find-f compile and run each
-    # distinct input once; Monte-Carlo trials stay per instance, keyed by
-    # instance index, and share their simulations per input.  The classes
-    # come first in both modes, so an oversized family fails before anything
+    # first copy does, so every mode compiles and runs each distinct input
+    # once: Monte-Carlo trials stay per instance, keyed by instance index,
+    # and each copy's trials use its first copy's checks.  The classes come
+    # first, so a family over the per-graph or edge-set limits fails before
+    # anything is built
     classes = InputClasses.of_spec(spec)
     program = RANDOMIZED_BUILTINS[args.program](problem.output_alphabet)
     lift = lift_to_claimed_size(spec)
@@ -231,18 +232,17 @@ def cmd_certify(args: argparse.Namespace) -> int:
             raise ValueError("--seed is required in mc mode")
         if args.trials < 1:
             raise ValueError("need at least one trial")
-    # the first copies' checks, shared by the exact pass and --find-f; each
-    # copy's checks are built when first read
-    checks = list(compile_checks(problem, [first for _, first in classes.firsts]))
+    # each instance's class; a family of too many copies fails here, before
+    # anything is compiled
+    class_of = [k for k, _ in classes.copies]
+    checks = compile_checks(problem, [first for _, first in classes.firsts])
     if exact:
         distinct_probs = compute_success_exact(program, checks, args.bits, claimed_n)
-        certificate = certify_classes(
-            distinct_probs, [k for k, _ in classes.copies], lift.claimed_size
-        )
+        certificate = certify_classes(distinct_probs, class_of, lift.claimed_size)
     else:
         estimates = estimate_success_mc(
             program,
-            compile_checks(problem, enumerate_instances(spec)),
+            [checks[k] for k in class_of],
             trials=args.trials,
             seed=args.seed,
             claimed_n=claimed_n,

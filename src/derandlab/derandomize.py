@@ -194,10 +194,12 @@ def assignment_is_good(
     claimed_n: int | None = None,
 ) -> tuple[bool, int | None]:
     """Whether the program, run with the streams of ``assignment``, verifies
-    on every instance; on failure also the first failing instance index.
+    on the instance of every compiled check of ``checks``; on failure also
+    the position in ``checks`` of the first failing one, which is a family
+    index only when ``checks`` lists the whole family.
 
-    ``checks`` are the family's compiled checks (:func:`compile_checks`, in
-    family order); a caller that tries many assignments compiles them once.
+    A caller that tries many assignments compiles the checks once
+    (:func:`compile_checks`).
     """
     for idx, compiled in enumerate(checks):
         result = run_randomized(program, compiled.instance, claimed_n, streams=assignment)

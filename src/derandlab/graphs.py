@@ -32,6 +32,13 @@ MAX_ID_SPACE = 2**63 - 1
 # c=1, and n <= 4 at c=2 (43,680 tuples), is well inside it.
 MAX_ID_TUPLES = 2**20
 
+# A family of more instances than this is refused before any copy is listed:
+# n=6 has 23,592,960, whose listing runs out of memory, while its 32,768
+# first copies (:meth:`InputClasses.of_spec`) are cheap.  n=6 with
+# max_degree 1 (54,720), n=5 with two input labels (3,932,160) and n=4 at
+# c=2 (2,795,520) are inside it.
+MAX_INSTANCES = 2**22
+
 
 class InstanceFormatError(ValueError):
     """An instance record or instance file line that does not describe a
@@ -281,24 +288,39 @@ def _id_tuple_count(spec: InstanceFamilySpec) -> int:
     return count
 
 
+def _check_family_size(spec: InstanceFamilySpec, size: int) -> None:
+    """Raise ``ValueError`` when ``size``, the number of instances of
+    ``spec``'s family, exceeds :data:`MAX_INSTANCES`."""
+    if size > MAX_INSTANCES:
+        raise ValueError(
+            f"the family of n={spec.n} has more than {MAX_INSTANCES} instances, "
+            "too many to enumerate"
+        )
+
+
 def enumerate_instances(spec: InstanceFamilySpec) -> Iterator[InputInstance]:
     """Yield the full family in a fixed order.
 
     Order: edge sets by ascending bitmask over the lexicographic pair list
     (0,1), (0,2), ..., (n-2,n-1); then identifier assignments in lexicographic
     tuple order; then input labelings in lexicographic alphabet order.
+    A family of more than :data:`MAX_INSTANCES` instances raises
+    ``ValueError`` before the first one is yielded.
     """
-    _id_tuple_count(spec)
+    tuples = _id_tuple_count(spec)
     n = spec.n
     # identifiers are distinct picks from 1..n**c and labels come from the
     # alphabet, so every instance is valid by construction
     instance = InputInstance._trusted
     pairs = list(itertools.combinations(range(n), 2))
-    for mask in range(2 ** len(pairs)):
-        edges = tuple(pairs[i] for i in range(len(pairs)) if mask >> i & 1)
-        graph = Graph(n, edges)
-        if spec.max_degree is not None and graph.max_degree > spec.max_degree:
-            continue
+    graphs = [
+        Graph(n, tuple(pairs[i] for i in range(len(pairs)) if mask >> i & 1))
+        for mask in range(2 ** len(pairs))
+    ]
+    if spec.max_degree is not None:
+        graphs = [graph for graph in graphs if graph.max_degree <= spec.max_degree]
+    _check_family_size(spec, len(graphs) * tuples * len(spec.input_alphabet) ** n)
+    for graph in graphs:
         for ids in itertools.permutations(spec.id_space, n):
             for labels in itertools.product(spec.input_alphabet, repeat=n):
                 yield instance(graph, ids, labels, spec.c)
@@ -328,7 +350,9 @@ class InputClasses:
     order of first appearance.  ``copies[i]`` is ``(k, perm)`` for instance
     ``i``: its class, and ``perm[v]``, the node of the first copy with the
     identifier of the instance's node ``v``.  ``copies`` is built on first
-    use, so a pass that needs only the first copies never builds it.
+    use, so a pass that needs only the first copies never builds it; for a
+    family of more than :data:`MAX_INSTANCES` instances it raises
+    ``ValueError`` instead.
 
     Nothing a step, a view key or a verdict sees depends on node indices, so
     every copy of an input behaves exactly like its first copy, and a pass
@@ -444,6 +468,7 @@ class InputClasses:
                         image_offsets.append(offsets)
 
         def copies():
+            _check_family_size(spec, size)
             # key reads a tuple as the renamed getters do: unchanged, and for
             # n=1 as its lone item, not a tuple
             key = itemgetter(*range(n))

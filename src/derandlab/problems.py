@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .graphs import BallView, Graph, InputInstance, canonicalize, extract_ball, json_value
 
@@ -231,31 +231,23 @@ class CompiledCheck:
 
     ``checks`` are the instance's :class:`Check` objects in the order
     :func:`verify` visits them: nodes by increasing identifier, or the one
-    whole-instance check of a component-wise problem.  They are built on
-    first use, registering in ``shared`` (see :func:`compile_checks`), so a
-    pass that never reads them never compiles the instance.
+    whole-instance check of a component-wise problem (see
+    :func:`compile_checks`).
     """
 
-    __slots__ = ("problem", "instance", "_shared", "_checks", "_alphabet")
+    __slots__ = ("problem", "instance", "checks", "_alphabet")
 
     def __init__(
         self,
         problem: ProblemSpec,
         instance: InputInstance,
-        shared: dict[str, Check],
+        checks: tuple[Check, ...],
         alphabet: frozenset[str],
     ):
         self.problem = problem
         self.instance = instance
-        self._shared = shared
-        self._checks: tuple[Check, ...] | None = None
+        self.checks = checks
         self._alphabet = alphabet  # the problem's output labels
-
-    @property
-    def checks(self) -> tuple[Check, ...]:
-        if self._checks is None:
-            self._checks = _instance_checks(self.problem, self.instance, self._shared)
-        return self._checks
 
     def valid(self, outputs: Mapping[int, str]) -> bool:
         """``verify(problem, instance, outputs).valid``, by memo lookups.
@@ -277,19 +269,22 @@ class CompiledCheck:
 
 def compile_checks(
     problem: ProblemSpec, instances: Iterable[InputInstance]
-) -> Iterator[CompiledCheck]:
-    """The :class:`CompiledCheck` of each instance, built lazily in order;
-    each one's checks are built when first read.
+) -> list[CompiledCheck]:
+    """The :class:`CompiledCheck` of each instance, in order, each one's
+    checks built once.
 
     Node checks whose balls have equal canonical keys share one verdict memo
     across all the instances of the call, so each distinct (key, label tuple)
-    reaches the problem's predicate once.  A caller that passes over the
-    instances once holds only the current instance's checks.
+    reaches the problem's predicate once.  A caller that needs one check per
+    copy of an input passes the input's first copy's check for each copy
+    (:class:`InputClasses`) rather than compiling every copy.
     """
     alphabet = frozenset(problem.output_alphabet)
     shared: dict[str, Check] = {}
-    for instance in instances:
-        yield CompiledCheck(problem, instance, shared, alphabet)
+    return [
+        CompiledCheck(problem, instance, _instance_checks(problem, instance, shared), alphabet)
+        for instance in instances
+    ]
 
 
 def _instance_checks(

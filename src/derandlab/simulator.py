@@ -791,8 +791,9 @@ def estimate_success_mc(
     claimed_n: int | None = None,
 ) -> list[McEstimate]:
     """Monte-Carlo failure estimates with standard errors, one per compiled
-    check of ``checks`` (the family's :func:`compile_checks`, in family
-    order).
+    check of ``checks``: one per instance of the family, in family order,
+    where a copy of an input may bring its first copy's check
+    (:class:`InputClasses`).
 
     Trial k of instance i reads each node's stream from the key
     (seed, i, k, identifier), so identical seeds replay identical estimates;
@@ -806,18 +807,19 @@ def estimate_success_mc(
     an identifier and a stream index, never a node index.  A trial walks its
     input's trie with its own keyed bits, each block of a stream hashed
     once, and runs the program only where the trie has no branch for them.
-    That run is of the trial's own instance, on the trial's own streams, and
-    is checked against the instance's compiled checks (:func:`compile_checks`,
-    which agree with :func:`verify`), so an error names the instance's own
-    nodes.  A test whose two branches end in one verdict cannot change it,
-    so :func:`_graft` puts the verdict in its place, as the reduction rule
-    of decision diagrams does (Bryant, 1986): a trial that reaches it hashes
-    no further, and once an input's whole trie is one verdict, each
-    remaining trial of its copies counts that verdict without a walk.  A
-    collapsed test has no unexplored branch below it, so trials miss exactly
-    where they would without it, and the runs, their errors and the
-    estimates stay the same.  The tries hold at most one entry per bit read
-    by a simulated run, and live for the call.  Every node is told
+    That run is of the instance the trial's check holds, on the trial's own
+    streams, and is checked against that check (:func:`compile_checks`,
+    which agrees with :func:`verify`), so an error names that instance's
+    nodes; the CLI passes each copy its first copy's check, so its runs are
+    of first copies.  A test whose two branches end in one verdict cannot
+    change it, so :func:`_graft` puts the verdict in its place, as the
+    reduction rule of decision diagrams does (Bryant, 1986): a trial that
+    reaches it hashes no further, and once an input's whole trie is one
+    verdict, each remaining trial of its copies counts that verdict without
+    a walk.  A collapsed test has no unexplored branch below it, so trials
+    miss exactly where they would without it, and the runs, their errors
+    and the estimates stay the same.  The tries hold at most one entry per
+    bit read by a simulated run, and live for the call.  Every node is told
     ``claimed_n`` as the number of nodes (default: the true count).
     """
     if trials < 1:

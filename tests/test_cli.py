@@ -14,7 +14,21 @@ import pytest
 
 import derandlab
 from conftest import claimed_size_program
-from derandlab import cli, load_table, problems, save_table
+from derandlab import (
+    InstanceFamilySpec,
+    certify_good_f,
+    cli,
+    compile_checks,
+    enumerate_instances,
+    estimate_success_mc,
+    graphs,
+    lift_to_claimed_size,
+    load_table,
+    problem_by_name,
+    problems,
+    save_table,
+    search_good_f,
+)
 from derandlab.cli import main
 from derandlab.programs import DETERMINISTIC_BUILTINS, RANDOMIZED_BUILTINS, parity_program
 
@@ -83,7 +97,9 @@ class TestOversizedFamily:
     3**30 identifiers), and so is one with more instances per graph, each
     tuple with every input labeling (n=3 with 200 labels lists 6 * 200**3),
     and so is one with more edge sets (n=7 sweeps 2**21 of them): one error
-    line and exit 3."""
+    line and exit 3.  So is a family of more instances than
+    :data:`graphs.MAX_INSTANCES` (n=6 lists 23,592,960), in every command
+    but ``verify``, which reads only the first copies."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -119,6 +135,47 @@ class TestOversizedFamily:
         assert capsys.readouterr() == (
             "",
             "error: the family of n=7 has more than 1048576 edge sets, "
+            "too many to enumerate\n",
+        )
+        if argv[0] == "verify":
+            # verify reads only first copies, so n=6 is checked: the n=2
+            # table has no entry for identifier 3
+            assert run(argv + ["--n", "6"]) == 2
+        else:
+            assert run(argv + ["--n", "6"]) == 3
+            assert capsys.readouterr() == (
+                "",
+                "error: the family of n=6 has more than 4194304 instances, "
+                "too many to enumerate\n",
+            )
+
+
+def test_n6_is_refused_within_a_small_address_space():
+    """Listing the n=6 family ran out of memory in a traceback with exit 1.
+    Under a 1 GiB address space each command must refuse it in one error
+    line with exit 3."""
+    limit = 1 << 30
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    for argv in (
+        ["derandomize", "--problem", "mis", "--n", "6", "--T", "0", "--budget", "5"],
+        ["simulate", "--program", "parity", "--n", "6"],
+        ["certify", "--problem", "coloring:2", "--n", "6", "--program", "first-bit"],
+    ):
+        done = subprocess.run(
+            [sys.executable, "-m", "derandlab.cli", *argv],
+            env=dict(os.environ, PYTHONPATH=SOURCE),
+            capture_output=True,
+            text=True,
+            timeout=30,
+            preexec_fn=cap_memory,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (
+            3,
+            "",
+            "error: the family of n=6 has more than 4194304 instances, "
             "too many to enumerate\n",
         )
 
@@ -620,12 +677,58 @@ class TestCertify:
             "--seed", "1", *find_f, "--out", str(tmp_path / "cert.json"),
         ]
         assert run(argv) == 0
-        # the exact pass compiles each of the 8 distinct inputs once, and
-        # --find-f shares its checks; a Monte-Carlo trial compiles its
-        # instance only when it misses its input's trie (12 of the 48), and
-        # --find-f compiles the first copies it reads (4 of the 8) apart
-        counts = {"exact": 8, "exact-find-f": 8, "mc": 12, "mc-find-f": 16}
-        assert len(compiled) == counts[mode + "-find-f" * bool(find_f)]
+        # every mode compiles each of the 8 distinct inputs once: the 48
+        # copies' Monte-Carlo trials use their first copies' checks, and
+        # --find-f shares them
+        assert len(compiled) == 8
+
+    @pytest.mark.parametrize("find_f", [False, True], ids=["plain", "find-f"])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_certify_runs_on_first_copies(self, tmp_path, monkeypatch, n, find_f):
+        """A Monte-Carlo payload, whose trials run each copy on its first
+        copy's checks, is the one built from one compiled check per listed
+        instance; and no mode of ``certify`` lists the family."""
+        spec = InstanceFamilySpec(n=n)
+        problem = problem_by_name("coloring:3")
+        program = RANDOMIZED_BUILTINS["two-bit"](problem.output_alphabet)
+        claimed_n = lift_to_claimed_size(spec).claimed_size
+        per_copy = compile_checks(problem, enumerate_instances(spec))
+        estimates = estimate_success_mc(
+            program, per_copy, trials=20, seed="5", claimed_n=claimed_n
+        )
+        certificate = certify_good_f(
+            [e.failure for e in estimates], claimed_n, estimated=True
+        )
+        expected = {
+            "mode": "mc",
+            "claimed_n": claimed_n,
+            "stderr": [e.stderr for e in estimates],
+            "certificate": certificate.to_jsonable(),
+        }
+        if find_f:
+            found = search_good_f(program, per_copy, 2, list(spec.id_space), claimed_n)
+            expected["good_f"] = (
+                {str(k): list(v) for k, v in sorted(found.vectors.items())}
+                if found is not None
+                else None
+            )
+
+        def refuse(spec):
+            raise AssertionError("certify listed the family")
+
+        monkeypatch.setattr(cli, "enumerate_instances", refuse)
+        monkeypatch.setattr(graphs, "enumerate_instances", refuse)
+        out = tmp_path / "cert.json"
+        argv = [
+            "certify", "--problem", "coloring:3", "--n", str(n), "--program",
+            "two-bit", "--bits", "2", "--trials", "20", "--seed", "5",
+            *["--find-f"] * find_f, "--out", str(out),
+        ]
+        assert run(argv + ["--mode", "mc"]) == 0
+        payload = json.loads(out.read_text())
+        del payload["manifest"]
+        assert payload == json.loads(json.dumps(expected))
+        assert run(argv + ["--mode", "exact"]) == 0
 
     def test_mc_mode_replays(self, tmp_path):
         outs = [tmp_path / "c1.json", tmp_path / "c2.json"]

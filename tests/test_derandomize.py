@@ -253,16 +253,16 @@ class TestSearchGoodAssignment:
 
 
 class TestOnePassChecks:
-    """Route one's passes take the family's compiled checks alone, and
-    :func:`compile_checks` yields them lazily: a generator must give what a
-    list gives."""
+    """Route one's passes take the family's compiled checks alone, as any
+    iterable: a generator must give what a list gives."""
 
     problem = make_mis()
     program = first_bit_label_program(problem.output_alphabet)
     family = list(enumerate_instances(InstanceFamilySpec(n=2)))
 
     def checks(self):
-        return compile_checks(self.problem, self.family)
+        # a generator over the compiled list, read at most once
+        return (compiled for compiled in compile_checks(self.problem, self.family))
 
     def test_the_search_reads_a_generator_once(self):
         # every candidate fails on some instance; a search that passed over

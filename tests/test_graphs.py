@@ -150,6 +150,20 @@ class TestEnumeration:
             with pytest.raises(ValueError, match=message):
                 InputClasses.of_spec(spec)
 
+    def test_rejects_a_family_of_too_many_instances(self):
+        # n=6 passes the per-graph and edge-set limits, but lists 23,592,960
+        # instances; the largest families below the limit still list
+        message = "n=6 has more than 4194304 instances"
+        with pytest.raises(ValueError, match=message):
+            next(enumerate_instances(InstanceFamilySpec(n=6)))
+        for spec, size in (
+            (InstanceFamilySpec(n=6, max_degree=1), 54_720),
+            (InstanceFamilySpec(n=5, input_alphabet=("a", "b")), 3_932_160),
+            (InstanceFamilySpec(n=4, c=2), 2_795_520),
+        ):
+            assert InputClasses.of_spec(spec).size == size
+            assert next(enumerate_instances(spec)).ids == tuple(range(1, spec.n + 1))
+
     def test_accepts_a_family_just_under_the_limit(self):
         # 1024 * 1023 identifier tuples per graph, just under 2**20
         assert next(enumerate_instances(InstanceFamilySpec(n=2, c=10))).ids == (1, 2)
@@ -347,6 +361,12 @@ class TestInputClasses:
         classes = InputClasses.of_spec(InstanceFamilySpec(n=4))
         assert len(classes.firsts) == 64 and "copies" not in vars(classes)
         assert len(classes.copies) == 1536
+
+    def test_n6_has_first_copies_but_too_many_copies(self):
+        classes = InputClasses.of_spec(InstanceFamilySpec(n=6))
+        assert (classes.size, len(classes.firsts)) == (23_592_960, 32_768)
+        with pytest.raises(ValueError, match="n=6 has more than 4194304 instances"):
+            classes.copies
 
 
 class TestExtractBall:

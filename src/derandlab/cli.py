@@ -254,13 +254,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
     payload["certificate"] = certificate.to_jsonable()
 
     if args.find_f:
-        found = search_good_f(
-            program,
-            checks,
-            bits=args.bits,
-            id_space=list(spec.id_space),
-            claimed_n=claimed_n,
-        )
+        found = search_good_f(program, checks, bits=args.bits, claimed_n=claimed_n)
         payload["good_f"] = (
             {str(k): list(v) for k, v in sorted(found.vectors.items())}
             if found is not None

@@ -84,18 +84,18 @@ def check_indistinguishability(
     t: int,
     table: NormalFormTable,
     target_size: int,
-    fill_input: str | None = None,
 ) -> bool:
-    """Extend the instance past radius t around v and confirm that v cannot
-    tell the difference: the radius-t views agree as labeled structures and
-    the table gives v the same output in both graphs.
+    """Extend the instance past radius t around v (:func:`extend_instance`:
+    fresh nodes carry the least input label present) and confirm that v
+    cannot tell the difference: the radius-t views agree as labeled
+    structures and the table gives v the same output in both graphs.
 
     A False return would indicate a defect in the extension construction, not
     a property of any input.
     """
     if table.radius > t:
         raise ValueError("table radius must not exceed the exploration radius")
-    extended = extend_instance(instance, v, t, target_size, fill_input)
+    extended = extend_instance(instance, v, t, target_size)
     keys_agree = canonicalize(extract_ball(instance, v, t)) == canonicalize(
         extract_ball(extended, v, t)
     )

@@ -212,31 +212,32 @@ def search_good_f(
     program: NodeProgram,
     checks: Iterable[CompiledCheck],
     bits: int,
-    id_space: Sequence[int],
     claimed_n: int | None = None,
 ) -> RandomAssignment | None:
     """Lexicographically first good bounded assignment, or None.
 
-    Enumerates every assignment of ``bits``-bit vectors to the identifier
-    space and returns the first one whose fixed program verifies on the whole
-    family, whose compiled checks (:func:`compile_checks`, in family order)
-    are ``checks``.  They are read once, before the first candidate, since
-    every candidate passes over the whole family.  None means the entire
-    bounded space fails, which says nothing about unbounded assignments.
-    A space of more than :data:`ASSIGNMENT_BUDGET` candidates raises
-    :class:`SearchBudgetExceeded` before the first one is tried.
+    Enumerates every assignment of ``bits``-bit vectors to the identifiers of
+    the instances of ``checks`` (the family's compiled checks,
+    :func:`compile_checks`, in family order) and returns the first one whose
+    fixed program verifies on every one of them.  The checks are read once,
+    before the first candidate, since every candidate passes over the whole
+    family.  None means the entire bounded space fails, which says nothing
+    about unbounded assignments.  A space of more than
+    :data:`ASSIGNMENT_BUDGET` candidates raises :class:`SearchBudgetExceeded`
+    before the first one is tried.
     """
     if bits < 0:
         raise ValueError("bit budget must be nonnegative")
+    checks = list(checks)
+    id_space = sorted({i for compiled in checks for i in compiled.instance.ids})
     # the space holds 2**exponent assignments; the count itself is never built
-    exponent = bits * len(set(id_space))
+    exponent = bits * len(id_space)
     if exponent >= ASSIGNMENT_BUDGET.bit_length():
         size = 2**exponent if exponent <= 64 else f"2^{exponent}"
         raise SearchBudgetExceeded(
             f"assignment space holds {size} candidates, "
             f"over the budget {ASSIGNMENT_BUDGET}"
         )
-    checks = list(checks)
     for assignment in iter_bounded_assignments(id_space, bits):
         if assignment_is_good(program, assignment, checks, claimed_n)[0]:
             return assignment

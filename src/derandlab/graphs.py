@@ -659,15 +659,14 @@ def extend_instance(
     v: int,
     radius: int,
     target_size: int,
-    fill_input: str | None = None,
 ) -> InputInstance:
     """Grow a connected instance to ``target_size`` nodes without disturbing
     the radius-``radius`` view of ``v``.
 
     A path of fresh nodes is attached to the smallest-identifier node at
     distance >= radius+1 from ``v``; fresh nodes take the smallest unused
-    identifiers and the input ``fill_input`` (default: the least label already
-    present).  Node indices of the original instance are preserved.
+    identifiers and the least input label already present.  Node indices of
+    the original instance are preserved.
     """
     g = instance.graph
     n = instance.n
@@ -687,18 +686,10 @@ def extend_instance(
     w = min(candidates, key=lambda u: instance.ids[u])
 
     fresh_count = target_size - n
-    top = target_size ** (instance.c if instance.c is not None else 1)
     used = set(instance.ids)
-    fresh_ids = []
-    ident = 1
-    while len(fresh_ids) < fresh_count:
-        if ident > top:
-            raise ValueError("identifier space exhausted")
-        if ident not in used:
-            fresh_ids.append(ident)
-        ident += 1
+    # the n used identifiers leave at least fresh_count free in 1..target_size
+    fresh_ids = [i for i in range(1, target_size + 1) if i not in used][:fresh_count]
 
-    fill = fill_input if fill_input is not None else min(instance.inputs)
     new_edges = list(g.edges)
     prev = w
     for k in range(fresh_count):
@@ -707,7 +698,7 @@ def extend_instance(
     return InputInstance(
         Graph(target_size, tuple(new_edges)),
         instance.ids + tuple(fresh_ids),
-        instance.inputs + (fill,) * fresh_count,
+        instance.inputs + (min(instance.inputs),) * fresh_count,
         instance.c,
     )
 

@@ -444,15 +444,14 @@ def table_from_labeling(
     radius: int,
     labeling: Mapping[int, str],
     output_alphabet: Sequence[str],
-    provenance: str = "from-labeling",
 ) -> NormalFormTable:
     """Table that reproduces ``labeling`` on ``instance`` (one entry per node;
-    identifiers make the keys distinct)."""
+    identifiers make the keys distinct), with provenance ``"from-labeling"``."""
     mapping = {
         canonicalize(extract_ball(instance, v, radius)): labeling[v]
         for v in range(instance.n)
     }
-    return NormalFormTable.from_mapping(radius, output_alphabet, mapping, provenance)
+    return NormalFormTable.from_mapping(radius, output_alphabet, mapping, "from-labeling")
 
 
 def tabulate(

@@ -202,9 +202,7 @@ def test_first_bit_coloring_union_bound_certificate():
 def test_first_bit_coloring_pipeline_agreement():
     problem, family, program = _first_bit_setup()
 
-    good = search_good_f(
-        program, compile_checks(problem, family), bits=1, id_space=[1, 2]
-    )
+    good = search_good_f(program, compile_checks(problem, family), bits=1)
     good_found = good is not None and good.vectors == {1: (0,), 2: (1,)}
     good_count = sum(
         assignment_is_good(program, f, compile_checks(problem, family))[0]

@@ -16,12 +16,14 @@ import derandlab
 from conftest import claimed_size_program
 from derandlab import (
     InstanceFamilySpec,
+    assignment_is_good,
     certify_good_f,
     cli,
     compile_checks,
     enumerate_instances,
     estimate_success_mc,
     graphs,
+    iter_bounded_assignments,
     lift_to_claimed_size,
     load_table,
     problem_by_name,
@@ -706,7 +708,7 @@ class TestCertify:
             "certificate": certificate.to_jsonable(),
         }
         if find_f:
-            found = search_good_f(program, per_copy, 2, list(spec.id_space), claimed_n)
+            found = search_good_f(program, per_copy, 2, claimed_n)
             expected["good_f"] = (
                 {str(k): list(v) for k, v in sorted(found.vectors.items())}
                 if found is not None
@@ -729,6 +731,62 @@ class TestCertify:
         del payload["manifest"]
         assert payload == json.loads(json.dumps(expected))
         assert run(argv + ["--mode", "exact"]) == 0
+
+    @pytest.mark.parametrize(
+        "spec, flags, problem, program, bits",
+        [
+            (InstanceFamilySpec(n=2, c=2), ["--c", "2"], "coloring:2", "first-bit", 1),
+            (
+                InstanceFamilySpec(n=2, c=2, max_degree=0),
+                ["--c", "2", "--max-degree", "0"],
+                "mis",
+                "first-bit",
+                1,
+            ),
+            (
+                InstanceFamilySpec(n=3, max_degree=0),
+                ["--max-degree", "0"],
+                "mis",
+                "first-bit",
+                1,
+            ),
+            (
+                InstanceFamilySpec(n=2, input_alphabet=("a", "b")),
+                ["--input-alphabet", "a,b"],
+                "coloring:3",
+                "two-bit",
+                2,
+            ),
+        ],
+        ids=["c2", "c2-max-degree-0", "max-degree-0", "two-input-labels"],
+    )
+    def test_find_f_searches_the_whole_identifier_space(
+        self, tmp_path, spec, flags, problem, program, bits
+    ):
+        """The search reads its identifiers from the first copies' checks; the
+        empty graph passes every degree bound and its first copies are all
+        increasing identifier tuples, so they cover the family's identifier
+        space, and the first good assignment over that space on every
+        instance is the one found."""
+        out = tmp_path / "cert.json"
+        argv = [
+            "certify", "--n", str(spec.n), *flags, "--problem", problem,
+            "--program", program, "--bits", str(bits), "--find-f", "--out", str(out),
+        ]
+        assert run(argv) == 0
+        spec_problem = problem_by_name(problem)
+        fixed = RANDOMIZED_BUILTINS[program](spec_problem.output_alphabet)
+        checks = compile_checks(spec_problem, enumerate_instances(spec))
+        claimed_n = lift_to_claimed_size(spec).claimed_size
+        expected = next(
+            (
+                {str(k): list(v) for k, v in sorted(f.vectors.items())}
+                for f in iter_bounded_assignments(spec.id_space, bits)
+                if assignment_is_good(fixed, f, checks, claimed_n)[0]
+            ),
+            None,
+        )
+        assert json.loads(out.read_text())["good_f"] == expected
 
     def test_mc_mode_replays(self, tmp_path):
         outs = [tmp_path / "c1.json", tmp_path / "c2.json"]
@@ -1041,6 +1099,34 @@ class TestTableFileErrors:
             "error: malformed table: output alphabet has duplicate labels\n"
         )
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify", "--problem", "mis"], ["simulate"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_duplicate_keys_are_rejected(self, mis_table, tmp_path, capsys, argv):
+        obj = json.loads(mis_table.read_text())
+        obj["entries"].append(dict(obj["entries"][0]))
+        table = tmp_path / "dup.json"
+        table.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert run(argv + ["--table", str(table), "--n", "2"]) == 3
+        assert capsys.readouterr().err == "error: malformed table: duplicate key in table\n"
+
+    def test_a_problem_file_with_duplicate_output_labels_is_rejected(
+        self, mis_table, tmp_path, capsys
+    ):
+        problem = tmp_path / "dup-problem.json"
+        problem.write_text(
+            json.dumps(
+                {"kind": "mis-like", "name": "mis", "output_alphabet": ["A", "A"], "radius": 1}
+            )
+        )
+        capsys.readouterr()
+        argv = ["verify", "--problem", str(problem), "--table", str(mis_table), "--n", "2"]
+        assert run(argv) == 3
+        assert capsys.readouterr().err == "error: output alphabet has duplicate labels\n"
+
     def test_connected_run_incomplete_table_exits_2(self, tmp_path, capsys):
         # a radius-0 table for three nodes has no entry for identifier 4, and
         # the 4-node path takes the table path
@@ -1065,13 +1151,26 @@ class TestTableFileErrors:
 class TestInstanceFileErrors:
     """A malformed instance line exits 3 with one stderr line naming it."""
 
+    BAD_LINES = [
+        ('{"n": 2}', "missing the key 'edges'"),
+        (
+            '{"c": 1, "edges": [], "ids": {"0": 0}, "inputs": {"0": "x"}, "n": 1}',
+            "malformed instance: identifiers must be positive",
+        ),
+        (
+            '{"c": 0, "edges": [], "ids": {"0": 1}, "inputs": {"0": "x"}, "n": 1}',
+            "malformed instance: identifier exponent must be >= 1",
+        ),
+    ]
+
     def bad_line(self, argv, tmp_path, capsys) -> None:
         instances = tmp_path / "bad.jsonl"
-        instances.write_text('{"n": 2}\n')
-        capsys.readouterr()
-        assert run(argv + ["--instances", str(instances)]) == 3
-        err = capsys.readouterr().err
-        assert err.splitlines() == ["error: instance line 1: missing the key 'edges'"]
+        for line, error in self.BAD_LINES:
+            instances.write_text(line + "\n")
+            capsys.readouterr()
+            assert run(argv + ["--instances", str(instances)]) == 3
+            err = capsys.readouterr().err
+            assert err.splitlines() == [f"error: instance line 1: {error}"]
 
     def test_simulate(self, tmp_path, capsys):
         self.bad_line(["simulate", "--program", "parity"], tmp_path, capsys)

@@ -288,7 +288,6 @@ def test_estimators_and_the_search_pass_the_claimed_count_on():
     problem = problem_by_name("coloring:2")
     program = claimed_size_program(problem.output_alphabet)
     family = list(enumerate_instances(spec))
-    ids = list(spec.id_space)
 
     told = compute_success_exact(program, compile_checks(problem, family), 1, claimed)
     assert told == reference_success_exact(program, problem, family, 1, claimed)
@@ -306,11 +305,9 @@ def test_estimators_and_the_search_pass_the_claimed_count_on():
         for e in estimate_success_mc(program, compile_checks(problem, family), 50, 3)
     )
 
-    found = search_good_f(
-        program, compile_checks(problem, family), 1, ids, claimed_n=claimed
-    )
+    found = search_good_f(program, compile_checks(problem, family), 1, claimed_n=claimed)
     assert found.vectors == {1: (0,), 2: (0,)}
-    found = search_good_f(program, compile_checks(problem, family), 1, ids)
+    found = search_good_f(program, compile_checks(problem, family), 1)
     assert found.vectors == {1: (0,), 2: (1,)}
 
 

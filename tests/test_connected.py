@@ -132,6 +132,12 @@ class TestIndistinguishability:
         table = coverage_table(inst, 0)
         assert check_indistinguishability(inst, 0, 1, table, 6)
 
+    def test_holds_with_several_input_labels(self):
+        inst = InputInstance(Graph(3, ((0, 1), (1, 2))), (1, 2, 3), ("b", "a", "b"), 1)
+        for radius in (0, 1):
+            table = coverage_table(inst, radius)
+            assert check_indistinguishability(inst, 0, 1, table, 6)
+
     def test_ball_covering_graph_propagates(self):
         inst = path3()
         table = coverage_table(inst, 0)

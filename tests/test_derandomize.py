@@ -158,27 +158,21 @@ class TestSearchGoodAssignment:
             ball_predicate=lambda ball, outputs: True,
         )
         family = list(enumerate_instances(InstanceFamilySpec(n=1)))
-        found = search_good_f(
-            program, compile_checks(problem, family), bits=1, id_space=[1]
-        )
+        found = search_good_f(program, compile_checks(problem, family), bits=1)
         assert found is not None
         assert found.vectors == {1: (0,)}
 
     def test_single_node_must_output_one(self):
         program = first_bit_label_program(("0", "1"))
         family = list(enumerate_instances(InstanceFamilySpec(n=1)))
-        found = search_good_f(
-            program, compile_checks(output_one_problem(), family), bits=1, id_space=[1]
-        )
+        found = search_good_f(program, compile_checks(output_one_problem(), family), bits=1)
         assert found.vectors == {1: (1,)}
 
     def test_n2_coloring_exactly_two_good_candidates(self):
         program = first_bit_label_program(("A", "B"))
         problem = make_coloring(2)
         family = list(enumerate_instances(InstanceFamilySpec(n=2)))
-        found = search_good_f(
-            program, compile_checks(problem, family), bits=1, id_space=[1, 2]
-        )
+        found = search_good_f(program, compile_checks(problem, family), bits=1)
         assert found.vectors == {1: (0,), 2: (1,)}
         verdicts = [
             assignment_is_good(program, f, compile_checks(problem, family))
@@ -205,21 +199,14 @@ class TestSearchGoodAssignment:
             ball_predicate=lambda ball, outputs: False,
         )
         family = list(enumerate_instances(InstanceFamilySpec(n=1)))
-        assert search_good_f(
-            program, compile_checks(problem, family), bits=1, id_space=[1]
-        ) is None
+        assert search_good_f(program, compile_checks(problem, family), bits=1) is None
 
     def test_budget_guard(self):
         # 2**23 candidate assignments, over the budget of 2**22
         program = first_bit_label_program(("0", "1"))
         family = list(enumerate_instances(InstanceFamilySpec(n=1)))
         with pytest.raises(SearchBudgetExceeded):
-            search_good_f(
-                program,
-                compile_checks(output_one_problem(), family),
-                bits=23,
-                id_space=[1],
-            )
+            search_good_f(program, compile_checks(output_one_problem(), family), bits=23)
 
     def test_a_negative_bit_budget_is_rejected_before_any_work(self, monkeypatch):
         work = []
@@ -228,12 +215,7 @@ class TestSearchGoodAssignment:
         program = first_bit_label_program(("0", "1"))
         family = list(enumerate_instances(InstanceFamilySpec(n=1)))
         with pytest.raises(ValueError, match="^bit budget must be nonnegative$"):
-            search_good_f(
-                program,
-                compile_checks(output_one_problem(), family),
-                bits=-1,
-                id_space=[1],
-            )
+            search_good_f(program, compile_checks(output_one_problem(), family), bits=-1)
         assert work == []
 
     def test_union_bound_verdict_implies_search_succeeds(self):
@@ -247,9 +229,7 @@ class TestSearchGoodAssignment:
         )
         assert cert.total == Fraction(1, 2)
         assert cert.verdict
-        assert search_good_f(
-            program, compile_checks(problem, family), bits=1, id_space=[1]
-        ) is not None
+        assert search_good_f(program, compile_checks(problem, family), bits=1) is not None
 
 
 class TestOnePassChecks:
@@ -268,9 +248,9 @@ class TestOnePassChecks:
         # every candidate fails on some instance; a search that passed over
         # the generator once per candidate would check the second candidate
         # on the instances the first one left, and return it
-        listed = search_good_f(self.program, list(self.checks()), 1, [1, 2])
+        listed = search_good_f(self.program, list(self.checks()), 1)
         assert listed is None
-        assert search_good_f(self.program, self.checks(), 1, [1, 2]) == listed
+        assert search_good_f(self.program, self.checks(), 1) == listed
 
     def test_the_other_passes_give_what_a_list_gives(self):
         exact = compute_success_exact(self.program, self.checks(), 1)
@@ -281,19 +261,27 @@ class TestOnePassChecks:
             got = assignment_is_good(self.program, f, self.checks())
             assert got == assignment_is_good(self.program, f, list(self.checks()))
 
-    # 12 bits for each of two identifiers: 2**24 candidates, over the budget
+    # 12 bits for each of two identifiers: 2**24 candidates, over the budget.
+    # The bit budget is checked before any check is drawn; the identifiers
+    # are read from the checks, so the candidate budget draws each check
+    # once, but neither guard runs the program.
     @pytest.mark.parametrize("bits, error", [(-1, ValueError), (12, SearchBudgetExceeded)])
-    def test_the_search_draws_no_check_before_its_guards(self, bits, error):
+    def test_the_search_does_no_work_before_its_guards(self, monkeypatch, bits, error):
+        runs = []
+        module = importlib.import_module("derandlab.derandomize")
+        monkeypatch.setattr(module, "run_randomized", lambda *a, **k: runs.append(a))
+        compiled = list(self.checks())
         drawn = []
 
         def checks():
-            for compiled in self.checks():
-                drawn.append(compiled)
-                yield compiled
+            for check in compiled:
+                drawn.append(check)
+                yield check
 
         with pytest.raises(error):
-            search_good_f(self.program, checks(), bits, [1, 2])
-        assert drawn == []
+            search_good_f(self.program, checks(), bits)
+        assert drawn == ([] if bits < 0 else compiled)
+        assert runs == []
 
 
 class TestDerandomizeViaAssignment:

@@ -560,6 +560,15 @@ class TestExtendInstance:
             extract_ball(inst, 0, 1)
         )
 
+    def test_fresh_nodes_carry_the_least_input_label(self):
+        # the least label sits at neither end of the path
+        inst = InputInstance(Graph(3, ((0, 1), (1, 2))), (1, 2, 3), ("b", "a", "b"), 1)
+        bigger = extend_instance(inst, 0, 1, 5)
+        assert bigger.inputs == ("b", "a", "b", "a", "a")
+        assert canonicalize(extract_ball(bigger, 0, 1)) == canonicalize(
+            extract_ball(inst, 0, 1)
+        )
+
     def test_ball_covering_whole_graph_is_rejected(self):
         with pytest.raises(ValueError, match="ball covers graph"):
             extend_instance(path_instance(), 1, 1, 5)

@@ -231,7 +231,7 @@ def per_instance_certify(factory, problem_name: str, spec: InstanceFamilySpec, b
     def run():
         checks = list(compile_checks(problem, family))
         probs = compute_success_exact(program, checks, bits, claimed_n)
-        found = search_good_f(program, checks, bits, list(spec.id_space), claimed_n)
+        found = search_good_f(program, checks, bits, claimed_n)
         good_f = None if found is None else {
             str(k): list(v) for k, v in sorted(found.vectors.items())
         }

@@ -20,10 +20,9 @@ from typing import Callable, Iterator, Sequence
 from . import __version__
 from .connected import ConnectedRunConfig, UnsolvableInstance, run_connected_aware
 from .derandomize import (
+    GoodnessCertificate,
     SearchBudgetExceeded,
     SearchConfig,
-    certify_classes,
-    certify_good_f,
     derandomize,
     lift_to_claimed_size,
     search_good_f,
@@ -237,8 +236,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
     class_of = [k for k, _ in classes.copies]
     checks = compile_checks(problem, [first for _, first in classes.firsts])
     if exact:
-        distinct_probs = compute_success_exact(program, checks, args.bits, claimed_n)
-        certificate = certify_classes(distinct_probs, class_of, lift.claimed_size)
+        probs = compute_success_exact(program, checks, args.bits, claimed_n)
     else:
         estimates = estimate_success_mc(
             program,
@@ -248,9 +246,12 @@ def cmd_certify(args: argparse.Namespace) -> int:
             claimed_n=claimed_n,
         )
         payload["stderr"] = [e.stderr for e in estimates]
-        certificate = certify_good_f(
-            [e.failure for e in estimates], lift.claimed_size, estimated=True
-        )
+        # trials are keyed by instance, so each instance is its own input
+        probs = [e.failure for e in estimates]
+        class_of = range(len(estimates))
+    certificate = GoodnessCertificate(
+        probs, class_of, lift.claimed_size, estimated=not exact
+    )
     payload["certificate"] = certificate.to_jsonable()
 
     if args.find_f:

@@ -15,6 +15,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 from .graphs import (
@@ -93,98 +94,75 @@ class GoodnessCertificate:
     """Union-bound certificate: if the per-instance failure probabilities sum
     below one, some assignment succeeds on every instance at once.
 
+    ``probs[k]`` is the failure probability of distinct input ``k`` of the
+    family, inputs numbered in order of first appearance, and instance ``i``
+    is a copy of input ``classes[i]`` (:class:`InputClasses`); each input has
+    at least one copy.  Each probability is checked once, so the first one
+    out of range is also the first in family order.  A family whose every
+    instance is its own input passes ``range(family_size)``.
+
+    ``failure_probs`` lists each instance's probability, and ``total`` adds
+    each input's probability times its number of copies, the same exact sum
+    over the whole family.  The family lists an input once per renaming of
+    its nodes, and the union bound needs each input only once, so
+    ``distinct_total`` below one also certifies that a good assignment
+    exists.
+
     ``estimated`` marks Monte-Carlo estimates in place of exact
     probabilities.  An estimated total below one proves nothing, so such a
-    certificate has no verdict.
-
-    ``distinct_probs``, when given (:func:`certify_classes`), holds the
-    failure probability of each distinct input of the family
-    (:class:`InputClasses`) once.  The family lists an input once per
-    renaming of its nodes, and the union bound needs each input only once,
-    so ``distinct_total`` below one also certifies that a good assignment
-    exists.  ``total`` and ``verdict`` stay those of the whole family.
+    certificate has no verdict, and its report leaves out the distinct
+    inputs.
     """
 
-    failure_probs: tuple[Fraction, ...]
-    total: Fraction
+    probs: tuple[Fraction, ...]
+    classes: tuple[int, ...]
     claimed_size: int
     estimated: bool = False
-    distinct_probs: tuple[Fraction, ...] | None = None
+
+    def __post_init__(self) -> None:
+        probs = tuple(Fraction(p) for p in self.probs)
+        for p in probs:
+            if not 0 <= p <= 1:
+                raise ValueError(f"failure probability {p} outside [0, 1]")
+        object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "classes", tuple(self.classes))
+
+    @cached_property
+    def failure_probs(self) -> tuple[Fraction, ...]:
+        return tuple([self.probs[k] for k in self.classes])
+
+    @cached_property
+    def total(self) -> Fraction:
+        return sum(
+            (copies * self.probs[k] for k, copies in Counter(self.classes).items()),
+            Fraction(0),
+        )
 
     @property
     def family_size(self) -> int:
-        return len(self.failure_probs)
+        return len(self.classes)
 
     @property
     def verdict(self) -> bool | None:
         return None if self.estimated else self.total < 1
 
-    @property
-    def distinct_total(self) -> Fraction | None:
-        if self.distinct_probs is None:
-            return None
-        return sum(self.distinct_probs, Fraction(0))
+    @cached_property
+    def distinct_total(self) -> Fraction:
+        return sum(self.probs, Fraction(0))
 
     def to_jsonable(self) -> dict:
+        strings = [str(p) for p in self.probs]
         out = {
-            "failure_probs": [str(p) for p in self.failure_probs],
+            "failure_probs": [strings[k] for k in self.classes],
             "total": str(self.total),
             "family_size": self.family_size,
             "claimed_size": self.claimed_size,
             "verdict": self.verdict,
         }
-        if self.distinct_probs is not None:
-            out["distinct_inputs"] = len(self.distinct_probs)
+        if not self.estimated:
+            out["distinct_inputs"] = len(self.probs)
             out["distinct_total"] = str(self.distinct_total)
         return out
-
-
-def _probabilities(failure_probs: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    probs = tuple(Fraction(p) for p in failure_probs)
-    for p in probs:
-        if not 0 <= p <= 1:
-            raise ValueError(f"failure probability {p} outside [0, 1]")
-    return probs
-
-
-def certify_good_f(
-    failure_probs: Sequence[Fraction],
-    claimed_size: int,
-    estimated: bool = False,
-) -> GoodnessCertificate:
-    probs = _probabilities(failure_probs)
-    return GoodnessCertificate(
-        failure_probs=probs,
-        total=sum(probs, Fraction(0)),
-        claimed_size=claimed_size,
-        estimated=estimated,
-    )
-
-
-def certify_classes(
-    distinct_probs: Sequence[Fraction],
-    classes: Sequence[int],
-    claimed_size: int,
-) -> GoodnessCertificate:
-    """The certificate ``certify_good_f([distinct_probs[k] for k in classes],
-    claimed_size)``, with ``distinct_probs`` as well, of a family whose
-    instance ``i`` is a copy of distinct input ``classes[i]``
-    (:class:`InputClasses`), each input with at least one copy.
-
-    Each distinct probability is checked once, and ``total`` adds each one
-    times its number of copies, which is the same exact sum.  Inputs are
-    numbered in order of first appearance, so the first probability out of
-    range is also the first in family order, and the error is the same.
-    """
-    probs = _probabilities(distinct_probs)
-    return GoodnessCertificate(
-        failure_probs=tuple([probs[k] for k in classes]),
-        total=sum(
-            (copies * probs[k] for k, copies in Counter(classes).items()), Fraction(0)
-        ),
-        claimed_size=claimed_size,
-        distinct_probs=probs,
-    )
 
 
 def assignment_is_good(

@@ -837,5 +837,11 @@ def problem_by_name(name: str) -> ProblemSpec:
     if name == "mis":
         return make_mis()
     if name.startswith("coloring:"):
-        return make_coloring(int(name.split(":", 1)[1]))
+        try:
+            k = int(name.split(":", 1)[1])
+        except ValueError:
+            raise ValueError(
+                f"problem {name!r}: the color count must be an integer"
+            ) from None
+        return make_coloring(k)
     return load_problem(name)

@@ -26,13 +26,11 @@ _Knowledge = tuple[dict[int, tuple[int, str]], frozenset[tuple[int, int]]]
 
 
 def _merge(
-    own: _Knowledge, inbox: Sequence[tuple[int, _Knowledge] | None], my_id: int
+    own: _Knowledge, inbox: Sequence[tuple[int, _Knowledge]], my_id: int
 ) -> _Knowledge:
     nodes = dict(own[0])
     edges = set(own[1])
     for msg in inbox:
-        if msg is None:
-            continue
         sender, (their_nodes, their_edges) = msg
         nodes.update(their_nodes)
         edges.update(their_edges)

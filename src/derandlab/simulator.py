@@ -696,10 +696,8 @@ def _exact_failure(
                     inboxes[v],
                     position,
                 )
-                try:
-                    walked = walks.get(key)
-                except TypeError:
-                    raise SimulationError(_UNHASHABLE.format(program.name)) from None
+                # its state and inbox were hashed as parts of walk entries
+                walked = walks.get(key)
                 if walked is None:
                     ctx = NodeContext(*key[:-1], tree.reader)
                     walked = walks[key] = tree.walk(ctx, v, position)
@@ -733,10 +731,7 @@ def _exact_failure(
                     if not compiled.valid(outputs):
                         failed += w
                     continue
-                try:
-                    successors[entries] = successors.get(entries, 0) + w
-                except TypeError:
-                    raise SimulationError(_UNHASHABLE.format(program.name)) from None
+                successors[entries] = successors.get(entries, 0) + w
         if not successors:
             return Fraction(failed, 1 << next_scale)
         configs, scale = successors, next_scale

@@ -18,13 +18,13 @@ import time
 from conftest import ball_as_sets, naive_lex_first_table, oracle_ball, random_instance
 from derandlab import (
     ConnectedRunConfig,
+    GoodnessCertificate,
     Graph,
     InputInstance,
     InstanceFamilySpec,
     SearchConfig,
     assignment_is_good,
     brute_force_solve,
-    certify_good_f,
     check_indistinguishability,
     compile_checks,
     compute_success_exact,
@@ -190,7 +190,7 @@ def test_first_bit_coloring_union_bound_certificate():
     problem, family, program = _first_bit_setup()
     probs = compute_success_exact(program, compile_checks(problem, family), bits=1)
     lift = lift_to_claimed_size(InstanceFamilySpec(n=2))
-    certificate = certify_good_f(probs, lift.claimed_size)
+    certificate = GoodnessCertificate(probs, range(len(probs)), lift.claimed_size)
     ok = certificate.total < 1 and certificate.verdict
     _report(
         "first-bit coloring union-bound certificate (strict)",

@@ -15,9 +15,9 @@ import pytest
 import derandlab
 from conftest import claimed_size_program
 from derandlab import (
+    GoodnessCertificate,
     InstanceFamilySpec,
     assignment_is_good,
-    certify_good_f,
     cli,
     compile_checks,
     enumerate_instances,
@@ -356,12 +356,23 @@ class TestDerandomize:
             (["--T", "1", "--budget", "0"], "error: budget must be positive"),
             (["--T", "1", "--problem", "coloring:0"], "error: need at least one color"),
             (
+                ["--T", "1", "--problem", "coloring:x"],
+                "error: problem 'coloring:x': the color count must be an integer",
+            ),
+            (
                 ["--T", "1", "--input-alphabet", ","],
                 "derandlab derandomize: error: argument --input-alphabet: "
                 "alphabet must name at least one label",
             ),
+            (
+                ["--T", "1", "--input-alphabet", "a,a"],
+                "error: input alphabet has duplicate labels",
+            ),
         ],
-        ids=["radius", "budget", "colors", "input-alphabet"],
+        ids=[
+            "radius", "budget", "colors", "color-count", "input-alphabet",
+            "duplicate-input",
+        ],
     )
     def test_an_out_of_range_option_exits_bad_input(self, capsys, option, error):
         # argparse exits itself on a value its type rejects, after a usage line
@@ -545,6 +556,39 @@ class TestCertify:
             "estimate; no verdict\n"
         )
 
+    @pytest.mark.parametrize(
+        "option, error",
+        [
+            (["--input-alphabet", "a,a"], "input alphabet has duplicate labels"),
+            (["--problem", "coloring:1"], "need at least two labels"),
+            (
+                ["--problem", "coloring:1", "--program", "id-parity"],
+                "need at least two labels",
+            ),
+            (
+                ["--problem", "coloring:2", "--program", "two-bit"],
+                "need at least three labels",
+            ),
+            (
+                ["--problem", "coloring:x"],
+                "problem 'coloring:x': the color count must be an integer",
+            ),
+        ],
+        ids=["duplicate-input", "first-bit", "id-parity", "two-bit", "color-count"],
+    )
+    def test_a_bad_family_problem_or_program_exits_bad_input(
+        self, tmp_path, capsys, option, error
+    ):
+        out = tmp_path / "cert.json"
+        argv = [
+            "certify", "--problem", "coloring:3", "--n", "2", "--program", "first-bit",
+            "--out", str(out), *option,
+        ]
+        capsys.readouterr()
+        assert run(argv) == 3
+        assert capsys.readouterr() == ("", f"error: {error}\n")
+        assert not out.exists()
+
     def test_reads_past_the_bit_budget_exit_bad_input(self, capsys):
         # two-bit reads two bits per node, over a budget of one
         argv = [
@@ -698,8 +742,11 @@ class TestCertify:
         estimates = estimate_success_mc(
             program, per_copy, trials=20, seed="5", claimed_n=claimed_n
         )
-        certificate = certify_good_f(
-            [e.failure for e in estimates], claimed_n, estimated=True
+        certificate = GoodnessCertificate(
+            [e.failure for e in estimates],
+            range(len(estimates)),
+            claimed_n,
+            estimated=True,
         )
         expected = {
             "mode": "mc",

@@ -1,6 +1,5 @@
 """Both pipelines: certificates, assignment search, and direct table search."""
 
-import dataclasses
 import importlib
 import random
 from collections import Counter
@@ -16,6 +15,7 @@ from conftest import (
 )
 from derandlab import (
     AssignmentNotGood,
+    GoodnessCertificate,
     InstanceFamilySpec,
     LocalityViolation,
     NormalFormTable,
@@ -25,8 +25,6 @@ from derandlab import (
     SearchConfig,
     assignment_is_good,
     brute_force_solve,
-    certify_classes,
-    certify_good_f,
     compile_family,
     compute_success_exact,
     derandomize,
@@ -94,26 +92,26 @@ class TestClaimedSizeLift:
 
 class TestCertificate:
     def test_all_zero_probabilities(self):
-        cert = certify_good_f([Fraction(0)] * 5, 32)
+        cert = GoodnessCertificate([Fraction(0)] * 5, range(5), 32)
         assert cert.total == 0
         assert cert.verdict
 
     def test_forty_eight_instances_below_one_sixty_fourth(self):
-        cert = certify_good_f([Fraction(1, 64)] * 48, 512)
+        cert = GoodnessCertificate([Fraction(1, 64)] * 48, range(48), 512)
         assert cert.total == Fraction(3, 4)
         assert cert.verdict
 
     def test_inconclusive_sum_is_not_a_nonexistence_proof(self):
-        cert = certify_good_f([Fraction(3, 5), Fraction(3, 5)], 16)
+        cert = GoodnessCertificate([Fraction(3, 5), Fraction(3, 5)], range(2), 16)
         assert cert.total == Fraction(6, 5)
         assert not cert.verdict
 
     def test_probabilities_outside_unit_interval_rejected(self):
         with pytest.raises(ValueError):
-            certify_good_f([Fraction(3, 2)], 4)
+            GoodnessCertificate([Fraction(3, 2)], range(1), 4)
 
     def test_jsonable_uses_exact_strings(self):
-        cert = certify_good_f([Fraction(1, 3)], 4)
+        cert = GoodnessCertificate([Fraction(1, 3)], range(1), 4)
         assert cert.to_jsonable()["failure_probs"] == ["1/3"]
         assert cert.to_jsonable()["total"] == "1/3"
 
@@ -127,21 +125,32 @@ class TestCertificate:
         ],
     )
     def test_per_class_certificate_is_the_per_copy_one(self, distinct, classes):
-        per_copy = certify_good_f([distinct[k] for k in classes], 64)
-        per_class = certify_classes(distinct, classes, 64)
-        assert per_class == dataclasses.replace(
-            per_copy, distinct_probs=tuple(distinct)
+        per_copy = GoodnessCertificate(
+            [distinct[k] for k in classes], range(len(classes)), 64
         )
+        per_class = GoodnessCertificate(distinct, classes, 64)
+        for name in (
+            "failure_probs", "total", "family_size", "claimed_size", "estimated", "verdict"
+        ):
+            assert getattr(per_class, name) == getattr(per_copy, name), name
         assert per_class.distinct_total == sum(distinct, Fraction(0))
+        # the reports differ only in what they say of the distinct inputs
+        grouped, listed = per_class.to_jsonable(), per_copy.to_jsonable()
+        assert grouped.keys() == listed.keys()
+        for key in grouped.keys() - {"distinct_inputs", "distinct_total"}:
+            assert grouped[key] == listed[key], key
+        assert grouped["distinct_inputs"] == len(distinct)
+        assert listed["distinct_inputs"] == len(classes)
+        assert grouped["distinct_total"] == str(per_class.distinct_total)
 
     def test_per_class_certificate_rejects_the_same_probability(self):
         # inputs numbered by first appearance: 3/2 comes first in both orders
         distinct = [Fraction(1, 2), Fraction(3, 2), Fraction(2)]
         classes = [0, 1, 0, 2, 1]
         with pytest.raises(ValueError) as per_copy:
-            certify_good_f([distinct[k] for k in classes], 8)
+            GoodnessCertificate([distinct[k] for k in classes], range(len(classes)), 8)
         with pytest.raises(ValueError) as per_class:
-            certify_classes(distinct, classes, 8)
+            GoodnessCertificate(distinct, classes, 8)
         assert str(per_class.value) == str(per_copy.value)
         assert str(per_class.value) == "failure probability 3/2 outside [0, 1]"
 
@@ -224,8 +233,10 @@ class TestSearchGoodAssignment:
         problem = output_one_problem()
         family = list(enumerate_instances(InstanceFamilySpec(n=1)))
         probs = compute_success_exact(program, compile_checks(problem, family), bits=1)
-        cert = certify_good_f(
-            probs, lift_to_claimed_size(InstanceFamilySpec(n=1)).claimed_size
+        cert = GoodnessCertificate(
+            probs,
+            range(len(probs)),
+            lift_to_claimed_size(InstanceFamilySpec(n=1)).claimed_size,
         )
         assert cert.total == Fraction(1, 2)
         assert cert.verdict

@@ -270,3 +270,20 @@ def test_an_unhashable_state_raises_naming_the_program():
         compute_success_exact(program, compile_checks(problem, FAMILIES[2]), 1)
     # the tree walk, which merges nothing, runs it
     assert len(reference_tree_walk(program, problem, FAMILIES[2], 1)) == 4
+
+
+def test_an_unhashable_message_raises_naming_the_program():
+    """The state is hashable and the message is not: the walk that sends the
+    message raises, on the first instance with an edge."""
+
+    def step(ctx):
+        if ctx.round == 0:
+            bit = ctx.bits.next_bit()
+            return StepResult(send=[bit], state=bit)
+        return StepResult(output="AB"[ctx.state])
+
+    program = NodeProgram("list-message", step, lambda _claimed: 1, ("A", "B"))
+    problem = problem_by_name("coloring:2")
+    with pytest.raises(SimulationError, match=r"program list-message .*hashable"):
+        compute_success_exact(program, compile_checks(problem, FAMILIES[2]), 1)
+    assert len(reference_tree_walk(program, problem, FAMILIES[2], 1)) == 4

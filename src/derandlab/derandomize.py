@@ -33,10 +33,10 @@ from .problems import (
     CompiledCheck,
     ProblemSpec,
     SearchBudgetExceeded,
+    _backtrack,
     _cdcl,
-    _instance_checks,
     brute_force_solve,
-    solve_lex_first,
+    compile_checks,
     verify,
 )
 from .simulator import (
@@ -294,18 +294,22 @@ class FamilyIndex:
     """A family compiled once for one table radius and one problem: the data
     the table search runs on.
 
+    ``inputs[i]`` is instance ``i``'s :class:`CompiledCheck`, built by
+    :func:`compile_checks` with memos shared across the family.
     ``realized`` lists the realized radius-T view keys in sorted order, and
     ``node_pos[i][v]`` is the position of node ``v`` of instance ``i`` among
     them.  A node's verification check depends only on its canonical
     verification ball and on the positions of the ball's members, so checks
     are deduplicated on that pair: ``constraints`` holds each distinct one
-    once, as a :class:`Check` whose ``members`` are realized-view positions.
-    A component-wise problem gets one constraint per instance.
+    once, as a :class:`Check` whose ``members`` are realized-view positions
+    and whose memo is its own.  A component-wise problem gets one
+    constraint per instance.
     """
 
     realized: list[str]
     node_pos: list[tuple[int, ...]]
     constraints: list[Check]
+    inputs: list[CompiledCheck]
 
     @property
     def predicate_calls(self) -> int:
@@ -319,30 +323,32 @@ def compile_family(
     """Build the :class:`FamilyIndex` of ``instances`` at table radius
     ``radius``.
 
+    The instances' checks are compiled once, by :func:`compile_checks`.
     Each node's view key is ``canonicalize(extract_ball(instance, v,
     radius))``, computed as :func:`run_normal_form` (and so ``derandlab
-    verify``) computes the key it looks the node up under.  Constraints come
-    from each instance's checks, built as :func:`compile_checks` builds them
-    and read in node order; when the table radius is the problem's radius, a
-    node's view is its verification ball, so the check is built on that
-    view and its key instead of extracting the ball again.  Checks with
-    equal canonical keys whose members have equal view keys become one
-    constraint, with a verdict memo of its own, whose ``members`` are the
-    members' realized-view positions.
+    verify``) computes the key it looks the node up under.  When the table
+    radius is the radius of a locally verifiable problem, a node's view is
+    its verification ball, so the key is read from the node's check, which
+    keyed the ball already; otherwise the view is extracted and keyed.
+    Checks with equal canonical keys whose members have equal view keys
+    become one constraint, with a verdict memo of its own, whose
+    ``members`` are the members' realized-view positions.
     """
-    shared: dict[str, Check] = {}
+    inputs = compile_checks(problem, instances)
+    checks_are_views = radius == problem.radius and problem.locally_verifiable
     node_keys: list[tuple[str, ...]] = []
     # each distinct check with its members' view keys, in first-seen order
     distinct: dict[object, tuple[Check, tuple[str, ...]]] = {}
-    for inst in instances:
-        balls = [extract_ball(inst, v, radius) for v in range(inst.n)]
-        keys = tuple(map(canonicalize, balls))
-        node_keys.append(keys)
-        views = list(zip(balls, keys)) if radius == problem.radius else None
-        checks = _instance_checks(problem, inst, shared, views)
+    for inst, compiled in zip(instances, inputs):
         # node order fixes the order in which checks fire, which decides the
         # search's check and predicate counts (not its tables or placements)
-        for check in sorted(checks, key=lambda c: c.members[0]):
+        checks = sorted(compiled.checks, key=lambda c: c.members[0])
+        if checks_are_views:
+            keys = tuple(check.key for check in checks)
+        else:
+            keys = tuple(canonicalize(extract_ball(inst, v, radius)) for v in range(inst.n))
+        node_keys.append(keys)
+        for check in checks:
             scope = tuple(map(keys.__getitem__, check.members))
             # a component-wise check has no key and is never shared
             key = check if check.key is None else (check.key, scope)
@@ -355,7 +361,7 @@ def compile_family(
     for check, scope in distinct.values():
         members = tuple(map(pos_of.__getitem__, scope))
         constraints.append(Check(check.ball, check.key, members, check.evaluate, {}))
-    return FamilyIndex(realized, node_pos, constraints)
+    return FamilyIndex(realized, node_pos, constraints, inputs)
 
 
 @dataclass
@@ -411,11 +417,12 @@ def find_normal_form(config: SearchConfig) -> TableSearchOutcome:
     decision (implied labels are free) and is what ``node_budget`` caps.
 
     When the clauses refute every table, each distinct input is solved alone
-    with :func:`solve_lex_first`, the product's single-instance solver, in
-    family order; the first unsolvable one is the witness, confirmed by
-    :func:`brute_force_solve`.  The scan reads no constraint of the index, so
-    ``stats.predicate_calls`` counts the table search's memo misses alone.  A
-    found table is verified once more on the whole family with
+    on the checks the index compiled for it (``FamilyIndex.inputs``), in
+    family order, by :func:`solve_lex_first`'s backtracker; the first
+    unsolvable one is the witness, confirmed by :func:`brute_force_solve`.
+    The scan fills those checks' shared memos, not the constraints', so
+    ``stats.predicate_calls`` counts the table search's memo misses alone.
+    A found table is verified once more on the whole family with
     :func:`verify`, the spec-level oracle, each node's output looked up in
     the table under the view key the compilation gave it, which is the key
     every table lookup computes.
@@ -455,15 +462,14 @@ def find_normal_form(config: SearchConfig) -> TableSearchOutcome:
     found, stats.placements, stats.checks, stats.conflicts = _cdcl(
         index.constraints, alphabet, labels, config.node_budget
     )
-    unsolvable = None if found else next(
-        (
-            (idx, first)
-            for idx, first in classes.firsts
-            if solve_lex_first(problem, first) is None
-        ),
-        None,
-    )
     stats.predicate_calls = index.predicate_calls
+    unsolvable = None
+    if not found:
+        for (idx, first), compiled in zip(classes.firsts, index.inputs):
+            order = sorted(range(first.n), key=first.identifier)
+            if not _backtrack(order, compiled.checks, alphabet, [None] * first.n):
+                unsolvable = idx, first
+                break
     lap("search")
 
     if not found:
@@ -473,7 +479,7 @@ def find_normal_form(config: SearchConfig) -> TableSearchOutcome:
         witness, inst = unsolvable
         if brute_force_solve(problem, inst) is not None:
             raise SimulationError(
-                f"internal: solve_lex_first finds no labeling of instance {witness} "
+                f"internal: the witness scan finds no labeling of instance {witness} "
                 "but brute force finds one"
             )
         lap("verify")

@@ -275,9 +275,12 @@ def compile_checks(
 
     Node checks whose balls have equal canonical keys share one verdict memo
     across all the instances of the call, so each distinct (key, label tuple)
-    reaches the problem's predicate once.  A caller that needs one check per
-    copy of an input passes the input's first copy's check for each copy
-    (:class:`InputClasses`) rather than compiling every copy.
+    reaches the problem's predicate once.  It is the package's one keyed
+    check compiler: ``certify`` and the table search
+    (:func:`derandomize.compile_family`) both build on it.  A caller that
+    needs one check per copy of an input passes the input's first copy's
+    check for each copy (:class:`InputClasses`) rather than compiling every
+    copy.
     """
     alphabet = frozenset(problem.output_alphabet)
     shared: dict[str, Check] = {}
@@ -288,52 +291,41 @@ def compile_checks(
 
 
 def _instance_checks(
-    problem: ProblemSpec,
-    instance: InputInstance,
-    shared: dict[str, Check] | None,
-    views: Sequence[tuple[BallView, str]] | None = None,
+    problem: ProblemSpec, instance: InputInstance, shared: dict[str, Check] | None
 ) -> tuple[Check, ...]:
     """The :class:`Check` objects of one instance, in the order :func:`verify`
-    visits them.
+    visits them, each node's verification ball extracted once.
 
-    With ``shared``, node checks are keyed by their balls' canonical keys and
-    checks with equal keys share one verdict memo, registered in ``shared``.
-    Without it no key is computed and every check has a memo of its own.
-    ``views[v]``, when given, is node ``v``'s verification ball and its
-    canonical key, computed by the caller; they are used instead of
-    extracting and keying the ball again.
+    With ``shared`` (:func:`compile_checks`), node checks are keyed by their
+    balls' canonical keys and checks with equal keys share one verdict memo,
+    registered in ``shared``.  Without it (:func:`solve_lex_first`) no key
+    is computed and every check has a memo of its own.
     """
     if not problem.locally_verifiable:
         evaluate = partial(_labeling_verdict, problem, instance)
         return (Check(None, None, tuple(range(instance.n)), evaluate, {}),)
     order = sorted(range(instance.n), key=instance.identifier)
-    if views is None:
-        balls = (extract_ball(instance, v, problem.radius) for v in order)
-        return tuple(_node_check(problem, instance, ball, None, shared) for ball in balls)
-    return tuple(_node_check(problem, instance, *views[v], shared) for v in order)
+    balls = (extract_ball(instance, v, problem.radius) for v in order)
+    return tuple(_node_check(problem, instance, ball, shared) for ball in balls)
 
 
 def _node_check(
     problem: ProblemSpec,
     instance: InputInstance,
     ball: BallView,
-    key: str | None,
     shared: dict[str, Check] | None,
 ) -> Check:
     """The check of the node at the center of ``ball``, its verification
-    ball; ``key`` is the ball's canonical key, or None to compute it here
-    when ``shared`` needs it."""
+    ball: keyed and registered in ``shared`` when given, unkeyed with a memo
+    of its own otherwise."""
     members = tuple(map(instance.node_with_id, ball.identifiers))
     if shared is None:
-        key = None
-    elif key is None:
-        key = canonicalize(ball)
-    first = None if shared is None else shared.get(key)
-    if first is None:
-        first = Check(ball, key, members, partial(_ball_verdict, problem, ball), {})
-        if shared is not None:
-            shared[key] = first
-        return first
+        return Check(ball, None, members, partial(_ball_verdict, problem, ball), {})
+    key = canonicalize(ball)
+    if key not in shared:
+        shared[key] = Check(ball, key, members, partial(_ball_verdict, problem, ball), {})
+        return shared[key]
+    first = shared[key]
     return Check(first.ball, key, members, first.evaluate, first.verdicts)
 
 
@@ -364,7 +356,8 @@ def _backtrack(
     in the order ``checks`` lists them (:func:`_triggers`).  Returns True
     with ``labels`` holding the first complete assignment that satisfies
     every check, and False once the space is exhausted.  It serves
-    :func:`solve_lex_first`, where it is faster than :func:`_cdcl`.
+    :func:`solve_lex_first` and the table search's witness scan, where one
+    instance is solved at a time and it is faster than :func:`_cdcl`.
     """
     triggers = _triggers(order, checks)
     depth = 0

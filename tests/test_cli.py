@@ -226,6 +226,63 @@ def test_derandomize_refuses_a_huge_identifier_space_before_its_bound():
     assert done.stderr.endswith("too many to enumerate\n")
 
 
+# one command of each kind, in an order where each finds the table the first
+# one writes
+REPRODUCED_COMMANDS = [
+    ["derandomize", "--problem", "mis", "--n", "3", "--T", "1",
+     "--out-table", "table.json", "--out-report", "report.json"],
+    ["derandomize", "--problem", "coloring:2", "--n", "3", "--T", "1",
+     "--out-report", "unsat.json"],
+    ["certify", "--problem", "coloring:3", "--n", "3", "--program", "two-bit",
+     "--mode", "exact", "--bits", "2", "--find-f", "--out", "exact.json"],
+    ["certify", "--problem", "coloring:3", "--n", "3", "--program", "two-bit",
+     "--mode", "mc", "--seed", "5", "--trials", "50", "--out", "mc.json"],
+    ["simulate", "--table", "table.json", "--n", "3", "--out", "runs.jsonl"],
+    ["connected-run", "--problem", "mis", "--table", "table.json", "--n", "3",
+     "--out", "connected.json"],
+    ["verify", "--problem", "mis", "--table", "table.json", "--n", "3",
+     "--out", "verify.json"],
+    ["enumerate", "--n", "3", "--input-alphabet", "b,a", "--out", "family.jsonl"],
+]
+
+
+def test_artifacts_are_byte_identical_across_processes_and_hash_seeds(tmp_path):
+    """Every command prints and writes the same bytes in a new process under
+    another string-hash seed, which reorders sets of strings: no artifact
+    may depend on that order.  Only the ``phases:`` timing lines on stderr
+    and the reports' ``wall_time_s`` lines may differ.  Seeds 0 and 1 order
+    the set {"a", "b"} alike, so a third seed runs too."""
+    env = dict(os.environ, PYTHONPATH=SOURCE)
+    env.pop("DERANDLAB_OUT_DIR", None)
+    runs = []
+    for seed in ("0", "1", "2"):
+        cwd = tmp_path / f"hashseed-{seed}"
+        cwd.mkdir()
+        printed = []
+        for argv in REPRODUCED_COMMANDS:
+            done = subprocess.run(
+                [sys.executable, "-m", "derandlab.cli", *argv],
+                cwd=cwd,
+                env=dict(env, PYTHONHASHSEED=seed),
+                capture_output=True,
+                text=True,
+                timeout=60,
+            )
+            stderr = [line for line in done.stderr.splitlines() if not line.startswith("phases:")]
+            printed.append((done.returncode, done.stdout, stderr))
+        written = {
+            path.name: [
+                line for line in path.read_bytes().splitlines(True) if b"wall_time_s" not in line
+            ]
+            for path in sorted(cwd.iterdir())
+        }
+        runs.append((printed, written))
+    printed, written = runs[0]
+    assert [code for code, _, _ in printed] == [0, 1, 0, 0, 0, 0, 0, 0]
+    assert len(written) == 9
+    assert runs[1:] == [runs[0]] * 2
+
+
 class TestDerandomize:
     def test_mis_n3_succeeds(self, tmp_path):
         table = tmp_path / "table.json"

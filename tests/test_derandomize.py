@@ -568,11 +568,49 @@ class TestFamilyIndex:
         assert sum(calls.values()) == per_node * nodes
         assert calls[radius] == nodes
 
-    def test_component_wise_problem_gets_one_constraint_per_instance(self):
+    @pytest.mark.parametrize("radius", [0, 1])
+    def test_component_wise_problem_gets_one_constraint_per_instance(self, radius):
         family = list(enumerate_instances(InstanceFamilySpec(n=3)))
-        index = compile_family(one_leader_problem(), family, 1)
+        index = compile_family(one_leader_problem(), family, radius)
         assert len(index.constraints) == len(family)
         assert all(con.key is None for con in index.constraints)
+
+    @pytest.mark.parametrize(
+        "name, n, radius, witness, calls",
+        [
+            ("coloring:3", 4, 0, 1512, 64),
+            ("mis", 3, 0, None, 8),
+            ("coloring:2", 3, 2, 42, 8),
+            ("coloring:4", 4, 0, None, 64),
+        ],
+    )
+    def test_each_distinct_input_is_compiled_once(
+        self, monkeypatch, name, n, radius, witness, calls
+    ):
+        """One search builds each distinct input's checks once: the family
+        index compiles them and the witness scan solves those same checks."""
+        problems = importlib.import_module("derandlab.problems")
+        real = problems._instance_checks
+        count = Counter()
+
+        def counting(*args):
+            count["calls"] += 1
+            return real(*args)
+
+        for module in ("derandlab.problems", "derandlab.derandomize"):
+            # raising=False: the search module need not import it at all
+            monkeypatch.setattr(
+                importlib.import_module(module), "_instance_checks", counting, raising=False
+            )
+        outcome = find_normal_form(
+            SearchConfig(
+                problem=problem_by_name(name), family=InstanceFamilySpec(n=n), radius=radius
+            )
+        )
+        assert outcome.witness_index == witness
+        # mis n=3 T=0 exhausts the search; coloring:4 n=4 T=0 finds a table
+        assert outcome.found == (name == "coloring:4")
+        assert count["calls"] == calls
 
     def test_memo_evaluates_each_label_tuple_once(self):
         outcome = find_normal_form(
@@ -582,8 +620,8 @@ class TestFamilyIndex:
         # the conflict-learning search's own counters
         assert (stats.placements, stats.conflicts) == (87, 15)
         assert stats.constraints == 21
-        # the witness scan solves with solve_lex_first, which reads no memo
-        # of the index, so predicate_calls are the search's memo misses alone
+        # the witness scan solves each input's compiled checks, whose memos
+        # are not the constraints', so predicate_calls are the search's alone
         assert (stats.checks, stats.predicate_calls) == (93, 35)
 
 

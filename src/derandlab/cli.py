@@ -180,7 +180,7 @@ def cmd_derandomize(args: argparse.Namespace) -> int:
         f"search: {stats.realized_views} views / {stats.constraints} constraints / "
         f"{stats.placements} placements / {stats.conflicts} conflicts / "
         f"{stats.checks} checks / "
-        f"{stats.predicate_calls} predicate_calls",
+        f"{stats.predicate_calls} predicate_calls / {stats.components} components",
         file=sys.stderr,
     )
     print(

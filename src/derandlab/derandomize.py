@@ -287,6 +287,7 @@ class SearchStats:
     checks: int = 0  # constraint evaluations during the table search
     conflicts: int = 0  # violated constraints and clauses, each one learned from
     predicate_calls: int = 0  # memo misses: interpreted predicate evaluations
+    components: int = 0  # independent parts of the search, each solved alone
 
 
 @dataclass
@@ -408,13 +409,18 @@ def find_normal_form(config: SearchConfig) -> TableSearchOutcome:
     view keys in sorted order and the deduplicated verification constraints,
     each keyed by its canonical verification ball and the positions of the
     ball's members, with a memo from label tuple to verdict.  A
-    conflict-learning solver (:func:`problems._cdcl`) decides the realized
-    keys in key order, trying labels in alphabet order, and never restarts,
-    so its first model is the lexicographic minimum.  A constraint is
-    evaluated once every position it reads is labeled (a tuple build plus a
-    memo lookup); a violated one becomes a clause, and the solver learns from
-    it and jumps back.  ``stats.placements`` counts the labels it chose by
-    decision (implied labels are free) and is what ``node_budget`` caps.
+    conflict-learning solver (:func:`problems._cdcl`) splits the realized
+    keys into the components that no constraint links to each other and
+    solves each component alone, in order of its least key.  Within one it
+    decides the keys in key order, trying labels in alphabet order, and
+    never restarts, so its first model is the component's lexicographic
+    minimum; the components share no constraint, so together they give the
+    family's.  A constraint is evaluated once every position it reads is
+    labeled (a tuple build plus a memo lookup); a violated one becomes a
+    clause, and the solver learns from it and jumps back within its
+    component.  ``stats.placements`` counts the labels it chose by decision
+    (implied labels are free), summed over the components, and is what
+    ``node_budget`` caps; ``stats.components`` counts the components.
 
     When the clauses refute every table, each distinct input is solved alone
     on the checks the index compiled for it (``FamilyIndex.inputs``), in
@@ -459,7 +465,7 @@ def find_normal_form(config: SearchConfig) -> TableSearchOutcome:
     )
 
     labels: list[str | None] = [None] * len(realized)
-    found, stats.placements, stats.checks, stats.conflicts = _cdcl(
+    found, stats.placements, stats.checks, stats.conflicts, stats.components = _cdcl(
         index.constraints, alphabet, labels, config.node_budget
     )
     stats.predicate_calls = index.predicate_calls

@@ -398,6 +398,91 @@ def _cdcl(
     alphabet: Sequence[str],
     labels: list[str | None],
     budget: int | None = None,
+) -> tuple[bool, int, int, int, int]:
+    """The lexicographically first labeling of the positions of ``labels``
+    that satisfies every check, solved one independent part at a time.
+
+    Two positions are linked when some check reads both; the connected
+    components of these links (:func:`_components`) share no check, so the
+    valid labelings are exactly the products of each component's valid
+    labelings.  The lexicographically first one therefore restricts to each
+    component's own first labeling: were a component's part of it not that
+    component's first labeling, putting that labeling in its place would
+    give a smaller valid one.  Each component is solved alone, in order of
+    its least position, by :func:`_cdcl_component`, so a conflict in one
+    component never undoes the decisions of another; the first refuted
+    component refutes every labeling.
+
+    Returns ``(found, decisions, checks, conflicts, components)``: ``found``
+    is True with ``labels`` holding that labeling, and False once some
+    component is refuted.  ``decisions``, ``checks`` (check evaluations) and
+    ``conflicts`` are summed over the components solved, and ``components``
+    is their number in the whole constraint graph.  Raises
+    :class:`SearchBudgetExceeded` once the summed decisions exceed
+    ``budget``.
+    """
+    parts = _components(checks, len(labels))
+    decisions = evaluated = conflicts = 0
+    for positions, part_checks in parts:
+        part: list[str | None] = [None] * len(positions)
+        found, spent, part_evaluated, part_conflicts = _cdcl_component(
+            part_checks, alphabet, part, budget, decisions
+        )
+        decisions += spent
+        evaluated += part_evaluated
+        conflicts += part_conflicts
+        if not found:
+            return False, decisions, evaluated, conflicts, len(parts)
+        for pos, label in zip(positions, part):
+            labels[pos] = label
+    return True, decisions, evaluated, conflicts, len(parts)
+
+
+def _components(
+    checks: Sequence[Check], size: int
+) -> list[tuple[list[int], list[Check]]]:
+    """The connected components of positions ``0 .. size - 1``, two positions
+    linked when some check reads both, in order of least position.
+
+    Each component is its positions in increasing order and its checks in
+    the order given, as copies whose ``members`` index into those positions.
+    The copies share ``evaluate`` and ``verdicts`` with the originals, so
+    the originals' memos still record every evaluation.
+    """
+    root = list(range(size))
+
+    def find(pos: int) -> int:
+        while root[pos] != pos:
+            root[pos] = root[root[pos]]
+            pos = root[pos]
+        return pos
+
+    for check in checks:
+        first = find(check.members[0])
+        for member in check.members[1:]:
+            other = find(member)
+            if other != first:
+                root[other] = first
+    parts: dict[int, tuple[list[int], list[Check]]] = {}
+    local = [0] * size  # each position's index within its component
+    for pos in range(size):
+        positions, _ = parts.setdefault(find(pos), ([], []))
+        local[pos] = len(positions)
+        positions.append(pos)
+    for check in checks:
+        members = tuple(map(local.__getitem__, check.members))
+        parts[find(check.members[0])][1].append(
+            Check(check.ball, check.key, members, check.evaluate, check.verdicts)
+        )
+    return list(parts.values())
+
+
+def _cdcl_component(
+    checks: Sequence[Check],
+    alphabet: Sequence[str],
+    labels: list[str | None],
+    budget: int | None,
+    spent: int,
 ) -> tuple[bool, int, int, int]:
     """The lexicographically first labeling of the positions of ``labels``
     that satisfies every check, by conflict-driven clause learning.
@@ -429,7 +514,8 @@ def _cdcl(
     Returns ``(found, decisions, checks, conflicts)``: ``found`` is True with
     ``labels`` holding that labeling, and False once the clauses refute every
     labeling.  ``checks`` counts check evaluations.  Raises
-    :class:`SearchBudgetExceeded` once decisions exceed ``budget``.
+    :class:`SearchBudgetExceeded` once ``spent`` (decisions made before this
+    call) plus its own decisions exceed ``budget``.
     """
     k = len(alphabet)
     nvars = len(labels) * k
@@ -597,7 +683,7 @@ def _cdcl(
         if cursor == len(labels):
             return True, decisions, evaluated, conflicts
         decisions += 1
-        if budget is not None and decisions > budget:
+        if budget is not None and spent + decisions > budget:
             raise SearchBudgetExceeded(
                 f"table search exceeded its budget of {budget} placements"
             )

@@ -346,8 +346,8 @@ class TestDerandomize:
         assert run(["derandomize", "--problem", "mis", "--n", "3", "--T", "1"]) == 0
         err = capsys.readouterr().err
         assert (
-            "search: 21 views / 21 constraints / 67 placements / 10 conflicts / "
-            "62 checks / 31 predicate_calls"
+            "search: 21 views / 21 constraints / 22 placements / 10 conflicts / "
+            "31 checks / 31 predicate_calls / 10 components"
         ) in err
 
     def test_stderr_times_each_phase(self, capsys):

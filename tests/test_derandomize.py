@@ -617,12 +617,13 @@ class TestFamilyIndex:
             SearchConfig(problem=make_coloring(2), family=InstanceFamilySpec(n=3), radius=2)
         )
         stats = outcome.stats
-        # the conflict-learning search's own counters
-        assert (stats.placements, stats.conflicts) == (87, 15)
-        assert stats.constraints == 21
+        # the conflict-learning search's own counters, up to the first
+        # refuted component of the search
+        assert (stats.placements, stats.conflicts) == (21, 14)
+        assert (stats.constraints, stats.components) == (21, 10)
         # the witness scan solves each input's compiled checks, whose memos
         # are not the constraints', so predicate_calls are the search's alone
-        assert (stats.checks, stats.predicate_calls) == (93, 35)
+        assert (stats.checks, stats.predicate_calls) == (30, 30)
 
 
 class TestDerandomizeReport:

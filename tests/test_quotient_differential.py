@@ -103,7 +103,7 @@ def per_instance_search(config: SearchConfig) -> dict:
     instances = list(enumerate_instances(config.family))
     index = compile_family(problem, instances, config.radius)
     labels = [None] * len(index.realized)
-    found, placements, checks, conflicts = _cdcl(
+    found, placements, checks, conflicts, components = _cdcl(
         index.constraints, problem.output_alphabet, labels, config.node_budget
     )
     witness = None if found else next(
@@ -126,6 +126,7 @@ def per_instance_search(config: SearchConfig) -> dict:
         "exhausted": not found and witness is None,
         "placements": placements,
         "conflicts": conflicts,
+        "components": components,
         "checks": checks,
         "constraints": len(index.constraints),
         "predicate_calls": index.predicate_calls,
@@ -162,9 +163,10 @@ def assert_same_search(config: SearchConfig, component_wise: bool) -> None:
     assert outcome.witness_index == expected["witness_index"]
     assert outcome.witness == expected["witness"]
     assert outcome.exhausted == expected["exhausted"]
-    assert (stats.placements, stats.conflicts) == (
+    assert (stats.placements, stats.conflicts, stats.components) == (
         expected["placements"],
         expected["conflicts"],
+        expected["components"],
     )
     assert stats.family_size == expected["family_size"]
     if outcome.found:

@@ -4,14 +4,21 @@
 conflict-learning search replaced, kept verbatim: one closure per node of
 every instance, each running the interpreted ball predicate on every trigger.
 Both must return the same table, verdict and witness.
+
+The solver splits its positions into independent components and solves
+each alone; it is also checked against brute force over every labeling, and
+against itself run on one component.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from typing import Callable
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import copy_neighbor_parity_problem, one_leader_problem
 from derandlab import (
@@ -32,7 +39,13 @@ from derandlab import (
     verify,
 )
 from derandlab.derandomize import SearchStats, compile_family
-from derandlab.problems import ProblemSpec, _backtrack, _cdcl, problem_from_jsonable
+from derandlab.problems import (
+    Check,
+    ProblemSpec,
+    _backtrack,
+    _cdcl,
+    problem_from_jsonable,
+)
 
 
 def reference_find_normal_form(config: SearchConfig) -> TableSearchOutcome:
@@ -202,7 +215,7 @@ def test_the_cases_cover_every_verdict():
 
 
 def test_budget_is_charged_the_same_way():
-    # the search needs over 12,000 decisions here, the reference never ends
+    # the search needs 1,247 decisions here, the reference never ends
     config = SearchConfig(
         problem=problem_by_name("coloring:4"),
         family=InstanceFamilySpec(n=4),
@@ -253,3 +266,110 @@ def test_the_solver_finds_the_backtrackers_table_on_random_problems():
             assert got == expected
         outcomes.add(found)
     assert outcomes == {True, False}
+
+
+# -- the split into independent components ------------------------------------
+
+
+@st.composite
+def check_sets(draw):
+    """A number of positions, an alphabet and checks, each a scope of
+    positions (repeats allowed) with the label tuples it forbids.  Each
+    position is put in one of three groups and each scope stays inside one
+    group, so the checks link the positions into several components."""
+    size = draw(st.integers(1, 7))
+    alphabet = ("a", "b", "c")[: draw(st.integers(1, 3))]
+    group = draw(st.lists(st.integers(0, 2), min_size=size, max_size=size))
+    scopes = []
+    for _ in range(draw(st.integers(0, 6))):
+        chosen = draw(st.sampled_from(group))
+        positions = [pos for pos in range(size) if group[pos] == chosen]
+        members = tuple(draw(st.lists(st.sampled_from(positions), min_size=1, max_size=3)))
+        tuples = list(itertools.product(alphabet, repeat=len(members)))
+        scopes.append((members, frozenset(draw(st.sets(st.sampled_from(tuples))))))
+    return size, alphabet, scopes
+
+
+def forbidding(scopes) -> list[Check]:
+    """One check per scope, failing exactly on its forbidden label tuples."""
+    return [
+        Check(None, None, members, lambda labels, forbidden=forbidden: labels not in forbidden, {})
+        for members, forbidden in scopes
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(check_sets())
+# two components, each with its all-"a" labeling ruled out
+@example((4, ("a", "b"), [((0, 1), {("a", "a")}), ((3, 2), {("a", "a")})]))
+# the first component is solvable and the second one is refuted
+@example(
+    (
+        3,
+        ("a", "b"),
+        [
+            ((0,), {("a",)}),
+            ((1, 2, 1), {("a", "b", "a"), ("b", "a", "b")}),
+            ((2, 1), {("a", "a"), ("b", "b")}),
+        ],
+    )
+)
+def test_the_solver_returns_the_first_labeling_in_product_order(case):
+    size, alphabet, scopes = case
+    expected = next(
+        (
+            combo
+            for combo in itertools.product(alphabet, repeat=size)
+            if all(tuple(combo[p] for p in members) not in forbidden
+                   for members, forbidden in scopes)
+        ),
+        None,
+    )
+    labels: list[str | None] = [None] * size
+    found = _cdcl(forbidding(scopes), alphabet, labels)[0]
+    assert found == (expected is not None)
+    if found:
+        assert tuple(labels) == expected
+
+
+def always_true(size: int) -> Check:
+    """A check that reads every position and holds on every labeling: it
+    links all positions into one component and rules nothing out."""
+    return Check(None, None, tuple(range(size)), lambda labels: True, {})
+
+
+@pytest.mark.parametrize(
+    "name, n, radius",
+    [(name, 3, radius) for name in ("mis", "coloring:2", "coloring:3", "coloring:4")
+     for radius in (0, 1, 2)]
+    + [("mis", 4, 2), ("coloring:4", 4, 1), ("coloring:4", 4, 2)],
+)
+def test_split_search_matches_the_one_component_search(name, n, radius):
+    problem = problem_by_name(name)
+    index = compile_family(problem, list(enumerate_instances(InstanceFamilySpec(n=n))), radius)
+    size = len(index.realized)
+    split: list[str | None] = [None] * size
+    whole: list[str | None] = [None] * size
+    alphabet = problem.output_alphabet
+    found, *_, components = _cdcl(index.constraints, alphabet, split)
+    expected, *_, one = _cdcl([*index.constraints, always_true(size)], alphabet, whole)
+    assert one == 1
+    assert found == expected
+    if found:
+        assert components > 1
+        assert split == whole
+
+
+def test_budget_is_charged_across_components():
+    alphabet = ("a", "b")
+    # two components, each deciding twice: its first label conflicts
+    scopes = [((0, 1), {("a", "a")}), ((2, 3), {("a", "a")})]
+    assert _cdcl(forbidding(scopes[:1]), alphabet, [None] * 2)[1] == 2
+    labels: list[str | None] = [None] * 4
+    assert _cdcl(forbidding(scopes), alphabet, labels) == (True, 4, 4, 2, 2)
+    assert labels == ["a", "b", "a", "b"]
+    with pytest.raises(SearchBudgetExceeded, match="budget of 3 placements"):
+        _cdcl(forbidding(scopes), alphabet, [None] * 4, budget=3)
+    labels = [None] * 4
+    assert _cdcl(forbidding(scopes), alphabet, labels, budget=4)[0]
+    assert labels == ["a", "b", "a", "b"]
